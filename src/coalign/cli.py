@@ -14,6 +14,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation, model as model_mod, objectives, trainer
+from .errors import ConsistencyError
 
 
 def _parse_synthetic(spec: str) -> dict:
@@ -121,9 +122,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     params = model_mod.load_checkpoint(args.checkpoint)
     manifest = json.loads(Path(args.data).read_text())
+    missing = [key for key in ("recipe", "sha256") if key not in manifest]
+    if missing:
+        raise ConsistencyError(f"{args.data}: manifest is missing {', '.join(missing)}")
     dataset = data_mod.materialize_dataset(manifest["recipe"])
     if data_mod.dataset_fingerprint(dataset) != manifest["sha256"]:
-        print("warning: regenerated dataset does not match the manifest hash", file=sys.stderr)
+        raise ConsistencyError(
+            f"{args.data}: the dataset its recipe regenerates does not match its sha256"
+        )
     pred = model_mod.classify(params, dataset.features)
     cm = evaluation.confusion_matrix(
         dataset.labels, pred.probabilities.argmax(axis=1), dataset.num_classes

@@ -28,6 +28,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 DIRECTION_SOURCE = "source-reversed"
 DIRECTION_TARGET = "target-ranked"
+SPLIT_PARTS = ("train", "holdout")
 
 
 @dataclass
@@ -274,6 +275,18 @@ def stratified_split(
     )
 
 
+def take_split(dataset: LabeledDataset, split: dict) -> LabeledDataset:
+    """The part of a seeded stratified split named by a recipe's ``split``
+    block: ``{"holdout_fraction": f, "seed": s, "part": "train" | "holdout"}``."""
+    missing = sorted({"holdout_fraction", "seed", "part"} - set(split))
+    if missing:
+        raise UsageError(f"split block is missing {', '.join(missing)}")
+    if split["part"] not in SPLIT_PARTS:
+        raise UsageError(f"split part must be one of {SPLIT_PARTS}, got {split['part']!r}")
+    train, holdout = stratified_split(dataset, split["holdout_fraction"], seed=split["seed"])
+    return train if split["part"] == "train" else holdout
+
+
 def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.ndarray]:
     """One epoch of class-balanced batches: floor(B/c) draws per class, the
     remainder rotating round-robin over a per-epoch class order; exhausted
@@ -353,7 +366,9 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
     """Rebuild a dataset from a manifest recipe.
 
     Recipes have kind twin-gaussians (with a ``domain`` selector), csv, or
-    idx; an optional ``shift`` section applies the label-shift protocol.
+    idx; an optional ``shift`` section applies the label-shift protocol, and
+    an optional ``split`` section then keeps one part of a stratified split
+    (see :func:`take_split`).
     """
     kind = recipe.get("kind")
     if kind == "twin-gaussians":
@@ -385,4 +400,7 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
             min_per_class=shift.get("min_per_class", 2),
         )
         base = build_shift(base, spec, seed=shift.get("seed", 0))
+    split = recipe.get("split")
+    if split:
+        base = take_split(base, split)
     return base

@@ -183,12 +183,25 @@ def backward_head(
     d_logits: np.ndarray,
     head_scale: float = 1.0,
     feature_scale: float = 1.0,
+    *,
+    feature_d_logits: np.ndarray | None = None,
+    d_embed_extra: np.ndarray | None = None,
 ) -> None:
-    """Backward from cosine-head logits into prototypes and the extractor."""
+    """Backward from cosine-head logits into prototypes and the extractor.
+
+    The prototypes take ``d_logits``; the extractor takes ``feature_d_logits``
+    when given (so one pass can route a term with opposite signs to the two
+    sides) and otherwise ``d_logits``. ``d_embed_extra`` is an embedding
+    gradient from another head, added before the single extractor chain.
+    """
     t = params.temperature
     params.prototypes.accumulate(cache.normalized.T @ d_logits / t, head_scale)
-    d_norm = d_logits @ params.prototypes.value.T / t
+    if feature_d_logits is None:
+        feature_d_logits = d_logits
+    d_norm = feature_d_logits @ params.prototypes.value.T / t
     d_embed = numerics.l2_normalize_backward(d_norm, cache.normalized, cache.norms)
+    if d_embed_extra is not None:
+        d_embed += d_embed_extra
     backward_extractor(params, cache, d_embed, feature_scale)
 
 
@@ -240,6 +253,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(
             f"checkpoint version {doc.get('format_version')} unsupported (want {CHECKPOINT_VERSION})"
         )
+    missing = [k for k in ("temperature", "seed", "input_dim", "hidden_dims", "num_classes", "blocks")
+               if k not in doc]
+    if missing:
+        raise CheckpointError(f"checkpoint {path} is missing {', '.join(missing)}")
     params = init_model(
         doc["input_dim"],
         tuple(doc["hidden_dims"]),
@@ -249,12 +266,18 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     )
     for block in params.all_blocks():
         entry = doc["blocks"].get(block.name)
-        if entry is None:
-            raise CheckpointError(f"checkpoint missing block {block.name!r}")
-        values = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        if values.shape != block.value.shape:
+        if entry is None or "shape" not in entry or "values" not in entry:
+            raise CheckpointError(f"checkpoint missing block {block.name!r} or its shape/values")
+        values = np.asarray(entry["values"], dtype=np.float64)
+        if tuple(entry["shape"]) != block.value.shape:
             raise CheckpointError(
-                f"block {block.name!r} shape {values.shape} != model shape {block.value.shape}"
+                f"block {block.name!r} shape {tuple(entry['shape'])} != model shape {block.value.shape}"
             )
-        block.value[...] = values
+        if values.shape != (block.value.size,):
+            raise CheckpointError(
+                f"block {block.name!r} holds {values.size} values, its shape needs {block.value.size}"
+            )
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"block {block.name!r} holds non-finite values")
+        block.value[...] = values.reshape(block.value.shape)
     return params

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +65,39 @@ class TrainConfig:
         if self.ablations and self.method != "coal":
             raise UsageError("ablation flags are only valid with method=coal")
         if isinstance(self.k_schedule, str):
+            if self.k_schedule not in K_SCHEDULE_PRESETS:
+                raise UsageError(
+                    f"k_schedule must be one of {sorted(K_SCHEDULE_PRESETS)} or a dict, "
+                    f"got {self.k_schedule!r}"
+                )
             self.k_schedule = K_SCHEDULE_PRESETS[self.k_schedule]
         elif isinstance(self.k_schedule, dict):
+            unknown = sorted(set(self.k_schedule) - {f.name for f in fields(KSchedule)})
+            if unknown:
+                raise UsageError(f"k_schedule has unknown keys {unknown}")
             self.k_schedule = KSchedule(**self.k_schedule)
         self.hidden_dims = tuple(self.hidden_dims)
+        for name, ok, rule in (
+            ("batch_size", self.batch_size > 0, "be positive"),
+            ("epochs", self.epochs >= 0, "be nonnegative"),
+            ("pretrain_epochs", self.pretrain_epochs >= 0, "be nonnegative"),
+            ("lr_head", self.lr_head >= 0, "be nonnegative"),
+            ("lr_backbone", self.lr_backbone >= 0, "be nonnegative"),
+            ("momentum", 0 <= self.momentum < 1, "lie in [0, 1)"),
+            ("alpha", self.alpha >= 0, "be nonnegative"),
+            ("temperature", self.temperature > 0, "be positive"),
+            ("holdout_fraction", 0 < self.holdout_fraction < 1, "lie in (0, 1)"),
+            ("hidden_dims", len(self.hidden_dims) > 0 and min(self.hidden_dims) > 0,
+             "list at least one positive width"),
+        ):
+            if not ok:
+                raise UsageError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise UsageError(f"unknown config keys {unknown}")
         return cls(**doc)
 
     @classmethod
@@ -222,26 +248,25 @@ def run_coal_epoch(
     for i in range(steps):
         sb = src_plan[i % len(src_plan)]
         tb = tgt_plan[i % len(tgt_plan)]
+        src_x, src_y = source.features[sb], source.labels[sb]
         tgt_x = target_train.features[tb]
-        if use_pseudo:
-            l_st, l_sc, l_pseudo = objectives.self_training_loss(
-                params, source.features[sb], source.labels[sb],
-                tgt_x, pseudo.labels[tb], pseudo.mask[tb].astype(np.float64),
+        if use_pseudo or use_entropy:
+            breakdown = objectives.coal_objective(
+                params, src_x, src_y, tgt_x, pseudo.labels[tb],
+                pseudo.mask[tb].astype(np.float64) if use_pseudo else None,
+                config.alpha, entropy_term=use_entropy,
             )
         else:
-            l_sc = objectives.source_classification_loss(params, source.features[sb], source.labels[sb])
-            l_pseudo, l_st = 0.0, l_sc
-        if use_entropy:
-            l_h = objectives.entropy_objective(params, tgt_x, config.alpha)
-        else:
-            probs = model_mod.classify(params, tgt_x).probabilities
-            l_h, _ = mean_entropy(probs)
-        _check_finite(l_st, "classification loss", global_epoch, i)
-        _check_finite(l_h, "entropy", global_epoch, i)
+            # the source-only step itself, so a double ablation stays
+            # bit-identical to source-only; the entropy is only reported
+            l_sc = objectives.source_classification_loss(params, src_x, src_y)
+            l_h, _ = mean_entropy(model_mod.classify(params, tgt_x).probabilities)
+            breakdown = objectives.LossBreakdown(
+                l_sc=l_sc, l_target_pseudo=0.0, l_st=l_sc, l_h=l_h, alpha=config.alpha
+            )
+        _check_finite(breakdown.l_st, "classification loss", global_epoch, i)
+        _check_finite(breakdown.l_h, "entropy", global_epoch, i)
         sgd_momentum_step(params.all_blocks(), lrs, config.momentum)
-        breakdown = objectives.LossBreakdown(
-            l_sc=l_sc, l_target_pseudo=l_pseudo, l_st=l_st, l_h=l_h, alpha=config.alpha
-        )
         for key, val in breakdown.as_dict().items():
             if key != "alpha":
                 sums[key] += val
@@ -284,9 +309,9 @@ def run_marginal_align_epoch(
     for i in range(steps):
         sb = src_plan[i % len(src_plan)]
         tb = tgt_plan[i % len(tgt_plan)]
-        l_sc = objectives.source_classification_loss(params, source.features[sb], source.labels[sb])
-        l_dom, dom_acc = objectives.domain_alignment_loss(
-            params, source.features[sb], target_train.features[tb], config.grl_lambda
+        l_sc, l_dom, dom_acc = objectives.marginal_align_objective(
+            params, source.features[sb], source.labels[sb], target_train.features[tb],
+            config.grl_lambda,
         )
         _check_finite(l_sc, "supervised loss", global_epoch, i)
         _check_finite(l_dom, "domain loss", global_epoch, i)
@@ -336,9 +361,15 @@ def resolve_datasets(
     if source.num_classes != target.num_classes or source.features.shape[1] != target.features.shape[1]:
         raise UsageError("source and target datasets disagree on classes or feature dimension")
     target_train, target_holdout = data_mod.stratified_split(
-        target, config.holdout_fraction, seed=[config.seed, _STREAM_HOLDOUT]
+        target, **_holdout_split(config)
     )
     return source, target_train, target_holdout, src_recipe, tgt_recipe
+
+
+def _holdout_split(config: TrainConfig) -> dict:
+    """The seeded target split, in the form a manifest recipe's ``split``
+    block takes."""
+    return {"holdout_fraction": config.holdout_fraction, "seed": [config.seed, _STREAM_HOLDOUT]}
 
 
 def run_experiment(config: TrainConfig) -> RunReport:
@@ -354,8 +385,10 @@ def run_experiment(config: TrainConfig) -> RunReport:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         data_mod.write_manifest(source, out_dir / "source_manifest.json", src_recipe, config.seed)
-        data_mod.write_manifest(target_train, out_dir / "target_train_manifest.json", tgt_recipe, config.seed)
-        data_mod.write_manifest(target_holdout, out_dir / "target_holdout_manifest.json", tgt_recipe, config.seed)
+        split = _holdout_split(config)
+        for part, dataset in (("train", target_train), ("holdout", target_holdout)):
+            recipe = {**tgt_recipe, "split": {**split, "part": part}}
+            data_mod.write_manifest(dataset, out_dir / f"target_{part}_manifest.json", recipe, config.seed)
 
     params = model_mod.init_model(
         source.features.shape[1], config.hidden_dims, source.num_classes,
@@ -365,11 +398,13 @@ def run_experiment(config: TrainConfig) -> RunReport:
     epoch_times: list[float] = []
     records = []
 
-    t0 = time.perf_counter()
-    records.extend(
-        pretrain(params, source, config, holdout=target_holdout, step_log=step_log)
-    )
-    epoch_times.extend([(time.perf_counter() - t0) / max(1, config.pretrain_epochs)] * config.pretrain_epochs)
+    for epoch in range(config.pretrain_epochs):
+        t0 = time.perf_counter()
+        records.extend(
+            pretrain(params, source, config, epochs=1, start_epoch=epoch,
+                     holdout=target_holdout, step_log=step_log)
+        )
+        epoch_times.append(time.perf_counter() - t0)
 
     pseudo_dir = out_dir if (config.dump_pseudo and out_dir is not None) else None
     for epoch in range(config.epochs):

@@ -14,6 +14,19 @@ from coalign.trainer import TrainConfig, run_experiment
 
 FIXTURE_SEEDS = (1, 2, 3)
 
+
+def pytest_configure(config):
+    # hypothesis draws the same examples on every run (derandomize also
+    # turns its example database off) and no per-example deadline applies,
+    # so property tests neither flake nor time out on a busy host. The import
+    # stays inside the hook: the benchmark loads this file for the pinned
+    # fixture and should not pay for hypothesis.
+    from hypothesis import settings
+
+    settings.register_profile("coalign", derandomize=True, deadline=None)
+    settings.load_profile("coalign")
+
+
 # class blobs on a radius-2 ring at 0/70/180/250 degrees: the 30-degree
 # domain rotation pushes each cluster nearly halfway into its neighbour's
 # slot while the clusters themselves stay tight enough to recover

@@ -6,6 +6,7 @@ import pytest
 
 from coalign import cli
 from coalign import data as D
+from coalign.errors import ConsistencyError
 
 
 def run_cli(*argv):
@@ -100,6 +101,38 @@ class TestEval:
         rows = list(csv.reader((out / "features_2d.csv").open()))
         assert rows[0] == ["component1", "component2", "label"]
         assert len(rows) > 3
+        # eval scores exactly the holdout rows the manifest lists
+        manifest = json.loads((run_dir / "target_holdout_manifest.json").read_text())
+        confusion = np.loadtxt(out / "confusion.csv", delimiter=",", dtype=np.int64)
+        assert confusion.sum() == manifest["total"]
+        assert len(rows) - 1 == manifest["total"]
+        assert confusion.sum(axis=1).tolist() == manifest["per_class_counts"]
+
+    @pytest.mark.parametrize("part", ["train", "holdout"])
+    def test_split_manifests_regenerate_their_rows(self, tmp_path, part):
+        run_dir = tmp_path / "run"
+        run_cli("train", "--config", str(tiny_config_doc(tmp_path)), "--out-dir", str(run_dir))
+        manifest = json.loads((run_dir / f"target_{part}_manifest.json").read_text())
+        assert manifest["recipe"]["split"]["part"] == part
+        rebuilt = D.materialize_dataset(manifest["recipe"])
+        assert D.dataset_fingerprint(rebuilt) == manifest["sha256"]
+        assert len(rebuilt) == manifest["total"]
+
+    @pytest.mark.parametrize("tamper", ["split part", "no sha256"])
+    def test_tampered_manifest_raises(self, tmp_path, tamper):
+        run_dir = tmp_path / "run"
+        run_cli("train", "--config", str(tiny_config_doc(tmp_path)), "--out-dir", str(run_dir))
+        path = run_dir / "target_holdout_manifest.json"
+        manifest = json.loads(path.read_text())
+        if tamper == "split part":
+            manifest["recipe"]["split"]["part"] = "train"
+        else:
+            del manifest["sha256"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConsistencyError, match="target_holdout_manifest.json"):
+            run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(path), "--out-dir", str(tmp_path / "eval"))
+        assert not (tmp_path / "eval" / "confusion.csv").exists()
 
 
 class TestReport:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,4 +162,31 @@ class TestCheckpoint:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         with pytest.raises(CheckpointError):
+            M.load_checkpoint(path)
+
+    def _edited(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        M.save_checkpoint(M.init_model(2, (4,), 2, seed=0), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("key", ["temperature", "hidden_dims", "blocks"])
+    def test_missing_top_level_key_is_named(self, tmp_path, key):
+        path = self._edited(tmp_path, lambda doc: doc.pop(key))
+        with pytest.raises(CheckpointError, match=key):
+            M.load_checkpoint(path)
+
+    def test_values_length_not_matching_shape(self, tmp_path):
+        path = self._edited(tmp_path, lambda doc: doc["blocks"]["layer0.bias"]["values"].pop())
+        with pytest.raises(CheckpointError, match="layer0.bias"):
+            M.load_checkpoint(path)
+
+    def test_non_finite_values(self, tmp_path):
+        def poison(doc):
+            doc["blocks"]["prototypes"]["values"][1] = float("nan")
+
+        path = self._edited(tmp_path, poison)
+        with pytest.raises(CheckpointError, match="prototypes"):
             M.load_checkpoint(path)

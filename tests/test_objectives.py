@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import model as M
 from coalign import objectives
 from coalign.errors import UsageError
-from coalign.numerics import sgd_momentum_step
+from coalign.numerics import mean_entropy, sgd_momentum_step
 
 
 def separable_batch(rng, n_per=10):
@@ -221,6 +223,108 @@ class TestDomainAlignment:
             params, rng.normal(size=(8, 2)), rng.normal(size=(8, 2)))
         assert loss == pytest.approx(np.log(2), abs=1e-9)  # zero-initialized head
         assert 0.0 <= accuracy <= 1.0
+
+
+def _grads(params):
+    grads = {b.name: b.grad.copy() for b in params.all_blocks()}
+    params.zero_grads()
+    return grads
+
+
+def _assert_blocks_close(stacked, reference, tol=1e-10):
+    for name, g in reference.items():
+        assert np.abs(stacked[name] - g).max() <= tol, name
+
+
+# source and target row counts differ, so a slice at the wrong row breaks shapes
+row_counts = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda t: t[0] != t[1])
+
+
+class TestStackedSteps:
+    """The one-pass step objectives against the per-term references."""
+
+    @given(rows=row_counts, seed=st.integers(0, 2**16),
+           mask=st.lists(st.booleans(), min_size=12, max_size=12),
+           alpha=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           entropy_term=st.booleans())
+    def test_coal_objective_matches_per_term_passes(self, rows, seed, mask, alpha, entropy_term):
+        n_src, n_tgt = rows
+        rng = np.random.default_rng(seed)
+        src_x, tgt_x = rng.normal(size=(n_src, 2)), rng.normal(size=(n_tgt, 2))
+        src_y, pseudo = rng.integers(0, 3, n_src), rng.integers(0, 3, n_tgt)
+        weights = np.array(mask[:n_tgt], dtype=np.float64)
+        params = M.init_model(2, (8, 4), 3, temperature=0.3, seed=seed)
+
+        l_st, l_sc, l_pseudo = objectives.self_training_loss(
+            params, src_x, src_y, tgt_x, pseudo, weights)
+        if entropy_term:
+            l_h = objectives.entropy_objective(params, tgt_x, alpha)
+        else:
+            l_h = mean_entropy(M.classify(params, tgt_x).probabilities)[0]
+        reference = _grads(params)
+
+        got = objectives.coal_objective(
+            params, src_x, src_y, tgt_x, pseudo, weights, alpha, entropy_term=entropy_term)
+        assert got.as_dict() == pytest.approx(
+            {"l_sc": l_sc, "l_target_pseudo": l_pseudo, "l_st": l_st, "l_h": l_h, "alpha": alpha},
+            abs=1e-10)
+        _assert_blocks_close(_grads(params), reference)
+
+    @given(rows=row_counts, seed=st.integers(0, 2**16), alpha=st.floats(0.0, 2.0))
+    def test_coal_objective_without_pseudo_term(self, rows, seed, alpha):
+        n_src, n_tgt = rows
+        rng = np.random.default_rng(seed)
+        src_x, tgt_x = rng.normal(size=(n_src, 2)), rng.normal(size=(n_tgt, 2))
+        src_y = rng.integers(0, 3, n_src)
+        params = M.init_model(2, (8, 4), 3, temperature=0.3, seed=seed)
+
+        l_sc = objectives.source_classification_loss(params, src_x, src_y)
+        l_h = objectives.entropy_objective(params, tgt_x, alpha)
+        reference = _grads(params)
+
+        got = objectives.coal_objective(params, src_x, src_y, tgt_x, None, None, alpha)
+        assert got.l_target_pseudo == 0.0 and got.l_st == got.l_sc
+        assert got.l_sc == pytest.approx(l_sc, abs=1e-10)
+        assert got.l_h == pytest.approx(l_h, abs=1e-10)
+        _assert_blocks_close(_grads(params), reference)
+
+    @given(rows=row_counts, seed=st.integers(0, 2**16), lam=st.floats(0.0, 3.0))
+    def test_marginal_align_objective_matches_per_term_passes(self, rows, seed, lam):
+        n_src, n_tgt = rows
+        rng = np.random.default_rng(seed)
+        src_x, tgt_x = rng.normal(size=(n_src, 2)), rng.normal(size=(n_tgt, 2)) + 1.0
+        src_y = rng.integers(0, 3, n_src)
+        params = M.init_model(2, (8, 4), 3, temperature=0.3, seed=seed)
+        params.domain_head[0].value[...] = rng.normal(size=(4, 2))
+        params.domain_head[1].value[...] = rng.normal(size=(1, 2))
+
+        l_sc = objectives.source_classification_loss(params, src_x, src_y)
+        l_dom, accuracy = objectives.domain_alignment_loss(params, src_x, tgt_x, grl_lambda=lam)
+        reference = _grads(params)
+
+        got = objectives.marginal_align_objective(params, src_x, src_y, tgt_x, grl_lambda=lam)
+        assert got[:2] == pytest.approx((l_sc, l_dom), abs=1e-10)
+        assert got[2] == accuracy
+        _assert_blocks_close(_grads(params), reference)
+
+    def test_one_forward_per_step(self, monkeypatch):
+        calls = []
+        forward = M.forward_full
+        monkeypatch.setattr(M, "forward_full", lambda p, x: calls.append(len(x)) or forward(p, x))
+        rng = np.random.default_rng(14)
+        params = M.init_model(2, (8, 4), 2, seed=0)
+        src_x, src_y, tgt_x = rng.normal(size=(5, 2)), rng.integers(0, 2, 5), rng.normal(size=(7, 2))
+        objectives.coal_objective(params, src_x, src_y, tgt_x, np.zeros(7, dtype=int), np.ones(7), 0.1)
+        objectives.marginal_align_objective(params, src_x, src_y, tgt_x)
+        assert calls == [12, 12]
+
+    def test_empty_source_batch(self):
+        params = M.init_model(2, (4,), 2, seed=0)
+        empty_x, empty_y, tgt = np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((3, 2))
+        with pytest.raises(UsageError):
+            objectives.coal_objective(params, empty_x, empty_y, tgt, None, None, 0.1)
+        with pytest.raises(UsageError):
+            objectives.marginal_align_objective(params, empty_x, empty_y, tgt)
 
 
 class TestJsDiagnostics:

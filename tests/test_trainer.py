@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,29 @@ class TestTrainConfig:
     def test_rejects_ablations_outside_coal(self):
         with pytest.raises(UsageError):
             TrainConfig(method="source-only", ablations=("disable-entropy-term",))
+
+    @pytest.mark.parametrize("doc, names", [
+        ({"learning_rate": 0.1}, "learning_rate"),
+        ({"k_schedule": "warp"}, "^k_schedule"),
+        ({"k_schedule": {"k0": 5, "k_stride": 5}}, "k_stride"),
+        ({"batch_size": 0}, "^batch_size"),
+        ({"epochs": -1}, "^epochs"),
+        ({"pretrain_epochs": -1}, "^pretrain_epochs"),
+        ({"lr_head": -1.0}, "^lr_head"),
+        ({"lr_backbone": -0.001}, "^lr_backbone"),
+        ({"momentum": 1.5}, "^momentum"),
+        ({"momentum": 1.0}, "^momentum"),
+        ({"momentum": -0.1}, "^momentum"),
+        ({"alpha": -0.1}, "^alpha"),
+        ({"temperature": 0.0}, "^temperature"),
+        ({"holdout_fraction": 0.0}, "^holdout_fraction"),
+        ({"holdout_fraction": 1.0}, "^holdout_fraction"),
+        ({"hidden_dims": []}, "^hidden_dims"),
+        ({"hidden_dims": [8, 0]}, "^hidden_dims"),
+    ])
+    def test_rejects_bad_field_naming_it(self, doc, names):
+        with pytest.raises(UsageError, match=names):
+            TrainConfig.from_dict(doc)
 
     def test_schedule_preset_resolution(self):
         cfg = TrainConfig(k_schedule="fast-start")
@@ -83,6 +107,19 @@ class TestPretrain:
         params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
         trainer.pretrain(params, source, cfg)
         assert trainer.evaluate_model(params, source)["per_class_mean_accuracy"] > 0.95
+
+    def test_epoch_at_a_time_matches_one_call(self):
+        cfg = tiny_twin_config(pretrain_epochs=3)
+        source, *_ = trainer.resolve_datasets(cfg)
+        whole = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
+        split = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
+        records = trainer.pretrain(whole, source, cfg)
+        split_records = [r for e in range(3)
+                         for r in trainer.pretrain(split, source, cfg, epochs=1, start_epoch=e)]
+        assert records == split_records
+        for a, b in zip(whole.all_blocks(), split.all_blocks()):
+            assert np.array_equal(a.value, b.value)
+            assert np.array_equal(a.momentum, b.momentum)
 
     def test_non_finite_loss_aborts(self):
         cfg = tiny_twin_config()
@@ -146,6 +183,20 @@ class TestRunExperiment:
         b = run_experiment(tiny_twin_config("coal", seed=2))
         assert a.metrics_payload() == b.metrics_payload()
         assert a.timing != b.timing or a.timing == b.timing  # timing may differ
+
+    def test_per_epoch_times_are_measured(self, monkeypatch):
+        # a fake clock that each pretrain call advances by its start epoch + 1
+        clock = [0.0]
+        monkeypatch.setattr(trainer, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        real_pretrain = trainer.pretrain
+
+        def pretrain(*args, start_epoch=0, **kwargs):
+            clock[0] += start_epoch + 1.0
+            return real_pretrain(*args, start_epoch=start_epoch, **kwargs)
+
+        monkeypatch.setattr(trainer, "pretrain", pretrain)
+        report = run_experiment(tiny_twin_config(pretrain_epochs=3, epochs=2))
+        assert report.timing["per_epoch_s"] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_source_only_has_no_entropy_terms(self):
         report = run_experiment(tiny_twin_config("source-only"))

@@ -24,7 +24,6 @@ from .evaluation import (
     project_features_2d,
     render_table,
 )
-from .kernels import active_backend
 from .model import ModelParams, Prediction, classify, extract_features, init_model
 from .objectives import (
     LossBreakdown,

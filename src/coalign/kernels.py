@@ -1,51 +1,22 @@
-"""Row-wise numeric kernels with numba-jitted and pure-numpy implementations.
+"""Row-wise numeric kernels in numpy.
 
-Matrix products go through BLAS and stay in plain numpy; everything that is
-per-row arithmetic (softmax, cross-entropy, entropy, row normalization, the
-momentum update) is fused here. The active implementation is chosen once at
-import from the COALIGN_BACKEND environment variable:
-
-    COALIGN_BACKEND=auto    use numba when importable (default)
-    COALIGN_BACKEND=numba   require numba, fail loudly if missing
-    COALIGN_BACKEND=numpy   force the pure-numpy fallback
-
-Both variants of every kernel stay importable (``_np_*`` / ``_nb_*``) so the
-benchmark in benchmarks/bench_kernels.py can time them side by side.
+Matrix products go through BLAS in the callers; everything that is per-row
+arithmetic (softmax, cross-entropy, entropy, row normalization, the
+momentum update) lives here.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_CHOICE = os.environ.get("COALIGN_BACKEND", "auto").lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError(f"COALIGN_BACKEND must be auto|numba|numpy, got {_CHOICE!r}")
 
-_HAVE_NUMBA = False
-if _CHOICE != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def _np_softmax(logits):
+def softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _np_xent(probs, labels, weights):
+def xent(probs, labels, weights):
     # loss = sum over weighted rows of -log p[row, label] / max(1, sum(weights))
     # dlogits[row] = weights[row] * (p - onehot) / max(1, sum(weights))
     denom = max(1.0, float(weights.sum()))
@@ -59,7 +30,7 @@ def _np_xent(probs, labels, weights):
     return loss, dlogits
 
 
-def _np_entropy(probs):
+def entropy(probs):
     # H = -(1/R) sum_r sum_i p log p, with 0 log 0 := 0.
     # dH/dlogits[r,i] = -(1/R) p_i (log p_i + H_r)
     rows = probs.shape[0]
@@ -71,13 +42,13 @@ def _np_entropy(probs):
     return h, dlogits
 
 
-def _np_normalize_rows(x, eps):
+def normalize_rows(x, eps):
     norms = np.sqrt((x * x).sum(axis=1))
     denom = np.where(norms > eps, norms, eps)
     return x / denom[:, None], norms
 
 
-def _np_normalize_rows_bwd(g, y, norms, eps):
+def normalize_rows_bwd(g, y, norms, eps):
     # rows with norm > eps: d = (g - y (y.g)) / norm; others: d = g / eps
     denom = np.where(norms > eps, norms, eps)
     proj = (y * g).sum(axis=1)
@@ -88,135 +59,7 @@ def _np_normalize_rows_bwd(g, y, norms, eps):
     return dx
 
 
-def _np_sgd_update(value, grad, buf, lr, momentum):
+def sgd_update(value, grad, buf, lr, momentum):
     buf *= momentum
     buf += grad
     value -= lr * buf
-
-
-# ---------------------------------------------------------------------------
-# numba-jitted variants (loop-fused, same contracts)
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_softmax(logits):
-        rows, cols = logits.shape
-        out = np.empty_like(logits)
-        for r in range(rows):
-            m = logits[r, 0]
-            for c in range(1, cols):
-                if logits[r, c] > m:
-                    m = logits[r, c]
-            s = 0.0
-            for c in range(cols):
-                e = math.exp(logits[r, c] - m)
-                out[r, c] = e
-                s += e
-            for c in range(cols):
-                out[r, c] /= s
-        return out
-
-    @njit(cache=True)
-    def _nb_xent(probs, labels, weights):
-        rows, cols = probs.shape
-        wsum = 0.0
-        for r in range(rows):
-            wsum += weights[r]
-        denom = wsum if wsum > 1.0 else 1.0
-        loss = 0.0
-        dlogits = np.empty_like(probs)
-        for r in range(rows):
-            w = weights[r] / denom
-            lab = labels[r]
-            if weights[r] > 0.0:
-                loss -= weights[r] * math.log(probs[r, lab])
-            for c in range(cols):
-                dlogits[r, c] = probs[r, c] * w
-            dlogits[r, lab] -= w
-        return loss / denom, dlogits
-
-    @njit(cache=True)
-    def _nb_entropy(probs):
-        rows, cols = probs.shape
-        dlogits = np.empty_like(probs)
-        total = 0.0
-        for r in range(rows):
-            row_h = 0.0
-            for c in range(cols):
-                p = probs[r, c]
-                if p > 0.0:
-                    lp = math.log(p)
-                    dlogits[r, c] = lp  # stash log p for the second pass
-                    row_h -= p * lp
-                else:
-                    dlogits[r, c] = 0.0
-            total += row_h
-            for c in range(cols):
-                p = probs[r, c]
-                if p > 0.0:
-                    dlogits[r, c] = -(p * (dlogits[r, c] + row_h)) / rows
-        return total / rows, dlogits
-
-    @njit(cache=True)
-    def _nb_normalize_rows(x, eps):
-        rows, cols = x.shape
-        out = np.empty_like(x)
-        norms = np.empty(rows, dtype=np.float64)
-        for r in range(rows):
-            s = 0.0
-            for c in range(cols):
-                s += x[r, c] * x[r, c]
-            n = math.sqrt(s)
-            norms[r] = n
-            d = n if n > eps else eps
-            for c in range(cols):
-                out[r, c] = x[r, c] / d
-        return out, norms
-
-    @njit(cache=True)
-    def _nb_normalize_rows_bwd(g, y, norms, eps):
-        rows, cols = g.shape
-        dx = np.empty_like(g)
-        for r in range(rows):
-            if norms[r] > eps:
-                proj = 0.0
-                for c in range(cols):
-                    proj += y[r, c] * g[r, c]
-                for c in range(cols):
-                    dx[r, c] = (g[r, c] - y[r, c] * proj) / norms[r]
-            else:
-                for c in range(cols):
-                    dx[r, c] = g[r, c] / eps
-        return dx
-
-    @njit(cache=True)
-    def _nb_sgd_update(value, grad, buf, lr, momentum):
-        rows, cols = value.shape
-        for r in range(rows):
-            for c in range(cols):
-                b = momentum * buf[r, c] + grad[r, c]
-                buf[r, c] = b
-                value[r, c] -= lr * b
-
-
-if _HAVE_NUMBA:
-    softmax = _nb_softmax
-    xent = _nb_xent
-    entropy = _nb_entropy
-    normalize_rows = _nb_normalize_rows
-    normalize_rows_bwd = _nb_normalize_rows_bwd
-    sgd_update = _nb_sgd_update
-else:
-    softmax = _np_softmax
-    xent = _np_xent
-    entropy = _np_entropy
-    normalize_rows = _np_normalize_rows
-    normalize_rows_bwd = _np_normalize_rows_bwd
-    sgd_update = _np_sgd_update
-
-
-def active_backend() -> str:
-    """Name of the kernel implementation selected at import time."""
-    return "numba" if _HAVE_NUMBA else "numpy"

@@ -98,28 +98,35 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return kernels.softmax(np.ascontiguousarray(logits, dtype=np.float64))
 
 
+def cross_entropy(
+    probs: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Masked mean cross-entropy of softmax probability rows and its
+    gradient w.r.t. the logits they came from.
+
+    loss = sum over weighted rows of -log probs[row, label], divided by
+    max(1, sum of weights); gradients of unweighted rows are zero.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape[0] != probs.shape[0]:
+        raise DimensionError(f"{labels.shape[0]} labels for {probs.shape[0]} logit rows")
+    if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
+        bad = labels[(labels < 0) | (labels >= probs.shape[1])][0]
+        raise IndexError(f"label {bad} out of range for {probs.shape[1]} classes")
+    if weights is None:
+        weights = np.ones(probs.shape[0], dtype=np.float64)
+    else:
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        if weights.shape[0] != probs.shape[0]:
+            raise DimensionError(f"{weights.shape[0]} weights for {probs.shape[0]} logit rows")
+    return kernels.xent(probs, labels, weights)
+
+
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Masked mean cross-entropy and its gradient w.r.t. the logits.
-
-    loss = sum over weighted rows of -log softmax(logits)[row, label],
-    divided by max(1, sum of weights); gradients of unweighted rows are zero.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != logits.shape[0]:
-        raise DimensionError(f"{labels.shape[0]} labels for {logits.shape[0]} logit rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        bad = labels[(labels < 0) | (labels >= logits.shape[1])][0]
-        raise IndexError(f"label {bad} out of range for {logits.shape[1]} classes")
-    if weights is None:
-        weights = np.ones(logits.shape[0], dtype=np.float64)
-    else:
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        if weights.shape[0] != logits.shape[0]:
-            raise DimensionError(f"{weights.shape[0]} weights for {logits.shape[0]} logit rows")
-    probs = softmax_rows(logits)
-    return kernels.xent(probs, labels, weights)
+    """:func:`cross_entropy` of ``softmax_rows(logits)``."""
+    return cross_entropy(softmax_rows(logits), labels, weights)
 
 
 def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:

@@ -86,7 +86,7 @@ def source_classification_loss(params: ModelParams, inputs: np.ndarray, labels: 
     if len(inputs) == 0:
         raise UsageError("source batch is empty")
     cache = model_mod.forward_full(params, inputs)
-    loss, d_logits = numerics.softmax_cross_entropy(cache.logits, labels)
+    loss, d_logits = numerics.cross_entropy(cache.probs, labels)
     model_mod.backward_head(params, cache, d_logits)
     return loss
 
@@ -197,11 +197,11 @@ def coal_objective(
         raise UsageError(f"alpha must be nonnegative, got {alpha}")
     n = len(source_inputs)
     cache = model_mod.forward_full(params, np.vstack([source_inputs, target_inputs]))
-    l_sc, d_src = numerics.softmax_cross_entropy(cache.logits[:n], source_labels)
+    l_sc, d_src = numerics.cross_entropy(cache.probs[:n], source_labels)
     if target_mask is None:
         l_pseudo, d_pseudo = 0.0, np.zeros_like(cache.logits[n:])
     else:
-        l_pseudo, d_pseudo = numerics.softmax_cross_entropy(cache.logits[n:], target_pseudo, target_mask)
+        l_pseudo, d_pseudo = numerics.cross_entropy(cache.probs[n:], target_pseudo, target_mask)
     l_h, d_ent = numerics.mean_entropy(cache.probs[n:])
     if entropy_term:
         d_head = np.vstack([d_src, d_pseudo - alpha * d_ent])
@@ -232,7 +232,7 @@ def marginal_align_objective(
         raise UsageError("source batch is empty")
     n = len(source_inputs)
     cache = model_mod.forward_full(params, np.vstack([source_inputs, target_inputs]))
-    l_sc, d_src = numerics.softmax_cross_entropy(cache.logits[:n], source_labels)
+    l_sc, d_src = numerics.cross_entropy(cache.probs[:n], source_labels)
     d_logits = np.zeros_like(cache.logits)
     d_logits[:n] = d_src
     l_dom, d_embed, accuracy = _domain_confusion(params, cache.embeddings, n)

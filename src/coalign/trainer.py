@@ -7,14 +7,17 @@ its JSON outputs.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import data as data_mod
-from . import evaluation, kernels, model as model_mod, objectives, selftrain
+from . import evaluation, model as model_mod, objectives, selftrain
 from .errors import DivergenceError, UsageError
 from .model import ModelParams
 from .numerics import mean_entropy, sgd_momentum_step
@@ -77,6 +80,10 @@ class TrainConfig:
                 raise UsageError(f"k_schedule has unknown keys {unknown}")
             self.k_schedule = KSchedule(**self.k_schedule)
         self.hidden_dims = tuple(self.hidden_dims)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"{f.name} must be finite, got {value!r}")
         for name, ok, rule in (
             ("batch_size", self.batch_size > 0, "be positive"),
             ("epochs", self.epochs >= 0, "be nonnegative"),
@@ -85,6 +92,7 @@ class TrainConfig:
             ("lr_backbone", self.lr_backbone >= 0, "be nonnegative"),
             ("momentum", 0 <= self.momentum < 1, "lie in [0, 1)"),
             ("alpha", self.alpha >= 0, "be nonnegative"),
+            ("grl_lambda", self.grl_lambda >= 0, "be nonnegative"),
             ("temperature", self.temperature > 0, "be positive"),
             ("holdout_fraction", 0 < self.holdout_fraction < 1, "lie in (0, 1)"),
             ("hidden_dims", len(self.hidden_dims) > 0 and min(self.hidden_dims) > 0,
@@ -146,11 +154,6 @@ def _batch_plan(dataset, config: TrainConfig, stream: int, global_epoch: int, sa
     return data_mod.natural_batches(dataset, config.batch_size, seed)
 
 
-def _check_finite(value: float, what: str, epoch: int, step: int) -> None:
-    if not np.isfinite(value):
-        raise DivergenceError(f"non-finite {what} ({value}) at epoch {epoch}, step {step}")
-
-
 def evaluate_model(params: ModelParams, dataset: data_mod.LabeledDataset) -> dict:
     pred = model_mod.classify(params, dataset.features)
     cm = evaluation.confusion_matrix(dataset.labels, pred.probabilities.argmax(axis=1), dataset.num_classes)
@@ -159,6 +162,67 @@ def evaluate_model(params: ModelParams, dataset: data_mod.LabeledDataset) -> dic
         "overall_accuracy": evaluation.overall_accuracy(cm),
         "confusion": cm.tolist(),
     }
+
+
+# the step values that are losses: each is checked for finiteness and written
+# to the step log; the epoch record averages every step value, so it also
+# holds per-step statistics such as the discriminator's batch accuracy
+_STEP_LOSSES = ("l_sc", "l_target_pseudo", "l_st", "l_h", "l_domain")
+
+
+def _run_epoch(
+    params: ModelParams,
+    config: TrainConfig,
+    global_epoch: int,
+    phase: str,
+    step: Callable[..., dict[str, float]],
+    source: data_mod.LabeledDataset,
+    target: data_mod.LabeledDataset | None = None,
+    *,
+    alpha: float = 0.0,
+    extra: dict | None = None,
+    holdout: data_mod.LabeledDataset | None = None,
+    step_log: list | None = None,
+) -> dict:
+    """The epoch loop of every method.
+
+    Each optimizer step calls ``step`` with a source batch (and a target
+    batch when ``target`` is given; the shorter plan cycles). ``step``
+    accumulates the gradients of its objective and returns its values by
+    name. The record holds the epoch mean of every step value, then
+    ``extra``, then the holdout metrics; ``alpha`` is logged with each step.
+    """
+    lrs = _learning_rates(params, config)
+    plans = [_batch_plan(source, config, _STREAM_SOURCE, global_epoch, config.sampler)]
+    if target is not None:
+        plans.append(_batch_plan(target, config, _STREAM_TARGET, global_epoch, "natural"))
+    steps = max(len(plan) for plan in plans)
+    sums: dict[str, float] = {}
+    for i in range(steps):
+        values = step(*(plan[i % len(plan)] for plan in plans))
+        losses = {key: val for key, val in values.items() if key in _STEP_LOSSES}
+        for key, val in losses.items():
+            if not np.isfinite(val):
+                raise DivergenceError(f"non-finite {key} ({val}) at epoch {global_epoch}, step {i}")
+        sgd_momentum_step(params.all_blocks(), lrs, config.momentum)
+        for key, val in values.items():
+            sums[key] = sums.get(key, 0.0) + val
+        if step_log is not None:
+            step_log.append({"epoch": global_epoch, "phase": phase, "step": i, "alpha": alpha, **losses})
+    record = {"epoch": global_epoch, "phase": phase, "k": None,
+              "estimated_target_distribution": None, "masked_pseudo_accuracy": None,
+              "domain_discriminator_accuracy": None,
+              **{key: val / steps for key, val in sums.items()}, **(extra or {})}
+    if holdout is not None:
+        record.update(evaluate_model(params, holdout))
+        record.pop("confusion")
+    return record
+
+
+def _source_step(params: ModelParams, source: data_mod.LabeledDataset, batch: np.ndarray) -> dict:
+    """The supervised step of source-only training."""
+    l_sc = objectives.source_classification_loss(params, source.features[batch], source.labels[batch])
+    return {"l_sc": l_sc, "l_target_pseudo": 0.0, "l_st": l_sc, "l_h": 0.0}
 
 
 def pretrain(
@@ -174,35 +238,12 @@ def pretrain(
 ) -> list[dict]:
     """Supervised training on source batches only; returns epoch records."""
     epochs = config.pretrain_epochs if epochs is None else epochs
-    lrs = _learning_rates(params, config)
-    records = []
-    for e in range(epochs):
-        global_epoch = start_epoch + e
-        plan = _batch_plan(source, config, _STREAM_SOURCE, global_epoch, config.sampler)
-        losses = []
-        for i, batch in enumerate(plan):
-            l_sc = objectives.source_classification_loss(
-                params, source.features[batch], source.labels[batch]
-            )
-            _check_finite(l_sc, "supervised loss", global_epoch, i)
-            sgd_momentum_step(params.all_blocks(), lrs, config.momentum)
-            losses.append(l_sc)
-            if step_log is not None:
-                step_log.append(
-                    {"epoch": global_epoch, "phase": phase, "step": i, "l_sc": l_sc,
-                     "l_target_pseudo": 0.0, "l_st": l_sc, "l_h": 0.0, "alpha": 0.0}
-                )
-        record = {"epoch": global_epoch, "phase": phase, "k": None,
-                  "l_sc": float(np.mean(losses)), "l_target_pseudo": 0.0,
-                  "l_st": float(np.mean(losses)), "l_h": 0.0,
-                  "estimated_target_distribution": None,
-                  "masked_pseudo_accuracy": None,
-                  "domain_discriminator_accuracy": None}
-        if holdout is not None:
-            record.update(evaluate_model(params, holdout))
-            record.pop("confusion")
-        records.append(record)
-    return records
+    step = partial(_source_step, params, source)
+    return [
+        _run_epoch(params, config, start_epoch + e, phase, step, source,
+                   holdout=holdout, step_log=step_log)
+        for e in range(epochs)
+    ]
 
 
 def run_coal_epoch(
@@ -218,74 +259,43 @@ def run_coal_epoch(
 ) -> dict:
     """One adaptation epoch: pseudo-label assignment, per-class top-k
     selection, then paired source/target steps of the combined objective."""
-    global_epoch = config.pretrain_epochs + epoch
     k = selftrain.advance_k(config.k_schedule, epoch)
     pseudo_labels, confidence = selftrain.assign_pseudo_labels(params, target_train.features)
     pseudo = selftrain.select_top_k_per_class(pseudo_labels, confidence, k, target_train.num_classes)
-    warnings: list[str] = []
-    if pseudo.mask.sum() == 0:
-        warnings.append("no pseudo labels selected; epoch ran on the supervised loss only")
-        estimated = None
-    else:
-        estimated = selftrain.estimate_target_distribution(pseudo).tolist()
     selected = pseudo.mask == 1
-    masked_acc = (
-        float((pseudo.labels[selected] == target_train.labels[selected]).mean())
-        if selected.any()
-        else None
-    )
+    extra = {"k": k, "alpha": config.alpha}
+    if selected.any():
+        extra["estimated_target_distribution"] = selftrain.estimate_target_distribution(pseudo).tolist()
+        extra["masked_pseudo_accuracy"] = float(
+            (pseudo.labels[selected] == target_train.labels[selected]).mean()
+        )
+    else:
+        extra["warnings"] = ["no pseudo labels selected; epoch ran on the supervised loss only"]
     if pseudo_dir is not None:
         selftrain.write_pseudo_csv(pseudo, Path(pseudo_dir) / f"pseudo_epoch_{epoch:03d}.csv")
 
-    use_pseudo = "disable-pseudo-term" not in config.ablations and pseudo.mask.sum() > 0
+    use_pseudo = "disable-pseudo-term" not in config.ablations and selected.any()
     use_entropy = "disable-entropy-term" not in config.ablations
 
-    lrs = _learning_rates(params, config)
-    src_plan = _batch_plan(source, config, _STREAM_SOURCE, global_epoch, config.sampler)
-    tgt_plan = _batch_plan(target_train, config, _STREAM_TARGET, global_epoch, "natural")
-    steps = max(len(src_plan), len(tgt_plan))
-    sums = {"l_sc": 0.0, "l_target_pseudo": 0.0, "l_st": 0.0, "l_h": 0.0}
-    for i in range(steps):
-        sb = src_plan[i % len(src_plan)]
-        tb = tgt_plan[i % len(tgt_plan)]
-        src_x, src_y = source.features[sb], source.labels[sb]
+    def step(sb: np.ndarray, tb: np.ndarray) -> dict:
         tgt_x = target_train.features[tb]
-        if use_pseudo or use_entropy:
-            breakdown = objectives.coal_objective(
-                params, src_x, src_y, tgt_x, pseudo.labels[tb],
-                pseudo.mask[tb].astype(np.float64) if use_pseudo else None,
-                config.alpha, entropy_term=use_entropy,
-            )
-        else:
+        if not (use_pseudo or use_entropy):
             # the source-only step itself, so a double ablation stays
             # bit-identical to source-only; the entropy is only reported
-            l_sc = objectives.source_classification_loss(params, src_x, src_y)
-            l_h, _ = mean_entropy(model_mod.classify(params, tgt_x).probabilities)
-            breakdown = objectives.LossBreakdown(
-                l_sc=l_sc, l_target_pseudo=0.0, l_st=l_sc, l_h=l_h, alpha=config.alpha
-            )
-        _check_finite(breakdown.l_st, "classification loss", global_epoch, i)
-        _check_finite(breakdown.l_h, "entropy", global_epoch, i)
-        sgd_momentum_step(params.all_blocks(), lrs, config.momentum)
-        for key, val in breakdown.as_dict().items():
-            if key != "alpha":
-                sums[key] += val
-        if step_log is not None:
-            step_log.append({"epoch": global_epoch, "phase": "adapt", "step": i,
-                             **breakdown.as_dict()})
+            values = _source_step(params, source, sb)
+            values["l_h"], _ = mean_entropy(model_mod.classify(params, tgt_x).probabilities)
+            return values
+        breakdown = objectives.coal_objective(
+            params, source.features[sb], source.labels[sb], tgt_x, pseudo.labels[tb],
+            pseudo.mask[tb].astype(np.float64) if use_pseudo else None,
+            config.alpha, entropy_term=use_entropy,
+        )
+        return {"l_sc": breakdown.l_sc, "l_target_pseudo": breakdown.l_target_pseudo,
+                "l_st": breakdown.l_st, "l_h": breakdown.l_h}
 
-    record = {"epoch": global_epoch, "phase": "adapt", "k": k,
-              **{key: val / steps for key, val in sums.items()},
-              "alpha": config.alpha,
-              "estimated_target_distribution": estimated,
-              "masked_pseudo_accuracy": masked_acc,
-              "domain_discriminator_accuracy": None}
-    if warnings:
-        record["warnings"] = warnings
-    if holdout is not None:
-        record.update(evaluate_model(params, holdout))
-        record.pop("confusion")
-    return record
+    return _run_epoch(params, config, config.pretrain_epochs + epoch, "adapt", step,
+                      source, target_train, alpha=config.alpha, extra=extra,
+                      holdout=holdout, step_log=step_log)
 
 
 def run_marginal_align_epoch(
@@ -300,40 +310,17 @@ def run_marginal_align_epoch(
 ) -> dict:
     """Supervised loss plus adversarial domain confusion on embeddings; no
     conditioning and no self-training."""
-    global_epoch = config.pretrain_epochs + epoch
-    lrs = _learning_rates(params, config)
-    src_plan = _batch_plan(source, config, _STREAM_SOURCE, global_epoch, config.sampler)
-    tgt_plan = _batch_plan(target_train, config, _STREAM_TARGET, global_epoch, "natural")
-    steps = max(len(src_plan), len(tgt_plan))
-    sums = {"l_sc": 0.0, "l_domain": 0.0, "domain_acc": 0.0}
-    for i in range(steps):
-        sb = src_plan[i % len(src_plan)]
-        tb = tgt_plan[i % len(tgt_plan)]
-        l_sc, l_dom, dom_acc = objectives.marginal_align_objective(
+
+    def step(sb: np.ndarray, tb: np.ndarray) -> dict:
+        l_sc, l_domain, accuracy = objectives.marginal_align_objective(
             params, source.features[sb], source.labels[sb], target_train.features[tb],
             config.grl_lambda,
         )
-        _check_finite(l_sc, "supervised loss", global_epoch, i)
-        _check_finite(l_dom, "domain loss", global_epoch, i)
-        sgd_momentum_step(params.all_blocks(), lrs, config.momentum)
-        sums["l_sc"] += l_sc
-        sums["l_domain"] += l_dom
-        sums["domain_acc"] += dom_acc
-        if step_log is not None:
-            step_log.append({"epoch": global_epoch, "phase": "adapt", "step": i,
-                             "l_sc": l_sc, "l_target_pseudo": 0.0, "l_st": l_sc,
-                             "l_h": 0.0, "alpha": 0.0, "l_domain": l_dom})
-    record = {"epoch": global_epoch, "phase": "adapt", "k": None,
-              "l_sc": sums["l_sc"] / steps, "l_target_pseudo": 0.0,
-              "l_st": sums["l_sc"] / steps, "l_h": 0.0,
-              "l_domain": sums["l_domain"] / steps,
-              "estimated_target_distribution": None,
-              "masked_pseudo_accuracy": None,
-              "domain_discriminator_accuracy": sums["domain_acc"] / steps}
-    if holdout is not None:
-        record.update(evaluate_model(params, holdout))
-        record.pop("confusion")
-    return record
+        return {"l_sc": l_sc, "l_target_pseudo": 0.0, "l_st": l_sc, "l_h": 0.0,
+                "l_domain": l_domain, "domain_discriminator_accuracy": accuracy}
+
+    return _run_epoch(params, config, config.pretrain_epochs + epoch, "adapt", step,
+                      source, target_train, holdout=holdout, step_log=step_log)
 
 
 def resolve_datasets(
@@ -443,7 +430,6 @@ def run_experiment(config: TrainConfig) -> RunReport:
         final["estimated_vs_true_js_distance"] = None
         final["estimated_vs_true_l1"] = None
     metrics = {
-        "backend": kernels.active_backend(),
         "true_target_distribution": true_dist.tolist(),
         "epochs": records,
         "final": final,

@@ -1,8 +1,8 @@
 """Shared fixtures: the pinned twin-Gaussian benchmark grid.
 
 The grid runs every (method, degree, seed) combination once per session and
-feeds both the acceptance suite and the trainer-invariant tests. All runs
-stay deterministic for a given kernel backend.
+feeds both the acceptance suite and the trainer-invariant tests. Every run
+is deterministic: a repeated run gives byte-identical metrics.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coalign import kernels, numerics
+from coalign import numerics
 from coalign.errors import DimensionError, DivergenceError, NormalizationError
 from coalign.numerics import ParamBlock
 
@@ -197,31 +197,3 @@ class TestFiniteDifferenceCheck:
         )
         assert errs["theta"] == 0.0
 
-
-class TestKernelBackends:
-    @pytest.mark.skipif(kernels.active_backend() == "numpy", reason="numba not active")
-    def test_numba_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        logits = rng.normal(scale=3, size=(40, 6))
-        labels = rng.integers(0, 6, 40)
-        weights = (rng.random(40) > 0.4).astype(np.float64)
-        pa = kernels._np_softmax(logits)
-        pb = kernels._nb_softmax(logits)
-        assert np.abs(pa - pb).max() < 1e-14
-        la, ga = kernels._np_xent(pa, labels, weights)
-        lb, gb = kernels._nb_xent(pb, labels, weights)
-        assert la == pytest.approx(lb, abs=1e-12)
-        assert np.abs(ga - gb).max() < 1e-14
-        ha, da = kernels._np_entropy(pa)
-        hb, db = kernels._nb_entropy(pb)
-        assert ha == pytest.approx(hb, abs=1e-12)
-        assert np.abs(da - db).max() < 1e-14
-        x = rng.normal(size=(20, 5))
-        ya, na = kernels._np_normalize_rows(x, 1e-12)
-        yb, nb = kernels._nb_normalize_rows(x, 1e-12)
-        assert np.abs(ya - yb).max() < 1e-15
-        g = rng.normal(size=(20, 5))
-        assert np.abs(
-            kernels._np_normalize_rows_bwd(g, ya, na, 1e-12)
-            - kernels._nb_normalize_rows_bwd(g, yb, nb, 1e-12)
-        ).max() < 1e-14

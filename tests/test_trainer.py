@@ -59,6 +59,9 @@ class TestTrainConfig:
         ({"holdout_fraction": 1.0}, "^holdout_fraction"),
         ({"hidden_dims": []}, "^hidden_dims"),
         ({"hidden_dims": [8, 0]}, "^hidden_dims"),
+        ({"alpha": float("inf")}, "^alpha"),
+        ({"lr_backbone": float("inf")}, "^lr_backbone"),
+        ({"grl_lambda": -5.0}, "^grl_lambda"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         with pytest.raises(UsageError, match=names):
@@ -129,6 +132,25 @@ class TestPretrain:
         params = M.init_model(2, cfg.hidden_dims, 2, seed=0)
         with pytest.raises(DivergenceError):
             trainer.pretrain(params, poisoned, cfg)
+
+
+class TestAdaptEpochDivergence:
+    @pytest.mark.parametrize("method, run_epoch", [
+        ("coal", trainer.run_coal_epoch),
+        ("marginal-align", trainer.run_marginal_align_epoch),
+    ])
+    def test_nan_target_row_names_epoch_and_step(self, method, run_epoch):
+        cfg = tiny_twin_config(method)
+        source, tgt_train, _, _, _ = trainer.resolve_datasets(cfg)
+        poisoned = D.LabeledDataset(tgt_train.features.copy(), tgt_train.labels, tgt_train.num_classes)
+        poisoned.features[0, 0] = np.nan
+        params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
+        trainer.pretrain(params, source, cfg)
+        epoch = cfg.pretrain_epochs
+        plan = trainer._batch_plan(poisoned, cfg, trainer._STREAM_TARGET, epoch, "natural")
+        step = next(i for i, batch in enumerate(plan) if 0 in batch)
+        with pytest.raises(DivergenceError, match=f"at epoch {epoch}, step {step}$"):
+            run_epoch(params, source, poisoned, cfg, 0)
 
 
 class TestCoalEpoch:

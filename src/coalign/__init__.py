@@ -26,7 +26,6 @@ from .evaluation import (
 )
 from .model import ModelParams, Prediction, classify, extract_features, init_model
 from .objectives import (
-    LossBreakdown,
     entropy_objective,
     js_label_bound,
     self_training_loss,

@@ -54,6 +54,14 @@ def _input_recipe(text: str) -> dict:
     raise SystemExit(f"--input must be a .csv path or a synthetic: spec, got {text!r}")
 
 
+def _degree_list(text: str) -> list[float]:
+    """The --degrees value: comma-separated shift degrees in percent."""
+    try:
+        return [float(d) for d in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def cmd_gen_shift(args: argparse.Namespace) -> int:
     recipe = _input_recipe(args.input)
     recipe["shift"] = {
@@ -98,8 +106,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = trainer.TrainConfig.from_file(args.config)
     if args.out_dir:
         config.out_dir = args.out_dir
-    degrees = [float(d) for d in args.degrees.split(",")]
-    reports = trainer.sweep_degrees(config, degrees)
+    reports = trainer.sweep_degrees(config, args.degrees)
     table = evaluation.render_table([r.to_dict() for r in reports], "markdown")
     print(table)
     if config.out_dir:
@@ -148,7 +155,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "confusion.csv", cm, fmt="%d", delimiter=",")
-    projected = evaluation.project_features_2d(pred.embeddings, seed=0)
+    projected = evaluation.project_features_2d(pred.embeddings)
     with open(out / "features_2d.csv", "w") as fh:
         fh.write("component1,component2,label\n")
         for row, label in zip(projected, dataset.labels):
@@ -191,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-run a config across shift degrees")
     p.add_argument("--config", required=True)
-    p.add_argument("--degrees", default="0,20,40,60,80,100")
+    p.add_argument("--degrees", type=_degree_list, default="0,20,40,60,80,100")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_sweep)
 

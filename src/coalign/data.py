@@ -275,12 +275,20 @@ def stratified_split(
     )
 
 
+def _require(section: dict, keys: tuple[str, ...], name: str) -> None:
+    """Raise UsageError naming each of ``keys`` that the recipe ``section``
+    lacks; recipes come from manifest files on disk."""
+    if not isinstance(section, dict):
+        raise UsageError(f"{name} must be a mapping, got {section!r}")
+    missing = [key for key in keys if key not in section]
+    if missing:
+        raise UsageError(f"{name} is missing {', '.join(missing)}")
+
+
 def take_split(dataset: LabeledDataset, split: dict) -> LabeledDataset:
     """The part of a seeded stratified split named by a recipe's ``split``
     block: ``{"holdout_fraction": f, "seed": s, "part": "train" | "holdout"}``."""
-    missing = sorted({"holdout_fraction", "seed", "part"} - set(split))
-    if missing:
-        raise UsageError(f"split block is missing {', '.join(missing)}")
+    _require(split, ("holdout_fraction", "part", "seed"), "split block")
     if split["part"] not in SPLIT_PARTS:
         raise UsageError(f"split part must be one of {SPLIT_PARTS}, got {split['part']!r}")
     train, holdout = stratified_split(dataset, split["holdout_fraction"], seed=split["seed"])
@@ -370,9 +378,16 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
     an optional ``split`` section then keeps one part of a stratified split
     (see :func:`take_split`).
     """
-    kind = recipe.get("kind")
+    _require(recipe, ("kind",), "dataset recipe")
+    kind = recipe["kind"]
     if kind == "twin-gaussians":
-        gen = dict(recipe["generator"])
+        _require(recipe, ("domain", "generator"), "twin-gaussians recipe")
+        if recipe["domain"] not in ("source", "target"):
+            raise UsageError(
+                f"twin-gaussians recipe domain must be 'source' or 'target', got {recipe['domain']!r}"
+            )
+        gen = recipe["generator"]
+        _require(gen, ("num_classes", "per_class", "noise"), "twin-gaussians generator")
         source, target = generate_twin_domains(
             num_classes=gen["num_classes"],
             per_class=gen["per_class"],
@@ -385,13 +400,16 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
         )
         base = source if recipe["domain"] == "source" else target
     elif kind == "csv":
+        _require(recipe, ("path",), "csv recipe")
         base = load_csv(recipe["path"])
     elif kind == "idx":
+        _require(recipe, ("images", "labels"), "idx recipe")
         base = load_idx(recipe["images"], recipe["labels"])
     else:
         raise UsageError(f"unknown dataset recipe kind {kind!r}")
     shift = recipe.get("shift")
     if shift:
+        _require(shift, ("pareto_alpha", "direction", "degree", "budget"), "shift block")
         spec = ShiftSpec(
             pareto_alpha=shift["pareto_alpha"],
             direction=shift["direction"],

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from .errors import MetricError, TableError, UsageError
-from .objectives import js_distance, js_divergence
+from .objectives import js_divergence
 
 
 def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, num_classes: int) -> np.ndarray:
@@ -46,50 +46,30 @@ def compare_distributions(estimated: np.ndarray, true: np.ndarray) -> dict[str, 
     itself, and the L1 distance."""
     divergence = js_divergence(estimated, true)
     return {
-        "js_distance": js_distance(estimated, true),
+        "js_distance": float(np.sqrt(max(0.0, divergence))),
         "js_divergence": divergence,
         "l1": float(np.abs(np.asarray(estimated, dtype=np.float64) - np.asarray(true)).sum()),
     }
 
 
-def _power_iteration(cov: np.ndarray, rng: np.random.Generator, iterations: int) -> tuple[np.ndarray, float]:
-    v = rng.standard_normal(cov.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return v, 0.0
-        v = w / norm
-    # canonical sign: largest-magnitude entry positive
-    pivot = np.argmax(np.abs(v))
-    if v[pivot] < 0:
-        v = -v
-    return v, float(v @ cov @ v)
-
-
-def project_features_2d(
-    embeddings: np.ndarray, *, iterations: int = 300, seed: int = 0
-) -> np.ndarray:
-    """Mean-centered projection onto the two leading covariance eigenvectors,
-    found by power iteration with deflation. Deterministic for a fixed seed
-    and iteration count. A rank-deficient second direction is zeroed."""
+def project_features_2d(embeddings: np.ndarray) -> np.ndarray:
+    """Mean-centered projection onto the two leading covariance eigenvectors
+    (``np.linalg.eigh``), each signed so its largest-magnitude entry is
+    positive. A rank-deficient second direction is zeroed with a warning."""
     x = np.ascontiguousarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3:
         raise UsageError(f"need at least 3 samples, got shape {x.shape}")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
-    rng = np.random.default_rng(seed)
-    v1, lam1 = _power_iteration(cov, rng, iterations)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    v2, lam2 = _power_iteration(deflated, rng, iterations)
-    first = centered @ v1
-    if lam2 <= 1e-12 * max(lam1, 1.0):
+    lam, vecs = np.linalg.eigh(cov)
+    # eigh sorts ascending; one embedding column has no second direction
+    vecs = vecs[:, ::-1][:, :2]
+    vecs = vecs * np.sign(vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])])
+    projected = centered @ vecs
+    if len(lam) < 2 or lam[-2] <= 1e-12 * max(lam[-1], 1.0):
         warnings.warn("covariance is rank deficient; second component zeroed")
-        second = np.zeros_like(first)
-    else:
-        second = centered @ v2
-    return np.column_stack([first, second])
+        return np.column_stack([projected[:, 0], np.zeros(len(x))])
+    return projected
 
 
 def _final_accuracy(report: dict) -> float:

@@ -128,16 +128,6 @@ def init_model(
     )
 
 
-def extract_features(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Embeddings F(x); ReLU after every layer."""
-    h = np.ascontiguousarray(inputs, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != params.input_dim:
-        raise DimensionError(f"inputs shape {h.shape} incompatible with input dim {params.input_dim}")
-    for w, b in params.layers:
-        h = numerics.relu(numerics.linear_forward(h, w, b))
-    return h
-
-
 def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     """Forward pass through extractor and cosine head, caching everything."""
     x = np.ascontiguousarray(inputs, dtype=np.float64)
@@ -154,6 +144,11 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     logits = normalized @ params.prototypes.value / params.temperature
     probs = numerics.softmax_rows(logits)
     return ForwardCache(x, preacts, acts, normalized, norms, logits, probs)
+
+
+def extract_features(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """Embeddings F(x); ReLU after every layer."""
+    return forward_full(params, inputs).embeddings
 
 
 def classify(params: ModelParams, inputs: np.ndarray) -> Prediction:
@@ -218,13 +213,7 @@ def discriminate_domain(params: ModelParams, embeddings: np.ndarray) -> np.ndarr
 
 def relu_signature(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Active-unit pattern of every ReLU; used to detect kink crossings."""
-    h = np.ascontiguousarray(inputs, dtype=np.float64)
-    bits = []
-    for w, b in params.layers:
-        z = numerics.linear_forward(h, w, b)
-        bits.append((z > 0.0).reshape(-1))
-        h = numerics.relu(z)
-    return np.concatenate(bits)
+    return np.concatenate([(z > 0.0).reshape(-1) for z in forward_full(params, inputs).preacts])
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

@@ -142,11 +142,6 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
     return kernels.entropy(probs)
 
 
-def reverse_gradient(g: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient-reversal boundary: upstream gradient is exactly -lam * g."""
-    return -lam * g
-
-
 def sgd_momentum_step(
     blocks: Iterable[ParamBlock], learning_rates: Mapping[str, float], momentum: float
 ) -> None:

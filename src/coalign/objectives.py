@@ -6,34 +6,12 @@ diagnostics (Jensen-Shannon machinery and the additivity lower bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import model as model_mod
 from . import numerics
 from .errors import UsageError
 from .model import ModelParams
-
-
-@dataclass
-class LossBreakdown:
-    """Per-step scalar losses; l_st is always l_sc + l_target_pseudo."""
-
-    l_sc: float
-    l_target_pseudo: float
-    l_st: float
-    l_h: float
-    alpha: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "l_sc": self.l_sc,
-            "l_target_pseudo": self.l_target_pseudo,
-            "l_st": self.l_st,
-            "l_h": self.l_h,
-            "alpha": self.alpha,
-        }
 
 
 def label_distribution(counts: np.ndarray) -> np.ndarray:
@@ -178,7 +156,7 @@ def coal_objective(
     alpha: float,
     *,
     entropy_term: bool = True,
-) -> LossBreakdown:
+) -> dict[str, float]:
     """One coal step's objective from a single stacked forward/backward over
     [source; target].
 
@@ -188,8 +166,9 @@ def coal_objective(
     the routing of :func:`entropy_objective`: the prototypes take the gradient
     of -alpha * entropy and the extractor that of +alpha * entropy. With
     ``entropy_term`` off the entropy is reported but not backpropagated.
-    Gradients equal :func:`self_training_loss` plus :func:`entropy_objective`
-    up to summation order.
+    Returns ``l_sc``, ``l_target_pseudo``, ``l_st`` (their sum) and ``l_h``
+    by name. Gradients equal :func:`self_training_loss` plus
+    :func:`entropy_objective` up to summation order.
     """
     if len(source_inputs) == 0:
         raise UsageError("source batch is empty")
@@ -209,7 +188,7 @@ def coal_objective(
     else:
         d_head, d_feature = np.vstack([d_src, d_pseudo]), None
     model_mod.backward_head(params, cache, d_head, feature_d_logits=d_feature)
-    return LossBreakdown(l_sc=l_sc, l_target_pseudo=l_pseudo, l_st=l_sc + l_pseudo, l_h=l_h, alpha=alpha)
+    return {"l_sc": l_sc, "l_target_pseudo": l_pseudo, "l_st": l_sc + l_pseudo, "l_h": l_h}
 
 
 def marginal_align_objective(
@@ -218,15 +197,17 @@ def marginal_align_objective(
     source_labels: np.ndarray,
     target_inputs: np.ndarray,
     grl_lambda: float = 1.0,
-) -> tuple[float, float, float]:
+) -> dict[str, float]:
     """One marginal-align step's objective from a single stacked
     forward/backward over [source; target].
 
     The discriminator reads the stacked embeddings. The extractor receives
     the source rows' classification gradient plus ``-grl_lambda`` times the
-    domain gradient, chained back once. Returns (l_sc, domain loss, batch
-    domain accuracy); gradients equal :func:`source_classification_loss`
-    plus :func:`domain_alignment_loss` up to summation order.
+    domain gradient, chained back once. Returns ``l_sc``, ``l_st`` (the same
+    value: no self-training), the domain loss ``l_domain`` and the batch
+    ``domain_discriminator_accuracy`` by name; gradients equal
+    :func:`source_classification_loss` plus :func:`domain_alignment_loss`
+    up to summation order.
     """
     if len(source_inputs) == 0:
         raise UsageError("source batch is empty")
@@ -237,4 +218,4 @@ def marginal_align_objective(
     d_logits[:n] = d_src
     l_dom, d_embed, accuracy = _domain_confusion(params, cache.embeddings, n)
     model_mod.backward_head(params, cache, d_logits, d_embed_extra=-grl_lambda * d_embed)
-    return l_sc, l_dom, accuracy
+    return {"l_sc": l_sc, "l_st": l_sc, "l_domain": l_dom, "domain_discriminator_accuracy": accuracy}

@@ -84,7 +84,15 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{f.name} must be finite, got {value!r}")
+        for name, values in (
+            ("seed", (self.seed,)), ("epochs", (self.epochs,)),
+            ("pretrain_epochs", (self.pretrain_epochs,)), ("batch_size", (self.batch_size,)),
+            ("hidden_dims", self.hidden_dims),
+        ):
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+                raise UsageError(f"{name} must hold integers, got {getattr(self, name)!r}")
         for name, ok, rule in (
+            ("seed", self.seed >= 0, "be nonnegative"),
             ("batch_size", self.batch_size > 0, "be positive"),
             ("epochs", self.epochs >= 0, "be nonnegative"),
             ("pretrain_epochs", self.pretrain_epochs >= 0, "be nonnegative"),
@@ -189,7 +197,8 @@ def _run_epoch(
     Each optimizer step calls ``step`` with a source batch (and a target
     batch when ``target`` is given; the shorter plan cycles). ``step``
     accumulates the gradients of its objective and returns its values by
-    name. The record holds the epoch mean of every step value, then
+    name; a step that returns no ``l_target_pseudo`` or ``l_h`` reports
+    them as 0.0. The record holds the epoch mean of every step value, then
     ``extra``, then the holdout metrics; ``alpha`` is logged with each step.
     """
     lrs = _learning_rates(params, config)
@@ -199,7 +208,8 @@ def _run_epoch(
     steps = max(len(plan) for plan in plans)
     sums: dict[str, float] = {}
     for i in range(steps):
-        values = step(*(plan[i % len(plan)] for plan in plans))
+        values = {"l_target_pseudo": 0.0, "l_h": 0.0,
+                  **step(*(plan[i % len(plan)] for plan in plans))}
         losses = {key: val for key, val in values.items() if key in _STEP_LOSSES}
         for key, val in losses.items():
             if not np.isfinite(val):
@@ -222,7 +232,7 @@ def _run_epoch(
 def _source_step(params: ModelParams, source: data_mod.LabeledDataset, batch: np.ndarray) -> dict:
     """The supervised step of source-only training."""
     l_sc = objectives.source_classification_loss(params, source.features[batch], source.labels[batch])
-    return {"l_sc": l_sc, "l_target_pseudo": 0.0, "l_st": l_sc, "l_h": 0.0}
+    return {"l_sc": l_sc, "l_st": l_sc}
 
 
 def pretrain(
@@ -285,13 +295,11 @@ def run_coal_epoch(
             values = _source_step(params, source, sb)
             values["l_h"], _ = mean_entropy(model_mod.classify(params, tgt_x).probabilities)
             return values
-        breakdown = objectives.coal_objective(
+        return objectives.coal_objective(
             params, source.features[sb], source.labels[sb], tgt_x, pseudo.labels[tb],
             pseudo.mask[tb].astype(np.float64) if use_pseudo else None,
             config.alpha, entropy_term=use_entropy,
         )
-        return {"l_sc": breakdown.l_sc, "l_target_pseudo": breakdown.l_target_pseudo,
-                "l_st": breakdown.l_st, "l_h": breakdown.l_h}
 
     return _run_epoch(params, config, config.pretrain_epochs + epoch, "adapt", step,
                       source, target_train, alpha=config.alpha, extra=extra,
@@ -312,12 +320,10 @@ def run_marginal_align_epoch(
     conditioning and no self-training."""
 
     def step(sb: np.ndarray, tb: np.ndarray) -> dict:
-        l_sc, l_domain, accuracy = objectives.marginal_align_objective(
+        return objectives.marginal_align_objective(
             params, source.features[sb], source.labels[sb], target_train.features[tb],
             config.grl_lambda,
         )
-        return {"l_sc": l_sc, "l_target_pseudo": 0.0, "l_st": l_sc, "l_h": 0.0,
-                "l_domain": l_domain, "domain_discriminator_accuracy": accuracy}
 
     return _run_epoch(params, config, config.pretrain_epochs + epoch, "adapt", step,
                       source, target_train, holdout=holdout, step_log=step_log)
@@ -385,33 +391,26 @@ def run_experiment(config: TrainConfig) -> RunReport:
     epoch_times: list[float] = []
     records = []
 
-    for epoch in range(config.pretrain_epochs):
-        t0 = time.perf_counter()
-        records.extend(
-            pretrain(params, source, config, epochs=1, start_epoch=epoch,
-                     holdout=target_holdout, step_log=step_log)
-        )
-        epoch_times.append(time.perf_counter() - t0)
-
     pseudo_dir = out_dir if (config.dump_pseudo and out_dir is not None) else None
-    for epoch in range(config.epochs):
+    for global_epoch in range(config.pretrain_epochs + config.epochs):
         t0 = time.perf_counter()
-        if config.method == "coal":
+        epoch = global_epoch - config.pretrain_epochs
+        if epoch < 0 or config.method == "source-only":
+            record = pretrain(
+                params, source, config, epochs=1, start_epoch=global_epoch,
+                holdout=target_holdout, phase="pretrain" if epoch < 0 else "adapt",
+                step_log=step_log,
+            )[0]
+        elif config.method == "coal":
             record = run_coal_epoch(
                 params, source, target_train, config, epoch,
                 holdout=target_holdout, step_log=step_log, pseudo_dir=pseudo_dir,
             )
-        elif config.method == "marginal-align":
+        else:
             record = run_marginal_align_epoch(
                 params, source, target_train, config, epoch,
                 holdout=target_holdout, step_log=step_log,
             )
-        else:
-            record = pretrain(
-                params, source, config, epochs=1,
-                start_epoch=config.pretrain_epochs + epoch,
-                holdout=target_holdout, phase="adapt", step_log=step_log,
-            )[0]
         records.append(record)
         epoch_times.append(time.perf_counter() - t0)
 

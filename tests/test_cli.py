@@ -172,6 +172,12 @@ class TestSweepAndAblate:
         assert (out / "sweep_table.md").exists()
         assert "d=0%" in capsys.readouterr().out
 
+    def test_bad_degrees_name_the_flag(self, tmp_path, capsys):
+        config = tiny_config_doc(tmp_path)
+        with pytest.raises(SystemExit):
+            run_cli("sweep", "--config", str(config), "--degrees", "a,b")
+        assert "--degrees" in capsys.readouterr().err
+
     def test_ablate_writes_table(self, tmp_path, capsys):
         config = tiny_config_doc(tmp_path)
         out = tmp_path / "ablate"

@@ -275,6 +275,9 @@ class TestNaturalBatches:
         assert np.array_equal(np.sort(a), np.sort(b))
 
 
+TWIN_GENERATOR = {"num_classes": 3, "per_class": 60, "noise": 0.4, "seed": 4}
+
+
 class TestSplitAndManifest:
     def test_stratified_split(self):
         pool = balanced_pool(4, 50)
@@ -307,3 +310,19 @@ class TestSplitAndManifest:
     def test_unknown_recipe_kind(self):
         with pytest.raises(UsageError):
             D.materialize_dataset({"kind": "parquet"})
+
+    @pytest.mark.parametrize("recipe, names", [
+        ({"kind": "twin-gaussians", "domain": "target",
+          "generator": {"num_classes": 3, "noise": 0.4}}, "per_class"),
+        ({"kind": "twin-gaussians", "domain": "target"}, "generator"),
+        ({"kind": "twin-gaussians", "generator": TWIN_GENERATOR}, "domain"),
+        ({"kind": "twin-gaussians", "domain": "sauce", "generator": TWIN_GENERATOR}, "sauce"),
+        ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR,
+          "shift": {"direction": D.DIRECTION_TARGET, "degree": 60.0, "budget": 120}},
+         "pareto_alpha"),
+        ({"kind": "idx", "labels": "labels.idx"}, "images"),
+        ({"kind": "csv"}, "path"),
+    ])
+    def test_bad_recipe_names_the_field(self, recipe, names):
+        with pytest.raises(UsageError, match=names):
+            D.materialize_dataset(recipe)

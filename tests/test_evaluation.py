@@ -91,7 +91,7 @@ class TestProjectFeatures2d:
     def test_axis_aligned_data_recovered(self):
         # balanced product design: sample covariance exactly diagonal
         x = np.array([[a, b] for a in (-3.0, -1.0, 1.0, 3.0) for b in (-0.5, 0.5)])
-        projected = E.project_features_2d(x, seed=0)
+        projected = E.project_features_2d(x)
         centered = x - x.mean(axis=0)
         for col in range(2):
             match = min(
@@ -102,13 +102,13 @@ class TestProjectFeatures2d:
 
     def test_component_variance_ordering(self):
         rng = np.random.default_rng(6)
-        projected = E.project_features_2d(rng.normal(size=(40, 8)), seed=1)
+        projected = E.project_features_2d(rng.normal(size=(40, 8)))
         assert projected[:, 0].var() >= projected[:, 1].var()
 
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(10, 5))
-        projected = E.project_features_2d(x, seed=2)
+        projected = E.project_features_2d(x)
         centered = x - x.mean(axis=0)
         cov = centered.T @ centered / (len(x) - 1)
         eigvals, eigvecs = np.linalg.eigh(cov)
@@ -118,14 +118,32 @@ class TestProjectFeatures2d:
                 np.abs(projected[:, col] - reference[:, col]).max(),
                 np.abs(projected[:, col] + reference[:, col]).max(),
             )
-            assert match < 1e-6
+            assert match < 1e-10
+
+    def test_components_signed_by_largest_entry(self):
+        # a balanced grid along two orthogonal directions, so the sample
+        # covariance is exactly diag(var a, var b) in the (u, w) basis
+        u, w = np.array([0.6, -0.8, 0.0]), np.array([-0.8, -0.6, 0.0])
+        x = np.array([a * u + b * w for a in (-3.0, -1.0, 1.0, 3.0) for b in (-0.5, 0.5)])
+        projected = E.project_features_2d(x)
+        centered = x - x.mean(axis=0)
+        # each direction flipped so its largest-magnitude entry is positive
+        assert np.allclose(projected[:, 0], centered @ -u, rtol=0, atol=1e-10)
+        assert np.allclose(projected[:, 1], centered @ -w, rtol=0, atol=1e-10)
+
+    def test_single_column_warns_and_zeroes(self):
+        x = np.random.default_rng(9).normal(size=(12, 1))
+        with pytest.warns(UserWarning, match="second component"):
+            projected = E.project_features_2d(x)
+        assert np.array_equal(projected[:, 0], (x - x.mean()).ravel())
+        assert np.array_equal(projected[:, 1], np.zeros(12))
 
     def test_rank_deficient_warns_and_zeroes(self):
         rng = np.random.default_rng(8)
         direction = np.array([1.0, 2.0, -0.5])
         x = np.outer(rng.normal(size=30), direction)
         with pytest.warns(UserWarning, match="second component"):
-            projected = E.project_features_2d(x, seed=3)
+            projected = E.project_features_2d(x)
         assert np.array_equal(projected[:, 1], np.zeros(30))
 
     def test_needs_three_samples(self):

@@ -265,9 +265,8 @@ class TestStackedSteps:
 
         got = objectives.coal_objective(
             params, src_x, src_y, tgt_x, pseudo, weights, alpha, entropy_term=entropy_term)
-        assert got.as_dict() == pytest.approx(
-            {"l_sc": l_sc, "l_target_pseudo": l_pseudo, "l_st": l_st, "l_h": l_h, "alpha": alpha},
-            abs=1e-10)
+        assert got == pytest.approx(
+            {"l_sc": l_sc, "l_target_pseudo": l_pseudo, "l_st": l_st, "l_h": l_h}, abs=1e-10)
         _assert_blocks_close(_grads(params), reference)
 
     @given(rows=row_counts, seed=st.integers(0, 2**16), alpha=st.floats(0.0, 2.0))
@@ -283,9 +282,9 @@ class TestStackedSteps:
         reference = _grads(params)
 
         got = objectives.coal_objective(params, src_x, src_y, tgt_x, None, None, alpha)
-        assert got.l_target_pseudo == 0.0 and got.l_st == got.l_sc
-        assert got.l_sc == pytest.approx(l_sc, abs=1e-10)
-        assert got.l_h == pytest.approx(l_h, abs=1e-10)
+        assert got["l_target_pseudo"] == 0.0 and got["l_st"] == got["l_sc"]
+        assert got["l_sc"] == pytest.approx(l_sc, abs=1e-10)
+        assert got["l_h"] == pytest.approx(l_h, abs=1e-10)
         _assert_blocks_close(_grads(params), reference)
 
     @given(rows=row_counts, seed=st.integers(0, 2**16), lam=st.floats(0.0, 3.0))
@@ -303,8 +302,8 @@ class TestStackedSteps:
         reference = _grads(params)
 
         got = objectives.marginal_align_objective(params, src_x, src_y, tgt_x, grl_lambda=lam)
-        assert got[:2] == pytest.approx((l_sc, l_dom), abs=1e-10)
-        assert got[2] == accuracy
+        assert (got["l_sc"], got["l_domain"]) == pytest.approx((l_sc, l_dom), abs=1e-10)
+        assert got["domain_discriminator_accuracy"] == accuracy
         _assert_blocks_close(_grads(params), reference)
 
     def test_one_forward_per_step(self, monkeypatch):

@@ -62,6 +62,12 @@ class TestTrainConfig:
         ({"alpha": float("inf")}, "^alpha"),
         ({"lr_backbone": float("inf")}, "^lr_backbone"),
         ({"grl_lambda": -5.0}, "^grl_lambda"),
+        ({"epochs": 2.0}, "^epochs"),
+        ({"epochs": True}, "^epochs"),
+        ({"batch_size": 16.5}, "^batch_size"),
+        ({"hidden_dims": [8.5, 4]}, "^hidden_dims"),
+        ({"seed": -1}, "^seed"),
+        ({"seed": 1.5}, "^seed"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         with pytest.raises(UsageError, match=names):

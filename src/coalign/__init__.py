@@ -24,7 +24,7 @@ from .evaluation import (
     project_features_2d,
     render_table,
 )
-from .model import ModelParams, Prediction, classify, extract_features, init_model
+from .model import ForwardCache, ModelParams, forward_full, init_model
 from .objectives import (
     entropy_objective,
     js_label_bound,

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import glob as glob_mod
-import json
 import sys
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation, model as model_mod, objectives, trainer
-from .errors import ConsistencyError
+from .errors import ConsistencyError, TableError
 
 
 def _parse_synthetic(spec: str) -> dict:
@@ -29,18 +28,24 @@ def _parse_synthetic(spec: str) -> dict:
         key, _, value = item.partition("=")
         if key not in params:
             raise SystemExit(f"unknown synthetic key {key!r} (have {sorted(params)})")
-        params[key] = value if key == "domain" else float(value)
+        # the type of each key's default is the type its value must parse as
+        parse = type(params[key])
+        try:
+            params[key] = parse(value)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise SystemExit(f"synthetic key {key!r} must be {kind}, got {value!r}") from None
     return {
         "kind": "twin-gaussians",
         "domain": params["domain"],
         "generator": {
-            "num_classes": int(params["classes"]),
-            "per_class": int(params["per_class"]),
+            "num_classes": params["classes"],
+            "per_class": params["per_class"],
             "noise": params["noise"],
             "rotation_deg": params["rotation"],
             "translation": [params["tx"], params["ty"]],
             "radius": params["radius"],
-            "seed": int(params["seed"]),
+            "seed": params["seed"],
         },
     }
 
@@ -86,10 +91,16 @@ def cmd_gen_shift(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def _load_config(args: argparse.Namespace) -> trainer.TrainConfig:
+    """The --config file with --out-dir, when given, in place of its out_dir."""
     config = trainer.TrainConfig.from_file(args.config)
     if args.out_dir:
         config.out_dir = args.out_dir
+    return config
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    config = _load_config(args)
     if args.dump_pseudo:
         config.dump_pseudo = True
     report = trainer.run_experiment(config)
@@ -103,9 +114,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = trainer.TrainConfig.from_file(args.config)
-    if args.out_dir:
-        config.out_dir = args.out_dir
+    config = _load_config(args)
     reports = trainer.sweep_degrees(config, args.degrees)
     table = evaluation.render_table([r.to_dict() for r in reports], "markdown")
     print(table)
@@ -115,9 +124,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    config = trainer.TrainConfig.from_file(args.config)
-    if args.out_dir:
-        config.out_dir = args.out_dir
+    config = _load_config(args)
     reports = trainer.run_ablations(config)
     table = evaluation.render_table([r.to_dict() for r in reports], "markdown")
     print(table)
@@ -128,7 +135,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params = model_mod.load_checkpoint(args.checkpoint)
-    manifest = json.loads(Path(args.data).read_text())
+    manifest = data_mod.read_json_object(args.data, ConsistencyError)
     missing = [key for key in ("recipe", "sha256") if key not in manifest]
     if missing:
         raise ConsistencyError(f"{args.data}: manifest is missing {', '.join(missing)}")
@@ -137,14 +144,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConsistencyError(
             f"{args.data}: the dataset its recipe regenerates does not match its sha256"
         )
-    pred = model_mod.classify(params, dataset.features)
-    cm = evaluation.confusion_matrix(
-        dataset.labels, pred.probabilities.argmax(axis=1), dataset.num_classes
-    )
+    cache = model_mod.forward_full(params, dataset.features)
+    predicted = cache.probs.argmax(axis=1)
+    cm = evaluation.confusion_matrix(dataset.labels, predicted, dataset.num_classes)
     per_class = evaluation.per_class_mean_accuracy(cm)
     overall = evaluation.overall_accuracy(cm)
     predicted_dist = objectives.label_distribution(
-        np.bincount(pred.probabilities.argmax(axis=1), minlength=dataset.num_classes)
+        np.bincount(predicted, minlength=dataset.num_classes)
     )
     true_dist = objectives.label_distribution(dataset.class_counts())
     comparison = evaluation.compare_distributions(predicted_dist, true_dist)
@@ -155,7 +161,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "confusion.csv", cm, fmt="%d", delimiter=",")
-    projected = evaluation.project_features_2d(pred.embeddings)
+    projected = evaluation.project_features_2d(cache.embeddings)
     with open(out / "features_2d.csv", "w") as fh:
         fh.write("component1,component2,label\n")
         for row, label in zip(projected, dataset.labels):
@@ -168,7 +174,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     paths = sorted(glob_mod.glob(args.glob))
     if not paths:
         raise SystemExit(f"no reports match {args.glob!r}")
-    reports = [json.loads(Path(p).read_text()) for p in paths]
+    reports = [data_mod.read_json_object(p, TableError) for p in paths]
     print(evaluation.render_table(reports, args.format), end="")
     return 0
 

@@ -237,12 +237,18 @@ def write_idx(
 
 def load_csv(path: str | Path) -> LabeledDataset:
     """CSV with a header row, float feature columns, and a final integer
-    label column."""
-    table = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64)
-    if table.ndim == 1:
-        table = table.reshape(1, -1)
+    label column. Every row has the same number of cells, and every cell is
+    a finite number."""
+    try:
+        table = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: rows differ in length: {exc}") from exc
     if table.shape[1] < 2:
         raise FormatError(f"{path}: need at least one feature column and one label column")
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise FormatError(f"{path}: data row {row + 1}, column {col + 1} is not a finite number")
     labels = table[:, -1]
     if not np.all(labels == np.rint(labels)):
         raise FormatError(f"{path}: final column must hold integer labels")
@@ -353,6 +359,18 @@ def dataset_fingerprint(dataset: LabeledDataset) -> str:
     digest.update(np.ascontiguousarray(dataset.features).tobytes())
     digest.update(np.ascontiguousarray(dataset.labels).tobytes())
     return digest.hexdigest()
+
+
+def read_json_object(path: str | Path, error: type[Exception]) -> dict:
+    """The JSON object stored at ``path``; an unreadable file, invalid JSON
+    or any other JSON value raises ``error`` naming the path."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def write_manifest(dataset: LabeledDataset, path: str | Path, recipe: dict, seed: int) -> None:

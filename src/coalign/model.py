@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data as data_mod
 from . import numerics
 from .errors import CheckpointError, DimensionError
-from .numerics import ParamBlock
+from .numerics import ParamBlock, is_finite_real, is_int
 
 CHECKPOINT_VERSION = 1
 
@@ -35,10 +36,6 @@ class ModelParams:
     num_classes: int
     seed: int
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.prototypes.value.shape[0]
-
     def extractor_blocks(self) -> list[ParamBlock]:
         return [b for pair in self.layers for b in pair]
 
@@ -54,14 +51,6 @@ class ModelParams:
     def zero_grads(self) -> None:
         for block in self.all_blocks():
             block.zero_grad()
-
-
-@dataclass
-class Prediction:
-    """Class probabilities and the embeddings they were computed from."""
-
-    probabilities: np.ndarray
-    embeddings: np.ndarray
 
 
 @dataclass
@@ -129,7 +118,8 @@ def init_model(
 
 
 def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
-    """Forward pass through extractor and cosine head, caching everything."""
+    """The one forward pass through extractor and cosine head, caching
+    everything; ``.probs`` are the class probabilities, ``.embeddings`` F(x)."""
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise DimensionError(f"inputs shape {x.shape} incompatible with input dim {params.input_dim}")
@@ -144,16 +134,6 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     logits = normalized @ params.prototypes.value / params.temperature
     probs = numerics.softmax_rows(logits)
     return ForwardCache(x, preacts, acts, normalized, norms, logits, probs)
-
-
-def extract_features(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Embeddings F(x); ReLU after every layer."""
-    return forward_full(params, inputs).embeddings
-
-
-def classify(params: ModelParams, inputs: np.ndarray) -> Prediction:
-    cache = forward_full(params, inputs)
-    return Prediction(probabilities=cache.probs, embeddings=cache.embeddings)
 
 
 def backward_extractor(
@@ -200,17 +180,6 @@ def backward_head(
     backward_extractor(params, cache, d_embed, feature_scale)
 
 
-def discriminate_domain(params: ModelParams, embeddings: np.ndarray) -> np.ndarray:
-    """Per-sample probability of coming from the target domain."""
-    w, b = params.domain_head
-    if embeddings.shape[1] != w.value.shape[0]:
-        raise DimensionError(
-            f"embeddings dim {embeddings.shape[1]} != discriminator dim {w.value.shape[0]}"
-        )
-    logits = numerics.linear_forward(np.ascontiguousarray(embeddings, dtype=np.float64), w, b)
-    return numerics.softmax_rows(logits)[:, 1]
-
-
 def relu_signature(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Active-unit pattern of every ReLU; used to detect kink crossings."""
     return np.concatenate([(z > 0.0).reshape(-1) for z in forward_full(params, inputs).preacts])
@@ -234,10 +203,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    doc = data_mod.read_json_object(path, CheckpointError)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {doc.get('format_version')} unsupported (want {CHECKPOINT_VERSION})"
@@ -246,22 +212,41 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                if k not in doc]
     if missing:
         raise CheckpointError(f"checkpoint {path} is missing {', '.join(missing)}")
+    hidden = doc["hidden_dims"]
+    for key, ok, rule in (
+        ("temperature", is_finite_real(doc["temperature"]) and doc["temperature"] > 0,
+         "be a positive number"),
+        ("seed", is_int(doc["seed"]) and doc["seed"] >= 0, "be a nonnegative integer"),
+        ("input_dim", is_int(doc["input_dim"]) and doc["input_dim"] > 0, "be a positive integer"),
+        ("num_classes", is_int(doc["num_classes"]) and doc["num_classes"] > 0,
+         "be a positive integer"),
+        ("hidden_dims", isinstance(hidden, list) and len(hidden) > 0
+         and all(is_int(v) and v > 0 for v in hidden), "list at least one positive integer width"),
+        ("blocks", isinstance(doc["blocks"], dict), "map block names to blocks"),
+    ):
+        if not ok:
+            raise CheckpointError(f"checkpoint {path}: {key} must {rule}, got {doc[key]!r}")
     params = init_model(
         doc["input_dim"],
-        tuple(doc["hidden_dims"]),
+        tuple(hidden),
         doc["num_classes"],
         temperature=doc["temperature"],
         seed=doc["seed"],
     )
     for block in params.all_blocks():
         entry = doc["blocks"].get(block.name)
-        if entry is None or "shape" not in entry or "values" not in entry:
+        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
             raise CheckpointError(f"checkpoint missing block {block.name!r} or its shape/values")
-        values = np.asarray(entry["values"], dtype=np.float64)
-        if tuple(entry["shape"]) != block.value.shape:
+        if entry["shape"] != list(block.value.shape):
             raise CheckpointError(
-                f"block {block.name!r} shape {tuple(entry['shape'])} != model shape {block.value.shape}"
+                f"block {block.name!r} shape {entry['shape']!r} != model shape {block.value.shape}"
             )
+        try:
+            values = np.asarray(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"block {block.name!r} values are not a list of numbers: {exc}"
+            ) from exc
         if values.shape != (block.value.size,):
             raise CheckpointError(
                 f"block {block.name!r} holds {values.size} values, its shape needs {block.value.size}"

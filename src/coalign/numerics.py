@@ -10,6 +10,8 @@ realized through exactly this mechanism.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -19,6 +21,17 @@ from . import kernels
 from .errors import DimensionError, DivergenceError, NormalizationError
 
 NORM_EPS = 1e-12
+
+
+def is_int(value) -> bool:
+    """A non-boolean Python int; configs and checkpoints hold these for
+    counts, widths and seeds."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A finite, non-boolean real number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -78,19 +91,17 @@ def relu_backward(g: np.ndarray, pre: np.ndarray) -> np.ndarray:
     return np.where(pre > 0.0, g, 0.0)
 
 
-def l2_normalize_rows(x: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm; rows with norm <= eps are divided by eps.
+def l2_normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit norm; rows with norm <= NORM_EPS are divided by it.
 
     Returns (normalized, row_norms); the norms feed the backward pass.
     """
-    return kernels.normalize_rows(np.ascontiguousarray(x, dtype=np.float64), eps)
+    return kernels.normalize_rows(np.ascontiguousarray(x, dtype=np.float64), NORM_EPS)
 
 
-def l2_normalize_backward(
-    g: np.ndarray, normalized: np.ndarray, norms: np.ndarray, eps: float = NORM_EPS
-) -> np.ndarray:
+def l2_normalize_backward(g: np.ndarray, normalized: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return kernels.normalize_rows_bwd(
-        np.ascontiguousarray(g), np.ascontiguousarray(normalized), norms, eps
+        np.ascontiguousarray(g), np.ascontiguousarray(normalized), norms, NORM_EPS
     )
 
 
@@ -120,13 +131,6 @@ def cross_entropy(
         if weights.shape[0] != probs.shape[0]:
             raise DimensionError(f"{weights.shape[0]} weights for {probs.shape[0]} logit rows")
     return kernels.xent(probs, labels, weights)
-
-
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """:func:`cross_entropy` of ``softmax_rows(logits)``."""
-    return cross_entropy(softmax_rows(logits), labels, weights)
 
 
 def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:

@@ -85,7 +85,7 @@ def self_training_loss(
     """
     l_sc = source_classification_loss(params, source_inputs, source_labels)
     cache = model_mod.forward_full(params, target_inputs)
-    l_pseudo, d_logits = numerics.softmax_cross_entropy(cache.logits, target_pseudo, target_mask)
+    l_pseudo, d_logits = numerics.cross_entropy(cache.probs, target_pseudo, target_mask)
     model_mod.backward_head(params, cache, d_logits)
     return l_sc + l_pseudo, l_sc, l_pseudo
 
@@ -117,7 +117,7 @@ def _domain_confusion(
     domains[n_source:] = 1
     w, b = params.domain_head
     logits = numerics.linear_forward(embeddings, w, b)
-    loss, d_logits = numerics.softmax_cross_entropy(logits, domains)
+    loss, d_logits = numerics.cross_entropy(numerics.softmax_rows(logits), domains)
     d_embed = numerics.linear_backward(d_logits, embeddings, w, b)
     accuracy = float((logits.argmax(axis=1) == domains).mean())
     return loss, d_embed, accuracy

@@ -52,19 +52,16 @@ def advance_k(schedule: KSchedule, epoch: int) -> float:
 
 def assign_pseudo_labels(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """argmax class and its probability per row; ties go to the lowest class index."""
-    probs = model_mod.classify(params, features).probabilities
+    probs = model_mod.forward_full(params, features).probs
     labels = probs.argmax(axis=1).astype(np.int64)
     confidence = probs[np.arange(len(labels)), labels]
     return labels, confidence
 
 
 def _per_class_quota(k: float, class_size: int) -> int:
-    # ceil(k% of the class); integer arithmetic when k is integral so that
-    # e.g. k=30 of 10 samples is exactly 3
+    # ceil(k% of the class), e.g. k=30 of 10 samples is exactly 3
     if k <= 0 or class_size == 0:
         return 0
-    if float(k).is_integer():
-        return (int(k) * class_size + 99) // 100
     return math.ceil(k * class_size / 100.0)
 
 

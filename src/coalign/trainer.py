@@ -7,7 +7,6 @@ its JSON outputs.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -20,7 +19,7 @@ from . import data as data_mod
 from . import evaluation, model as model_mod, objectives, selftrain
 from .errors import DivergenceError, UsageError
 from .model import ModelParams
-from .numerics import mean_entropy, sgd_momentum_step
+from .numerics import is_finite_real, is_int, mean_entropy, sgd_momentum_step
 from .selftrain import K_SCHEDULE_PRESETS, KSchedule
 
 METHODS = ("coal", "source-only", "marginal-align")
@@ -61,12 +60,6 @@ class TrainConfig:
             raise UsageError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.sampler not in ("balanced", "natural"):
             raise UsageError(f"sampler must be balanced or natural, got {self.sampler!r}")
-        self.ablations = tuple(self.ablations)
-        for flag in self.ablations:
-            if flag not in ABLATION_FLAGS:
-                raise UsageError(f"unknown ablation flag {flag!r}")
-        if self.ablations and self.method != "coal":
-            raise UsageError("ablation flags are only valid with method=coal")
         if isinstance(self.k_schedule, str):
             if self.k_schedule not in K_SCHEDULE_PRESETS:
                 raise UsageError(
@@ -79,35 +72,48 @@ class TrainConfig:
             if unknown:
                 raise UsageError(f"k_schedule has unknown keys {unknown}")
             self.k_schedule = KSchedule(**self.k_schedule)
-        self.hidden_dims = tuple(self.hidden_dims)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise UsageError(f"{f.name} must be finite, got {value!r}")
-        for name, values in (
-            ("seed", (self.seed,)), ("epochs", (self.epochs,)),
-            ("pretrain_epochs", (self.pretrain_epochs,)), ("batch_size", (self.batch_size,)),
-            ("hidden_dims", self.hidden_dims),
-        ):
-            if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
-                raise UsageError(f"{name} must hold integers, got {getattr(self, name)!r}")
+        ks = self.k_schedule
+        # each check tests the type before the value, so a wrongly typed
+        # field fails here by name instead of in a comparison
         for name, ok, rule in (
-            ("seed", self.seed >= 0, "be nonnegative"),
-            ("batch_size", self.batch_size > 0, "be positive"),
-            ("epochs", self.epochs >= 0, "be nonnegative"),
-            ("pretrain_epochs", self.pretrain_epochs >= 0, "be nonnegative"),
-            ("lr_head", self.lr_head >= 0, "be nonnegative"),
-            ("lr_backbone", self.lr_backbone >= 0, "be nonnegative"),
-            ("momentum", 0 <= self.momentum < 1, "lie in [0, 1)"),
-            ("alpha", self.alpha >= 0, "be nonnegative"),
-            ("grl_lambda", self.grl_lambda >= 0, "be nonnegative"),
-            ("temperature", self.temperature > 0, "be positive"),
-            ("holdout_fraction", 0 < self.holdout_fraction < 1, "lie in (0, 1)"),
-            ("hidden_dims", len(self.hidden_dims) > 0 and min(self.hidden_dims) > 0,
-             "list at least one positive width"),
+            ("seed", is_int(self.seed) and self.seed >= 0, "be a nonnegative integer"),
+            ("batch_size", is_int(self.batch_size) and self.batch_size > 0, "be a positive integer"),
+            ("epochs", is_int(self.epochs) and self.epochs >= 0, "be a nonnegative integer"),
+            ("pretrain_epochs", is_int(self.pretrain_epochs) and self.pretrain_epochs >= 0,
+             "be a nonnegative integer"),
+            ("lr_head", is_finite_real(self.lr_head) and self.lr_head >= 0,
+             "be a finite nonnegative number"),
+            ("lr_backbone", is_finite_real(self.lr_backbone) and self.lr_backbone >= 0,
+             "be a finite nonnegative number"),
+            ("momentum", is_finite_real(self.momentum) and 0 <= self.momentum < 1, "lie in [0, 1)"),
+            ("alpha", is_finite_real(self.alpha) and self.alpha >= 0,
+             "be a finite nonnegative number"),
+            ("grl_lambda", is_finite_real(self.grl_lambda) and self.grl_lambda >= 0,
+             "be a finite nonnegative number"),
+            ("temperature", is_finite_real(self.temperature) and self.temperature > 0,
+             "be a finite positive number"),
+            ("holdout_fraction",
+             is_finite_real(self.holdout_fraction) and 0 < self.holdout_fraction < 1,
+             "lie in (0, 1)"),
+            ("hidden_dims", isinstance(self.hidden_dims, (list, tuple))
+             and len(self.hidden_dims) > 0 and all(is_int(v) and v > 0 for v in self.hidden_dims),
+             "be a list of at least one positive integer width"),
+            ("ablations", isinstance(self.ablations, (list, tuple)), "be a list of flags"),
+            ("dump_pseudo", isinstance(self.dump_pseudo, bool), "be true or false"),
+            ("k_schedule", isinstance(ks, KSchedule)
+             and all(is_finite_real(v) for v in (ks.k0, ks.k_step, ks.k_max))
+             and 0 <= ks.k0 <= 100 and 0 <= ks.k_max <= 100 and ks.k_step >= 0,
+             "be a preset name or a dict with k0 and k_max in [0, 100] and k_step >= 0"),
         ):
             if not ok:
                 raise UsageError(f"{name} must {rule}, got {getattr(self, name)!r}")
+        self.hidden_dims = tuple(self.hidden_dims)
+        self.ablations = tuple(self.ablations)
+        for flag in self.ablations:
+            if flag not in ABLATION_FLAGS:
+                raise UsageError(f"unknown ablation flag {flag!r}")
+        if self.ablations and self.method != "coal":
+            raise UsageError("ablation flags are only valid with method=coal")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -118,7 +124,7 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(data_mod.read_json_object(path, UsageError))
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -163,8 +169,8 @@ def _batch_plan(dataset, config: TrainConfig, stream: int, global_epoch: int, sa
 
 
 def evaluate_model(params: ModelParams, dataset: data_mod.LabeledDataset) -> dict:
-    pred = model_mod.classify(params, dataset.features)
-    cm = evaluation.confusion_matrix(dataset.labels, pred.probabilities.argmax(axis=1), dataset.num_classes)
+    probs = model_mod.forward_full(params, dataset.features).probs
+    cm = evaluation.confusion_matrix(dataset.labels, probs.argmax(axis=1), dataset.num_classes)
     return {
         "per_class_mean_accuracy": evaluation.per_class_mean_accuracy(cm),
         "overall_accuracy": evaluation.overall_accuracy(cm),
@@ -293,7 +299,7 @@ def run_coal_epoch(
             # the source-only step itself, so a double ablation stays
             # bit-identical to source-only; the entropy is only reported
             values = _source_step(params, source, sb)
-            values["l_h"], _ = mean_entropy(model_mod.classify(params, tgt_x).probabilities)
+            values["l_h"], _ = mean_entropy(model_mod.forward_full(params, tgt_x).probs)
             return values
         return objectives.coal_objective(
             params, source.features[sb], source.labels[sb], tgt_x, pseudo.labels[tb],

@@ -6,7 +6,7 @@ import pytest
 
 from coalign import cli
 from coalign import data as D
-from coalign.errors import ConsistencyError
+from coalign.errors import ConsistencyError, TableError, UsageError
 
 
 def run_cli(*argv):
@@ -65,6 +65,15 @@ class TestGenShift:
             run_cli("gen-shift", "--input", "synthetic:rotund=3", "--budget", "10",
                     "--direction", "ut", "--out", str(tmp_path / "x"))
 
+    @pytest.mark.parametrize("item", ["classes=abc", "classes=2.5", "per_class=1e2", "seed=x",
+                                      "noise=loud"])
+    def test_bad_synthetic_value_names_the_key(self, tmp_path, item):
+        key = item.partition("=")[0]
+        with pytest.raises(SystemExit, match=f"'{key}'"):
+            run_cli("gen-shift", "--input", f"synthetic:{item}", "--budget", "10",
+                    "--direction", "ut", "--out", str(tmp_path / "x"))
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_writes_outputs_and_is_reproducible(self, tmp_path, capsys):
@@ -76,6 +85,13 @@ class TestTrain:
         a = json.loads((out1 / "report.json").read_text())
         b = json.loads((out2 / "report.json").read_text())
         assert json.dumps(a["metrics"], sort_keys=True) == json.dumps(b["metrics"], sort_keys=True)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_bad_config_file_names_the_path(self, tmp_path, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        with pytest.raises(UsageError, match="broken.json"):
+            run_cli("train", "--config", str(path))
 
     def test_dump_pseudo_flag(self, tmp_path):
         config = tiny_config_doc(tmp_path)
@@ -134,6 +150,16 @@ class TestEval:
                     "--data", str(path), "--out-dir", str(tmp_path / "eval"))
         assert not (tmp_path / "eval" / "confusion.csv").exists()
 
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_unreadable_manifest_names_the_path(self, tmp_path, text):
+        run_dir = tmp_path / "run"
+        run_cli("train", "--config", str(tiny_config_doc(tmp_path)), "--out-dir", str(run_dir))
+        path = tmp_path / "broken_manifest.json"
+        path.write_text(text)
+        with pytest.raises(ConsistencyError, match="broken_manifest.json"):
+            run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(path), "--out-dir", str(tmp_path / "eval"))
+
 
 class TestReport:
     def test_markdown_table_from_glob(self, tmp_path, capsys):
@@ -160,6 +186,13 @@ class TestReport:
     def test_no_matches(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("report", "--glob", str(tmp_path / "nothing*"))
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_bad_report_names_the_path(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        with pytest.raises(TableError, match="report.json"):
+            run_cli("report", "--glob", str(path))
 
 
 class TestSweepAndAblate:

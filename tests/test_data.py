@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import objectives
@@ -13,7 +17,14 @@ from coalign.errors import (
     SamplerError,
     UsageError,
 )
-from coalign.numerics import ParamBlock, linear_backward, linear_forward, softmax_cross_entropy, sgd_momentum_step
+from coalign.numerics import (
+    ParamBlock,
+    cross_entropy,
+    linear_backward,
+    linear_forward,
+    sgd_momentum_step,
+    softmax_rows,
+)
 
 
 class TestParetoProportions:
@@ -80,6 +91,14 @@ class TestBuildShift:
             bound = np.sqrt(np.log(2) * min(1.0, c / (2.0 * budget)))
             assert objectives.js_distance(realized, requested) <= bound
 
+    @given(weights=st.lists(st.floats(0.001, 1.0), min_size=1, max_size=12),
+           budget=st.integers(0, 10_000))
+    def test_largest_remainder_sums_to_budget_within_one(self, weights, budget):
+        proportions = np.asarray(weights) / np.sum(weights)
+        counts = D.largest_remainder_counts(proportions, budget)
+        assert counts.sum() == budget
+        assert np.abs(counts - proportions * budget).max() <= 1.0
+
     def test_reversal_duality(self):
         for c in (2, 5, 9):
             ut = D.shift_proportions(c, D.ShiftSpec(1.0, D.DIRECTION_TARGET, 100.0, 100))
@@ -129,7 +148,7 @@ class TestTwinDomains:
         b = ParamBlock("b", np.zeros((1, 4)))
         lrs = {"w": 0.1, "b": 0.1}
         for _ in range(400):
-            _, dl = softmax_cross_entropy(linear_forward(src.features, w, b), src.labels)
+            _, dl = cross_entropy(softmax_rows(linear_forward(src.features, w, b)), src.labels)
             linear_backward(dl, src.features, w, b)
             sgd_momentum_step([w, b], lrs, 0.9)
 
@@ -208,6 +227,24 @@ class TestIdx:
         assert out_images.read_bytes() == images.read_bytes()
         assert out_labels.read_bytes() == labels.read_bytes()
 
+    @settings(max_examples=25)
+    @given(count=st.integers(1, 5), rows=st.integers(1, 3), cols=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_every_truncation_raises_length_error(self, count, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        dataset = D.LabeledDataset(rng.random((count, rows * cols)), rng.integers(0, 3, count), 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            images, labels = Path(tmp, "images.idx"), Path(tmp, "labels.idx")
+            D.write_idx(dataset, images, labels, rows, cols)
+            D.load_idx(images, labels)
+            for path in (images, labels):
+                whole = path.read_bytes()
+                for cut in range(len(whole)):
+                    path.write_bytes(whole[:cut])
+                    with pytest.raises(LengthError):
+                        D.load_idx(images, labels)
+                path.write_bytes(whole)
+
 
 class TestCsv:
     def test_load(self, tmp_path):
@@ -223,6 +260,30 @@ class TestCsv:
         path.write_text("x0,label\n0.5,0.7\n")
         with pytest.raises(FormatError):
             D.load_csv(path)
+
+    def test_single_column_is_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n0\n1\n")
+        with pytest.raises(FormatError, match="labels.csv"):
+            D.load_csv(path)
+
+    def test_ragged_row_is_rejected(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("x0,label\n1.0,0\n2.0,3.0,1\n")
+        with pytest.raises(FormatError, match="ragged.csv"):
+            D.load_csv(path)
+
+    def test_non_numeric_cell_is_rejected(self, tmp_path):
+        path = tmp_path / "words.csv"
+        path.write_text("x0,label\n1.0,0\nabc,1\n")
+        with pytest.raises(FormatError, match=r"words.csv: data row 2, column 1"):
+            D.load_csv(path)
+
+    def test_single_row(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("x0,x1,label\n0.5,1.5,1\n")
+        ds = D.load_csv(path)
+        assert ds.features.tolist() == [[0.5, 1.5]] and ds.labels.tolist() == [1]
 
 
 class TestBalancedBatches:

@@ -32,7 +32,7 @@ def test_minimax_step_directions_on_fixture():
         x = tgt_train.features[batch]
 
         def batch_entropy():
-            return mean_entropy(M.classify(params, x).probabilities)[0]
+            return mean_entropy(M.forward_full(params, x).probs)[0]
 
         snapshot = [b.value.copy() for b in params.all_blocks()]
         h0 = batch_entropy()

@@ -40,7 +40,7 @@ class TestNormalizeRows:
         assert np.allclose(y, [[0.6, 0.8]])
 
     def test_zero_row_preserved(self):
-        y, _ = numerics.l2_normalize_rows(np.array([[0.0, 0.0]]), eps=1e-12)
+        y, _ = numerics.l2_normalize_rows(np.array([[0.0, 0.0]]))
         assert np.array_equal(y, [[0.0, 0.0]])
 
     def test_analytic_norm(self):
@@ -55,40 +55,44 @@ class TestNormalizeRows:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_class(self):
-        loss, _ = numerics.softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
+        loss, _ = numerics.cross_entropy(numerics.softmax_rows(np.array([[0.0, 0.0]])), np.array([0]))
         assert loss == pytest.approx(np.log(2), abs=1e-12)
 
     def test_saturated_correct(self):
-        loss, _ = numerics.softmax_cross_entropy(np.array([[100.0, 0.0]]), np.array([0]))
+        probs = numerics.softmax_rows(np.array([[100.0, 0.0]]))
+        loss, _ = numerics.cross_entropy(probs, np.array([0]))
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_closed_form(self):
-        loss, _ = numerics.softmax_cross_entropy(np.array([[1.0, 2.0, 3.0]]), np.array([2]))
+        probs = numerics.softmax_rows(np.array([[1.0, 2.0, 3.0]]))
+        loss, _ = numerics.cross_entropy(probs, np.array([2]))
         expected = -np.log(np.exp(3) / (np.exp(1) + np.exp(2) + np.exp(3)))
         assert loss == pytest.approx(expected, abs=1e-12)
         assert loss == pytest.approx(0.4076, abs=1e-4)
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            numerics.softmax_cross_entropy(np.zeros((1, 3)), np.array([3]))
+            numerics.cross_entropy(numerics.softmax_rows(np.zeros((1, 3))), np.array([3]))
         with pytest.raises(IndexError):
-            numerics.softmax_cross_entropy(np.zeros((1, 3)), np.array([-1]))
+            numerics.cross_entropy(numerics.softmax_rows(np.zeros((1, 3))), np.array([-1]))
 
     def test_masked_rows_get_zero_gradient(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, 6)
         weights = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-        loss, grad = numerics.softmax_cross_entropy(logits, labels, weights)
+        loss, grad = numerics.cross_entropy(numerics.softmax_rows(logits), labels, weights)
         assert np.array_equal(grad[weights == 0], np.zeros((3, 4)))
         # masked mean: equals the plain mean over the masked subset
-        sub, sub_grad = numerics.softmax_cross_entropy(logits[weights == 1], labels[weights == 1])
+        sub, sub_grad = numerics.cross_entropy(
+            numerics.softmax_rows(logits[weights == 1]), labels[weights == 1]
+        )
         assert loss == pytest.approx(sub, abs=1e-12)
         assert np.allclose(grad[weights == 1], sub_grad)
 
     def test_all_zero_mask_is_zero(self):
-        loss, grad = numerics.softmax_cross_entropy(
-            np.ones((3, 2)), np.zeros(3, dtype=int), np.zeros(3)
+        loss, grad = numerics.cross_entropy(
+            numerics.softmax_rows(np.ones((3, 2))), np.zeros(3, dtype=int), np.zeros(3)
         )
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros((3, 2)))

@@ -157,7 +157,7 @@ class TestEntropyObjective:
         from coalign.numerics import mean_entropy
 
         def entropy_now():
-            return mean_entropy(M.classify(params, tgt).probabilities)[0]
+            return mean_entropy(M.forward_full(params, tgt).probs)[0]
 
         snapshot = [b.value.copy() for b in params.all_blocks()]
         h0 = entropy_now()
@@ -260,7 +260,7 @@ class TestStackedSteps:
         if entropy_term:
             l_h = objectives.entropy_objective(params, tgt_x, alpha)
         else:
-            l_h = mean_entropy(M.classify(params, tgt_x).probabilities)[0]
+            l_h = mean_entropy(M.forward_full(params, tgt_x).probs)[0]
         reference = _grads(params)
 
         got = objectives.coal_objective(

@@ -2,29 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coalign import model as M
 from coalign import selftrain
 from coalign.errors import EstimationError
 from coalign.selftrain import K_SCHEDULE_PRESETS, KSchedule
-
-
-def oracle_select(labels, confidence, k, num_classes):
-    """Independent reference: plain python sort per class, same rounding rule
-    (ceil of k percent, at least the ceil's implicit 1 when k > 0)."""
-    mask = [0] * len(labels)
-    for cls in range(num_classes):
-        members = [i for i in range(len(labels)) if labels[i] == cls]
-        if k <= 0 or not members:
-            continue
-        if float(k).is_integer():
-            quota = (int(k) * len(members) + 99) // 100
-        else:
-            quota = math.ceil(k * len(members) / 100.0)
-        ordered = sorted(members, key=lambda i: (-confidence[i], i))
-        for i in ordered[:quota]:
-            mask[i] = 1
-    return np.array(mask)
+from test_acceptance import brute_force_select
 
 
 class TestAssignPseudoLabels:
@@ -91,8 +76,18 @@ class TestSelectTopKPerClass:
             confidence = np.round(rng.random(n), 1)  # heavy ties
             k = float(rng.choice([0, 5, 10, 25, 50, 100, 33.4]))
             out = selftrain.select_top_k_per_class(labels, confidence, k, c)
-            assert np.array_equal(out.mask, oracle_select(labels, confidence, k, c)), (
+            assert np.array_equal(out.mask, brute_force_select(labels, confidence, k, c)), (
                 trial, n, c, k)
+
+    @given(rows=st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 1.0)), max_size=80),
+           k=st.one_of(st.integers(0, 100), st.floats(0.0, 100.0)), ties=st.booleans())
+    def test_matches_brute_force_for_integral_and_fractional_k(self, rows, k, ties):
+        labels = np.array([label for label, _ in rows], dtype=np.int64)
+        confidence = np.array([conf for _, conf in rows], dtype=np.float64)
+        if ties:
+            confidence = np.round(confidence, 1)
+        out = selftrain.select_top_k_per_class(labels, confidence, k, 5)
+        assert np.array_equal(out.mask, brute_force_select(labels, confidence, k, 5))
 
     def test_per_class_quota_invariant(self):
         rng = np.random.default_rng(4)

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import model as M
@@ -68,10 +70,44 @@ class TestTrainConfig:
         ({"hidden_dims": [8.5, 4]}, "^hidden_dims"),
         ({"seed": -1}, "^seed"),
         ({"seed": 1.5}, "^seed"),
+        ({"hidden_dims": 16}, "^hidden_dims"),
+        ({"ablations": "disable-pseudo-term"}, "^ablations"),
+        ({"ablations": None}, "^ablations"),
+        ({"lr_head": "0.1"}, "^lr_head"),
+        ({"alpha": None}, "^alpha"),
+        ({"grl_lambda": True}, "^grl_lambda"),
+        ({"dump_pseudo": "no"}, "^dump_pseudo"),
+        ({"k_schedule": 5}, "^k_schedule"),
+        ({"k_schedule": {"k0": -5}}, "^k_schedule"),
+        ({"k_schedule": {"k_max": 500}}, "^k_schedule"),
+        ({"k_schedule": {"k_step": -1}}, "^k_schedule"),
+        ({"k_schedule": {"k0": "5"}}, "^k_schedule"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         with pytest.raises(UsageError, match=names):
             TrainConfig.from_dict(doc)
+
+    @given(method=st.sampled_from(trainer.METHODS), seed=st.integers(0, 2**31),
+           epochs=st.integers(0, 50), batch_size=st.integers(1, 512),
+           rates=st.tuples(*[st.floats(0.0, 10.0)] * 4), momentum=st.floats(0.0, 0.99),
+           temperature=st.floats(0.01, 5.0), holdout=st.floats(0.01, 0.99),
+           k=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 50.0), st.floats(0.0, 100.0)),
+           hidden=st.lists(st.integers(1, 256), min_size=1, max_size=3),
+           ablations=st.lists(st.sampled_from(trainer.ABLATION_FLAGS), unique=True),
+           sampler=st.sampled_from(["balanced", "natural"]), dump_pseudo=st.booleans())
+    def test_dict_roundtrip_returns_the_same_config(
+            self, method, seed, epochs, batch_size, rates, momentum, temperature, holdout, k,
+            hidden, ablations, sampler, dump_pseudo):
+        lr_head, lr_backbone, alpha, grl_lambda = rates
+        cfg = TrainConfig(
+            method=method, seed=seed, epochs=epochs, batch_size=batch_size, lr_head=lr_head,
+            lr_backbone=lr_backbone, momentum=momentum, alpha=alpha, grl_lambda=grl_lambda,
+            k_schedule={"k0": k[0], "k_step": k[1], "k_max": k[2]}, sampler=sampler,
+            ablations=ablations if method == "coal" else (), hidden_dims=hidden,
+            temperature=temperature, holdout_fraction=holdout, dump_pseudo=dump_pseudo,
+            data={"twin_gaussians": {"num_classes": 2}}, out_dir="out", task="t")
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_schedule_preset_resolution(self):
         cfg = TrainConfig(k_schedule="fast-start")

@@ -27,7 +27,6 @@ from .evaluation import (
 from .model import ForwardCache, ModelParams, forward_full, init_model
 from .objectives import (
     entropy_objective,
-    js_label_bound,
     self_training_loss,
     source_classification_loss,
 )

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from . import evaluation, model as model_mod, objectives, trainer
+from . import evaluation, model as model_mod, trainer
 from .errors import ConsistencyError, TableError
 
 
@@ -149,10 +149,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cm = evaluation.confusion_matrix(dataset.labels, predicted, dataset.num_classes)
     per_class = evaluation.per_class_mean_accuracy(cm)
     overall = evaluation.overall_accuracy(cm)
-    predicted_dist = objectives.label_distribution(
+    predicted_dist = evaluation.label_distribution(
         np.bincount(predicted, minlength=dataset.num_classes)
     )
-    true_dist = objectives.label_distribution(dataset.class_counts())
+    true_dist = evaluation.label_distribution(dataset.class_counts())
     comparison = evaluation.compare_distributions(predicted_dist, true_dist)
     print(f"per-class mean accuracy: {per_class:.4f}")
     print(f"overall accuracy:        {overall:.4f}")

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .errors import (
     SamplerError,
     UsageError,
 )
+from .numerics import is_finite_real, is_int
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -237,12 +239,24 @@ def write_idx(
 
 def load_csv(path: str | Path) -> LabeledDataset:
     """CSV with a header row, float feature columns, and a final integer
-    label column. Every row has the same number of cells, and every cell is
-    a finite number."""
+    label column. Every row has as many cells as the header, and every cell
+    is a finite number; labels are nonnegative."""
     try:
-        table = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64, ndmin=2)
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    width = len(lines[0].split(",")) if lines else 0
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is reported below instead
+            warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
+            table = np.genfromtxt(lines[1:], delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{path}: rows differ in length: {exc}") from exc
+    if table.size == 0:
+        raise FormatError(f"{path}: has no data rows")
+    if table.shape[1] != width:
+        raise FormatError(f"{path}: data rows have {table.shape[1]} cells, the header {width}")
     if table.shape[1] < 2:
         raise FormatError(f"{path}: need at least one feature column and one label column")
     bad = np.argwhere(~np.isfinite(table))
@@ -250,8 +264,8 @@ def load_csv(path: str | Path) -> LabeledDataset:
         row, col = bad[0]
         raise FormatError(f"{path}: data row {row + 1}, column {col + 1} is not a finite number")
     labels = table[:, -1]
-    if not np.all(labels == np.rint(labels)):
-        raise FormatError(f"{path}: final column must hold integer labels")
+    if not np.all(labels == np.rint(labels)) or labels.min() < 0:
+        raise FormatError(f"{path}: final column must hold nonnegative integer labels")
     labels = labels.astype(np.int64)
     return LabeledDataset(
         table[:, :-1], labels, int(labels.max()) + 1, provenance=f"csv:{path}"
@@ -281,20 +295,34 @@ def stratified_split(
     )
 
 
-def _require(section: dict, keys: tuple[str, ...], name: str) -> None:
+# recipe field rules, (predicate, rule); each predicate tests the type first
+_POSITIVE_INT = (lambda v: is_int(v) and v > 0, "be a positive integer")
+_NONNEGATIVE_INT = (lambda v: is_int(v) and v >= 0, "be a nonnegative integer")
+_REAL = (is_finite_real, "be a finite number")
+_SEED = (lambda v: (is_int(v) and v >= 0)
+         or (isinstance(v, list) and len(v) > 0 and all(is_int(x) and x >= 0 for x in v)),
+         "be a nonnegative integer or a list of them")
+
+
+def _require(section: dict, keys: tuple[str, ...], name: str, **rules) -> None:
     """Raise UsageError naming each of ``keys`` that the recipe ``section``
-    lacks; recipes come from manifest files on disk."""
+    lacks, or the first key present whose value breaks its ``rules`` entry;
+    recipes come from manifest files on disk."""
     if not isinstance(section, dict):
         raise UsageError(f"{name} must be a mapping, got {section!r}")
     missing = [key for key in keys if key not in section]
     if missing:
         raise UsageError(f"{name} is missing {', '.join(missing)}")
+    for key, (ok, rule) in rules.items():
+        if key in section and not ok(section[key]):
+            raise UsageError(f"{name} {key} must {rule}, got {section[key]!r}")
 
 
 def take_split(dataset: LabeledDataset, split: dict) -> LabeledDataset:
     """The part of a seeded stratified split named by a recipe's ``split``
     block: ``{"holdout_fraction": f, "seed": s, "part": "train" | "holdout"}``."""
-    _require(split, ("holdout_fraction", "part", "seed"), "split block")
+    _require(split, ("holdout_fraction", "part", "seed"), "split block", seed=_SEED,
+             holdout_fraction=(lambda v: is_finite_real(v) and 0 < v < 1, "lie in (0, 1)"))
     if split["part"] not in SPLIT_PARTS:
         raise UsageError(f"split part must be one of {SPLIT_PARTS}, got {split['part']!r}")
     train, holdout = stratified_split(dataset, split["holdout_fraction"], seed=split["seed"])
@@ -311,10 +339,8 @@ def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.
         raise SamplerError(f"class {int(empty[0])} has no samples")
     c = dataset.num_classes
     rng = np.random.default_rng(seed)
-    queues = []
-    for cls in range(c):
-        members = np.flatnonzero(dataset.labels == cls)
-        queues.append(list(members[rng.permutation(len(members))]))
+    members = [np.flatnonzero(dataset.labels == cls) for cls in range(c)]
+    queues = [list(m[rng.permutation(len(m))]) for m in members]
     positions = [0] * c
 
     def draw(cls: int, n: int) -> list[int]:
@@ -322,8 +348,7 @@ def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.
         while n > 0:
             queue = queues[cls]
             if positions[cls] >= len(queue):
-                members = np.flatnonzero(dataset.labels == cls)
-                queues[cls] = list(members[rng.permutation(len(members))])
+                queues[cls] = list(members[cls][rng.permutation(len(members[cls]))])
                 positions[cls] = 0
                 queue = queues[cls]
             take = min(n, len(queue) - positions[cls])
@@ -405,7 +430,10 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
                 f"twin-gaussians recipe domain must be 'source' or 'target', got {recipe['domain']!r}"
             )
         gen = recipe["generator"]
-        _require(gen, ("num_classes", "per_class", "noise"), "twin-gaussians generator")
+        _require(gen, ("num_classes", "per_class", "noise"), "twin-gaussians generator",
+                 num_classes=_POSITIVE_INT, per_class=_POSITIVE_INT, rotation_deg=_REAL,
+                 noise=(lambda v: is_finite_real(v) and v >= 0, "be a finite nonnegative number"),
+                 radius=_REAL, seed=_NONNEGATIVE_INT)
         source, target = generate_twin_domains(
             num_classes=gen["num_classes"],
             per_class=gen["per_class"],
@@ -427,7 +455,9 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
         raise UsageError(f"unknown dataset recipe kind {kind!r}")
     shift = recipe.get("shift")
     if shift:
-        _require(shift, ("pareto_alpha", "direction", "degree", "budget"), "shift block")
+        _require(shift, ("pareto_alpha", "direction", "degree", "budget"), "shift block",
+                 pareto_alpha=_REAL, degree=_REAL, budget=_POSITIVE_INT,
+                 min_per_class=_NONNEGATIVE_INT, seed=_SEED)
         spec = ShiftSpec(
             pareto_alpha=shift["pareto_alpha"],
             direction=shift["direction"],

@@ -1,6 +1,6 @@
-"""Metrics and reporting: confusion counts, per-class mean accuracy,
-label-distribution comparison, a 2-component linear projection for feature
-inspection, and method-by-task result tables.
+"""Metrics and reporting: confusion counts, per-class mean accuracy, label
+distributions and their JS and L1 distances, a 2-component linear projection
+for feature inspection, and method-by-task result tables.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 
 from .errors import MetricError, TableError, UsageError
-from .objectives import js_divergence
 
 
 def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, num_classes: int) -> np.ndarray:
@@ -41,13 +40,40 @@ def overall_accuracy(cm: np.ndarray) -> float:
     return float(np.diag(cm).sum() / cm.sum())
 
 
+def label_distribution(counts: np.ndarray) -> np.ndarray:
+    """Normalize nonnegative class counts into proportions."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum()
+    if total <= 0:
+        raise UsageError("cannot normalize an all-zero count vector")
+    return counts / total
+
+
+def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or (p < 0).any() or abs(p.sum() - 1.0) > 1e-6:
+        raise UsageError(f"{name} is not a valid probability vector: {p!r}")
+    return p
+
+
+def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) in nats with 0 log 0 := 0; q must dominate p."""
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def js_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Square root of the Jensen-Shannon divergence (natural log) between
+    two probability vectors; at most sqrt(ln 2)."""
+    p, q = _check_distribution(p, "p"), _check_distribution(q, "q")
+    m = 0.5 * (p + q)
+    return float(np.sqrt(max(0.0, 0.5 * _kl_divergence(p, m) + 0.5 * _kl_divergence(q, m))))
+
+
 def compare_distributions(estimated: np.ndarray, true: np.ndarray) -> dict[str, float]:
-    """JS distance (sqrt of the divergence, natural log), the divergence
-    itself, and the L1 distance."""
-    divergence = js_divergence(estimated, true)
+    """JS distance (see :func:`js_distance`) and L1 distance."""
     return {
-        "js_distance": float(np.sqrt(max(0.0, divergence))),
-        "js_divergence": divergence,
+        "js_distance": js_distance(estimated, true),
         "l1": float(np.abs(np.asarray(estimated, dtype=np.float64) - np.asarray(true)).sum()),
     }
 
@@ -108,6 +134,12 @@ def render_table(reports: list[dict], fmt: str = "markdown") -> str:
         raise UsageError(f"format must be csv or markdown, got {fmt!r}")
     if not reports:
         raise TableError("no reports to render")
+    for index, report in enumerate(reports):
+        if not isinstance(report, dict):
+            raise TableError(f"report {index} must be a mapping, got {report!r}")
+        for key in ("config", "metrics"):
+            if not isinstance(report.get(key, {}), dict):
+                raise TableError(f"report {index}: {key} must be a mapping, got {report[key]!r}")
     schemas = {tuple(sorted(r.get("metrics", {}).get("final", {}))) for r in reports}
     if len(schemas) != 1:
         raise TableError(f"reports have mismatched final-metric schemas: {sorted(schemas)}")

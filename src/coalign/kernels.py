@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# normalize_rows divides rows whose norm is at most NORM_EPS by it instead
+NORM_EPS = 1e-12
+
 
 def softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -42,20 +45,20 @@ def entropy(probs):
     return h, dlogits
 
 
-def normalize_rows(x, eps):
+def normalize_rows(x):
     norms = np.sqrt((x * x).sum(axis=1))
-    denom = np.where(norms > eps, norms, eps)
+    denom = np.where(norms > NORM_EPS, norms, NORM_EPS)
     return x / denom[:, None], norms
 
 
-def normalize_rows_bwd(g, y, norms, eps):
-    # rows with norm > eps: d = (g - y (y.g)) / norm; others: d = g / eps
-    denom = np.where(norms > eps, norms, eps)
+def normalize_rows_bwd(g, y, norms):
+    # rows with norm > NORM_EPS: d = (g - y (y.g)) / norm; others: d = g / NORM_EPS
+    denom = np.where(norms > NORM_EPS, norms, NORM_EPS)
     proj = (y * g).sum(axis=1)
     dx = (g - y * proj[:, None]) / denom[:, None]
-    small = norms <= eps
+    small = norms <= NORM_EPS
     if small.any():
-        dx[small] = g[small] / eps
+        dx[small] = g[small] / NORM_EPS
     return dx
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from . import numerics
+from . import kernels, numerics
 from .errors import CheckpointError, DimensionError
 from .numerics import ParamBlock, is_finite_real, is_int
 
@@ -130,9 +130,9 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
         preacts.append(z)
         h = numerics.relu(z)
         acts.append(h)
-    normalized, norms = numerics.l2_normalize_rows(h)
+    normalized, norms = kernels.normalize_rows(h)
     logits = normalized @ params.prototypes.value / params.temperature
-    probs = numerics.softmax_rows(logits)
+    probs = kernels.softmax(logits)
     return ForwardCache(x, preacts, acts, normalized, norms, logits, probs)
 
 
@@ -174,7 +174,7 @@ def backward_head(
     if feature_d_logits is None:
         feature_d_logits = d_logits
     d_norm = feature_d_logits @ params.prototypes.value.T / t
-    d_embed = numerics.l2_normalize_backward(d_norm, cache.normalized, cache.norms)
+    d_embed = kernels.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
     if d_embed_extra is not None:
         d_embed += d_embed_extra
     backward_extractor(params, cache, d_embed, feature_scale)

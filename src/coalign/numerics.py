@@ -3,9 +3,9 @@
 All arrays are 64-bit row-major; samples are rows. Gradients are hand-derived
 per operation and accumulated into :class:`ParamBlock` instances. Backward
 helpers take a ``scale`` factor that is applied elementwise at accumulation
-time, which keeps scaled gradients bit-identical to ``scale * naive`` — the
-gradient-reversal boundary (multiply upstream gradients by ``-lambda``) is
-realized through exactly this mechanism.
+time, which keeps scaled gradients bit-identical to ``scale * naive``; only
+the per-term reference objectives set it, and the training steps fold gradient
+reversal into the gradients of their one backward chain.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DivergenceError, NormalizationError
-
-NORM_EPS = 1e-12
 
 
 def is_int(value) -> bool:
@@ -89,24 +87,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(g: np.ndarray, pre: np.ndarray) -> np.ndarray:
     return np.where(pre > 0.0, g, 0.0)
-
-
-def l2_normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm; rows with norm <= NORM_EPS are divided by it.
-
-    Returns (normalized, row_norms); the norms feed the backward pass.
-    """
-    return kernels.normalize_rows(np.ascontiguousarray(x, dtype=np.float64), NORM_EPS)
-
-
-def l2_normalize_backward(g: np.ndarray, normalized: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    return kernels.normalize_rows_bwd(
-        np.ascontiguousarray(g), np.ascontiguousarray(normalized), norms, NORM_EPS
-    )
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    return kernels.softmax(np.ascontiguousarray(logits, dtype=np.float64))
 
 
 def cross_entropy(

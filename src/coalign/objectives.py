@@ -1,7 +1,6 @@
 """Training objectives: supervised head loss, self-training loss, the
-minimax entropy term with its reversed routing, the stacked one-pass
-objectives of a coal and a marginal-align step, and label-distribution
-diagnostics (Jensen-Shannon machinery and the additivity lower bound).
+minimax entropy term with its reversed routing, and the stacked one-pass
+objectives of a coal and a marginal-align step.
 """
 
 from __future__ import annotations
@@ -9,53 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import model as model_mod
-from . import numerics
+from . import kernels, numerics
 from .errors import UsageError
 from .model import ModelParams
-
-
-def label_distribution(counts: np.ndarray) -> np.ndarray:
-    """Normalize nonnegative class counts into proportions."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise UsageError("cannot normalize an all-zero count vector")
-    return counts / total
-
-
-def check_distribution(p: np.ndarray, name: str = "distribution") -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or (p < 0).any() or abs(p.sum() - 1.0) > 1e-6:
-        raise UsageError(f"{name} is not a valid probability vector: {p!r}")
-    return p
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in nats with 0 log 0 := 0; q must dominate p."""
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    p = check_distribution(p, "p")
-    q = check_distribution(q, "q")
-    m = 0.5 * (p + q)
-    return 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
-
-
-def js_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Square root of the JS divergence (natural log); at most sqrt(ln 2)."""
-    return float(np.sqrt(max(0.0, js_divergence(p, q))))
-
-
-def js_label_bound(p: np.ndarray, q: np.ndarray, d_js_features: float = 0.0) -> float:
-    """Lower bound on the sum of source and target risks when label
-    distributions differ: 0.5 * (d_JS(p, q) - d_js_features)^2.
-
-    The feature-space term is taken as an input (default 0, the conservative
-    choice) because estimating it would require density estimation.
-    """
-    return 0.5 * (js_distance(p, q) - d_js_features) ** 2
 
 
 def source_classification_loss(params: ModelParams, inputs: np.ndarray, labels: np.ndarray) -> float:
@@ -117,7 +72,7 @@ def _domain_confusion(
     domains[n_source:] = 1
     w, b = params.domain_head
     logits = numerics.linear_forward(embeddings, w, b)
-    loss, d_logits = numerics.cross_entropy(numerics.softmax_rows(logits), domains)
+    loss, d_logits = numerics.cross_entropy(kernels.softmax(logits), domains)
     d_embed = numerics.linear_backward(d_logits, embeddings, w, b)
     accuracy = float((logits.argmax(axis=1) == domains).mean())
     return loss, d_embed, accuracy

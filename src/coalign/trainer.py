@@ -100,6 +100,10 @@ class TrainConfig:
              "be a list of at least one positive integer width"),
             ("ablations", isinstance(self.ablations, (list, tuple)), "be a list of flags"),
             ("dump_pseudo", isinstance(self.dump_pseudo, bool), "be true or false"),
+            ("data", isinstance(self.data, dict), "be a mapping of data sections"),
+            ("out_dir", self.out_dir is None or isinstance(self.out_dir, str),
+             "be a directory path or null"),
+            ("task", self.task is None or isinstance(self.task, str), "be a name or null"),
             ("k_schedule", isinstance(ks, KSchedule)
              and all(is_finite_real(v) for v in (ks.k0, ks.k_step, ks.k_max))
              and 0 <= ks.k0 <= 100 and 0 <= ks.k_max <= 100 and ks.k_step >= 0,
@@ -341,6 +345,9 @@ def resolve_datasets(
     """Build (source, target_train, target_holdout) plus the two manifest
     recipes from the config's data section."""
     section = config.data
+    for name in ("twin_gaussians", "shift", "source", "target"):
+        if name in section and not isinstance(section[name], dict):
+            raise UsageError(f"config data section {name!r} must be a mapping, got {section[name]!r}")
     if "twin_gaussians" in section:
         gen = dict(section["twin_gaussians"])
         shift = section.get("shift")
@@ -421,7 +428,7 @@ def run_experiment(config: TrainConfig) -> RunReport:
         epoch_times.append(time.perf_counter() - t0)
 
     final = evaluate_model(params, target_holdout)
-    true_dist = objectives.label_distribution(target_train.class_counts())
+    true_dist = evaluation.label_distribution(target_train.class_counts())
     last_estimate = next(
         (r["estimated_target_distribution"] for r in reversed(records)
          if r.get("estimated_target_distribution") is not None),

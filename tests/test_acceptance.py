@@ -16,7 +16,7 @@ import pytest
 from coalign import data as D
 from coalign import model as M
 from coalign import objectives, selftrain, trainer
-from coalign.evaluation import compare_distributions, per_class_mean_accuracy
+from coalign.evaluation import compare_distributions, js_distance, per_class_mean_accuracy
 from coalign.numerics import finite_difference_check, mean_entropy
 from coalign.selftrain import KSchedule
 from conftest import FIXTURE_SEEDS, final_accuracy, fixture_config, grid_mean
@@ -178,7 +178,7 @@ def test_criterion_4_shift_protocol():
         totals_ok &= len(shifted) == budget
         realized = shifted.class_counts() / budget
         bound = np.sqrt(np.log(2) * min(1.0, c / (2.0 * budget)))
-        js_ok &= objectives.js_distance(realized, requested) <= bound
+        js_ok &= js_distance(realized, requested) <= bound
     for degree in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
         spec = D.ShiftSpec(1.0, D.DIRECTION_TARGET, degree, budget=100)
         totals_ok &= len(D.build_shift(pool2, spec, seed=2)) == 100

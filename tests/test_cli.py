@@ -114,7 +114,7 @@ class TestEval:
         printed = capsys.readouterr().out
         assert "per-class mean accuracy" in printed
         assert (out / "confusion.csv").exists()
-        rows = list(csv.reader((out / "features_2d.csv").open()))
+        rows = list(csv.reader((out / "features_2d.csv").read_text().splitlines()))
         assert rows[0] == ["component1", "component2", "label"]
         assert len(rows) > 3
         # eval scores exactly the holdout rows the manifest lists

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalign import data as D
-from coalign import objectives
+from coalign import evaluation, kernels
 from coalign.errors import (
     ConsistencyError,
     FormatError,
@@ -23,7 +23,6 @@ from coalign.numerics import (
     linear_backward,
     linear_forward,
     sgd_momentum_step,
-    softmax_rows,
 )
 
 
@@ -89,7 +88,7 @@ class TestBuildShift:
             realized = D.build_shift(pool, spec, seed=2).class_counts() / budget
             # largest-remainder error: total variation at most c / (2 * budget)
             bound = np.sqrt(np.log(2) * min(1.0, c / (2.0 * budget)))
-            assert objectives.js_distance(realized, requested) <= bound
+            assert evaluation.js_distance(realized, requested) <= bound
 
     @given(weights=st.lists(st.floats(0.001, 1.0), min_size=1, max_size=12),
            budget=st.integers(0, 10_000))
@@ -110,7 +109,7 @@ class TestBuildShift:
         for degree in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
             rs = D.shift_proportions(4, D.ShiftSpec(1.0, D.DIRECTION_SOURCE, degree, 100))
             ut = D.shift_proportions(4, D.ShiftSpec(1.0, D.DIRECTION_TARGET, degree, 100))
-            distance = objectives.js_distance(rs, ut)
+            distance = evaluation.js_distance(rs, ut)
             assert distance >= previous - 1e-12
             previous = distance
 
@@ -148,7 +147,7 @@ class TestTwinDomains:
         b = ParamBlock("b", np.zeros((1, 4)))
         lrs = {"w": 0.1, "b": 0.1}
         for _ in range(400):
-            _, dl = cross_entropy(softmax_rows(linear_forward(src.features, w, b)), src.labels)
+            _, dl = cross_entropy(kernels.softmax(linear_forward(src.features, w, b)), src.labels)
             linear_backward(dl, src.features, w, b)
             sgd_momentum_step([w, b], lrs, 0.9)
 
@@ -285,6 +284,38 @@ class TestCsv:
         ds = D.load_csv(path)
         assert ds.features.tolist() == [[0.5, 1.5]] and ds.labels.tolist() == [1]
 
+    def test_negative_label_is_rejected(self, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("x0,label\n0.5,-1\n")
+        with pytest.raises(FormatError, match="negative.csv: final column"):
+            D.load_csv(path)
+
+    def test_header_only_names_the_missing_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("x0,label\n")
+        with pytest.raises(FormatError, match="header.csv: has no data rows"):
+            D.load_csv(path)
+
+    @settings(max_examples=25)
+    @given(count=st.integers(1, 4), features=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_every_prefix_loads_fewer_rows_or_raises_format_error(self, count, features, seed):
+        rng = np.random.default_rng(seed)
+        header = ",".join([f"x{i}" for i in range(features)] + ["label"])
+        rows = [",".join([f"{v:.6g}" for v in rng.normal(scale=100, size=features)]
+                         + [str(int(rng.integers(0, 12)))]) for _ in range(count)]
+        whole = "\n".join([header] + rows) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "prefix.csv")
+            for cut in range(len(whole) + 1):
+                path.write_text(whole[:cut])
+                try:
+                    ds = D.load_csv(path)
+                except FormatError as exc:
+                    assert "prefix.csv" in str(exc)
+                    continue
+                assert ds.features.shape[1] == features
+                assert len(ds) <= count
+
 
 class TestBalancedBatches:
     def test_divisible_batch(self):
@@ -337,6 +368,7 @@ class TestNaturalBatches:
 
 
 TWIN_GENERATOR = {"num_classes": 3, "per_class": 60, "noise": 0.4, "seed": 4}
+TWIN_SHIFT = {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": 60.0, "budget": 120}
 
 
 class TestSplitAndManifest:
@@ -383,6 +415,18 @@ class TestSplitAndManifest:
          "pareto_alpha"),
         ({"kind": "idx", "labels": "labels.idx"}, "images"),
         ({"kind": "csv"}, "path"),
+        *[({"kind": "twin-gaussians", "domain": "target",
+            "generator": {**TWIN_GENERATOR, key: value}}, f"generator {key}")
+          for key, value in (("num_classes", "4"), ("per_class", -5), ("noise", "x"),
+                             ("seed", 1.5))],
+        *[({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR,
+            "shift": {**TWIN_SHIFT, key: value}}, f"shift block {key}")
+          for key, value in (("degree", "50"), ("budget", 100.5), ("pareto_alpha", None),
+                             ("seed", -1))],
+        *[({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR,
+            "split": {"holdout_fraction": 0.2, "seed": 3, "part": "train", key: value}},
+           f"split block {key}")
+          for key, value in (("holdout_fraction", "0.2"), ("seed", -1), ("seed", [1, "2"]))],
     ])
     def test_bad_recipe_names_the_field(self, recipe, names):
         with pytest.raises(UsageError, match=names):

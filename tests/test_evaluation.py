@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from coalign import data as D
 from coalign import evaluation as E
 from coalign.errors import MetricError, TableError, UsageError
 
@@ -53,6 +54,39 @@ class TestPerClassMeanAccuracy:
                 split = rng.multinomial(n, np.ones(c) / c)
                 cm[i] = split
             assert E.per_class_mean_accuracy(cm) == pytest.approx(E.overall_accuracy(cm), abs=1e-12)
+
+
+class TestJsDiagnostics:
+    def test_identical_distributions(self):
+        p = np.array([0.3, 0.7])
+        assert E.js_distance(p, p) == 0.0
+
+    def test_disjoint_one_hots(self):
+        distance = E.js_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert distance == pytest.approx(np.sqrt(np.log(2)), abs=1e-12)
+
+    def test_symmetry(self):
+        rng = np.random.default_rng(9)
+        p = E.label_distribution(rng.random(5))
+        q = E.label_distribution(rng.random(5))
+        assert E.js_distance(p, q) == pytest.approx(E.js_distance(q, p), abs=1e-15)
+
+    def test_monotone_along_shift_interpolation(self):
+        c = 6
+        uniform = np.full(c, 1.0 / c)
+        previous = -1.0
+        for degree in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
+            spec = D.ShiftSpec(pareto_alpha=1.0, direction=D.DIRECTION_TARGET, degree=degree, budget=600)
+            distance = E.js_distance(uniform, D.shift_proportions(c, spec))
+            assert distance >= previous
+            previous = distance
+
+    def test_js_distance_bounds(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            p = E.label_distribution(rng.random(5))
+            q = E.label_distribution(rng.random(5))
+            assert 0.0 <= E.js_distance(p, q) <= np.sqrt(np.log(2)) + 1e-12
 
 
 class TestCompareDistributions:
@@ -195,3 +229,8 @@ class TestRenderTable:
     def test_empty_reports(self):
         with pytest.raises(TableError):
             E.render_table([], "csv")
+
+    @pytest.mark.parametrize("bad", [[1, 2], {"config": [1]}, {"metrics": "final"}])
+    def test_non_mapping_report_names_its_index(self, bad):
+        with pytest.raises(TableError, match="^report 1"):
+            E.render_table([fake_report("coal", 0.0, 1, 0.9), bad], "csv")

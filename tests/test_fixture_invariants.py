@@ -6,7 +6,7 @@ import copy
 import numpy as np
 
 from coalign import model as M
-from coalign import objectives, trainer
+from coalign import evaluation, objectives, trainer
 from coalign.data import natural_batches
 from coalign.numerics import mean_entropy, sgd_momentum_step
 from conftest import FIXTURE_SEEDS, fixture_config, grid_mean
@@ -88,4 +88,4 @@ def test_estimated_target_distribution_tracks_truth(benchmark_grid):
         js_est = report.metrics["final"]["estimated_vs_true_js_distance"]
         true_dist = np.asarray(report.metrics["true_target_distribution"])
         source_dist = true_dist[::-1]  # reversed ranking by construction
-        assert js_est < objectives.js_distance(source_dist, true_dist)
+        assert js_est < evaluation.js_distance(source_dist, true_dist)

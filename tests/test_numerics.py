@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coalign import numerics
+from coalign import kernels, numerics
 from coalign.errors import DimensionError, DivergenceError, NormalizationError
 from coalign.numerics import ParamBlock
 
@@ -36,35 +36,35 @@ class TestLinearForward:
 
 class TestNormalizeRows:
     def test_three_four_five(self):
-        y, _ = numerics.l2_normalize_rows(np.array([[3.0, 4.0]]))
+        y, _ = kernels.normalize_rows(np.array([[3.0, 4.0]]))
         assert np.allclose(y, [[0.6, 0.8]])
 
     def test_zero_row_preserved(self):
-        y, _ = numerics.l2_normalize_rows(np.array([[0.0, 0.0]]))
+        y, _ = kernels.normalize_rows(np.array([[0.0, 0.0]]))
         assert np.array_equal(y, [[0.0, 0.0]])
 
     def test_analytic_norm(self):
-        y, _ = numerics.l2_normalize_rows(np.array([[1.0, 1.0]]))
+        y, _ = kernels.normalize_rows(np.array([[1.0, 1.0]]))
         assert np.allclose(y, [[1 / np.sqrt(2), 1 / np.sqrt(2)]])
 
     def test_unit_norms(self):
         rng = np.random.default_rng(0)
-        y, _ = numerics.l2_normalize_rows(rng.normal(size=(20, 5)))
+        y, _ = kernels.normalize_rows(rng.normal(size=(20, 5)))
         assert np.allclose(np.linalg.norm(y, axis=1), 1.0)
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_class(self):
-        loss, _ = numerics.cross_entropy(numerics.softmax_rows(np.array([[0.0, 0.0]])), np.array([0]))
+        loss, _ = numerics.cross_entropy(kernels.softmax(np.array([[0.0, 0.0]])), np.array([0]))
         assert loss == pytest.approx(np.log(2), abs=1e-12)
 
     def test_saturated_correct(self):
-        probs = numerics.softmax_rows(np.array([[100.0, 0.0]]))
+        probs = kernels.softmax(np.array([[100.0, 0.0]]))
         loss, _ = numerics.cross_entropy(probs, np.array([0]))
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_closed_form(self):
-        probs = numerics.softmax_rows(np.array([[1.0, 2.0, 3.0]]))
+        probs = kernels.softmax(np.array([[1.0, 2.0, 3.0]]))
         loss, _ = numerics.cross_entropy(probs, np.array([2]))
         expected = -np.log(np.exp(3) / (np.exp(1) + np.exp(2) + np.exp(3)))
         assert loss == pytest.approx(expected, abs=1e-12)
@@ -72,34 +72,34 @@ class TestSoftmaxCrossEntropy:
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            numerics.cross_entropy(numerics.softmax_rows(np.zeros((1, 3))), np.array([3]))
+            numerics.cross_entropy(kernels.softmax(np.zeros((1, 3))), np.array([3]))
         with pytest.raises(IndexError):
-            numerics.cross_entropy(numerics.softmax_rows(np.zeros((1, 3))), np.array([-1]))
+            numerics.cross_entropy(kernels.softmax(np.zeros((1, 3))), np.array([-1]))
 
     def test_masked_rows_get_zero_gradient(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, 6)
         weights = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-        loss, grad = numerics.cross_entropy(numerics.softmax_rows(logits), labels, weights)
+        loss, grad = numerics.cross_entropy(kernels.softmax(logits), labels, weights)
         assert np.array_equal(grad[weights == 0], np.zeros((3, 4)))
         # masked mean: equals the plain mean over the masked subset
         sub, sub_grad = numerics.cross_entropy(
-            numerics.softmax_rows(logits[weights == 1]), labels[weights == 1]
+            kernels.softmax(logits[weights == 1]), labels[weights == 1]
         )
         assert loss == pytest.approx(sub, abs=1e-12)
         assert np.allclose(grad[weights == 1], sub_grad)
 
     def test_all_zero_mask_is_zero(self):
         loss, grad = numerics.cross_entropy(
-            numerics.softmax_rows(np.ones((3, 2))), np.zeros(3, dtype=int), np.zeros(3)
+            kernels.softmax(np.ones((3, 2))), np.zeros(3, dtype=int), np.zeros(3)
         )
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros((3, 2)))
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        probs = numerics.softmax_rows(rng.normal(scale=10, size=(50, 6)))
+        probs = kernels.softmax(rng.normal(scale=10, size=(50, 6)))
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
 
@@ -123,7 +123,7 @@ class TestMeanEntropy:
     def test_entropy_bounds(self):
         rng = np.random.default_rng(3)
         for cols in (2, 5, 9):
-            probs = numerics.softmax_rows(rng.normal(size=(30, cols)))
+            probs = kernels.softmax(rng.normal(size=(30, cols)))
             h, _ = numerics.mean_entropy(probs)
             assert 0.0 <= h <= np.log(cols) + 1e-12
 
@@ -131,7 +131,7 @@ class TestMeanEntropy:
         # entropy is invariant to adding a constant to all logits, so its
         # logits-gradient rows must sum to zero
         rng = np.random.default_rng(4)
-        probs = numerics.softmax_rows(rng.normal(size=(10, 5)))
+        probs = kernels.softmax(rng.normal(size=(10, 5)))
         _, grad = numerics.mean_entropy(probs)
         assert np.abs(grad.sum(axis=1)).max() < 1e-12
 

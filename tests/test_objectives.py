@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coalign import data as D
 from coalign import model as M
 from coalign import objectives
 from coalign.errors import UsageError
@@ -325,44 +324,3 @@ class TestStackedSteps:
         with pytest.raises(UsageError):
             objectives.marginal_align_objective(params, empty_x, empty_y, tgt)
 
-
-class TestJsDiagnostics:
-    def test_identical_distributions(self):
-        p = np.array([0.3, 0.7])
-        assert objectives.js_label_bound(p, p) == 0.0
-
-    def test_disjoint_one_hots(self):
-        bound = objectives.js_label_bound(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert bound == pytest.approx(0.5 * np.log(2), abs=1e-12)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(9)
-        p = objectives.label_distribution(rng.random(5))
-        q = objectives.label_distribution(rng.random(5))
-        assert objectives.js_label_bound(p, q) == pytest.approx(objectives.js_label_bound(q, p), abs=1e-15)
-
-    def test_nonnegative_and_zero_iff_equal_distance(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            p = objectives.label_distribution(rng.random(4))
-            q = objectives.label_distribution(rng.random(4))
-            d = objectives.js_distance(p, q)
-            assert objectives.js_label_bound(p, q, d_js_features=d) == pytest.approx(0.0, abs=1e-15)
-            assert objectives.js_label_bound(p, q, d_js_features=0.2) >= 0.0
-
-    def test_monotone_along_shift_interpolation(self):
-        c = 6
-        uniform = np.full(c, 1.0 / c)
-        previous = -1.0
-        for degree in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
-            spec = D.ShiftSpec(pareto_alpha=1.0, direction=D.DIRECTION_TARGET, degree=degree, budget=600)
-            bound = objectives.js_label_bound(uniform, D.shift_proportions(c, spec))
-            assert bound >= previous
-            previous = bound
-
-    def test_js_distance_bounds(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            p = objectives.label_distribution(rng.random(5))
-            q = objectives.label_distribution(rng.random(5))
-            assert 0.0 <= objectives.js_distance(p, q) <= np.sqrt(np.log(2)) + 1e-12

@@ -82,10 +82,18 @@ class TestTrainConfig:
         ({"k_schedule": {"k_max": 500}}, "^k_schedule"),
         ({"k_schedule": {"k_step": -1}}, "^k_schedule"),
         ({"k_schedule": {"k0": "5"}}, "^k_schedule"),
+        ({"data": "twin_gaussians"}, "^data"),
+        ({"out_dir": 5}, "^out_dir"),
+        ({"task": 5}, "^task"),
+        ({"data": {"twin_gaussians": 5}}, "'twin_gaussians'"),
+        ({"data": {"twin_gaussians": {"num_classes": 2}, "shift": 5}}, "'shift'"),
+        ({"data": {"source": [], "target": {"kind": "csv"}}}, "'source'"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
+        # a data section of the wrong type is caught where the datasets are
+        # resolved, before anything is built from it
         with pytest.raises(UsageError, match=names):
-            TrainConfig.from_dict(doc)
+            trainer.resolve_datasets(TrainConfig.from_dict(doc))
 
     @given(method=st.sampled_from(trainer.METHODS), seed=st.integers(0, 2**31),
            epochs=st.integers(0, 50), batch_size=st.integers(1, 512),

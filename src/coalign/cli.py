@@ -136,9 +136,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     params = model_mod.load_checkpoint(args.checkpoint)
     manifest = data_mod.read_json_object(args.data, ConsistencyError)
-    missing = [key for key in ("recipe", "sha256") if key not in manifest]
-    if missing:
-        raise ConsistencyError(f"{args.data}: manifest is missing {', '.join(missing)}")
+    data_mod.require(manifest, f"{args.data}: manifest ", ("recipe", "sha256"), ConsistencyError)
     dataset = data_mod.materialize_dataset(manifest["recipe"])
     if data_mod.dataset_fingerprint(dataset) != manifest["sha256"]:
         raise ConsistencyError(

@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ from .errors import (
     SamplerError,
     UsageError,
 )
-from .numerics import is_finite_real, is_int
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -295,36 +295,69 @@ def stratified_split(
     )
 
 
-# recipe field rules, (predicate, rule); each predicate tests the type first
-_POSITIVE_INT = (lambda v: is_int(v) and v > 0, "be a positive integer")
-_NONNEGATIVE_INT = (lambda v: is_int(v) and v >= 0, "be a nonnegative integer")
-_REAL = (is_finite_real, "be a finite number")
-_SEED = (lambda v: (is_int(v) and v >= 0)
-         or (isinstance(v, list) and len(v) > 0 and all(is_int(x) and x >= 0 for x in v)),
-         "be a nonnegative integer or a list of them")
+def _is_int(value) -> bool:
+    """A non-boolean Python int; inputs hold these for counts, widths and seeds."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require(section: dict, keys: tuple[str, ...], name: str, **rules) -> None:
-    """Raise UsageError naming each of ``keys`` that the recipe ``section``
-    lacks, or the first key present whose value breaks its ``rules`` entry;
-    recipes come from manifest files on disk."""
+def _is_finite_real(value) -> bool:
+    """A finite, non-boolean real number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# field rules for require, (predicate, rule); each predicate tests the type
+# before the value, so a wrongly typed field fails by name, not in a comparison
+POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "be a positive integer")
+NONNEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "be a nonnegative integer")
+REAL = (_is_finite_real, "be a finite number")
+NONNEGATIVE_REAL = (lambda v: _is_finite_real(v) and v >= 0, "be a finite nonnegative number")
+POSITIVE_REAL = (lambda v: _is_finite_real(v) and v > 0, "be a finite positive number")
+FRACTION = (lambda v: _is_finite_real(v) and 0 < v < 1, "lie in (0, 1)")
+WIDTHS = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+          and all(_is_int(w) and w > 0 for w in v),
+          "be a list of at least one positive integer width")
+SEED = (lambda v: (_is_int(v) and v >= 0)
+        or (isinstance(v, list) and len(v) > 0 and all(_is_int(x) and x >= 0 for x in v)),
+        "be a nonnegative integer or a list of them")
+MAPPING = (lambda v: isinstance(v, dict), "be a mapping")
+OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "be a string or null")
+
+
+# the keys each recipe kind needs besides "kind"; any kind may also hold a
+# "shift" and a "split" block
+_RECIPE_KEYS = {"twin-gaussians": ("domain", "generator"), "csv": ("path",),
+                "idx": ("images", "labels")}
+
+
+def require(section, name: str, keys=(), error: type[Exception] = UsageError, *,
+            known=None, **rules) -> None:
+    """The one check of an input mapping. Raise ``error`` when ``section``
+    is not a mapping, naming each of ``keys`` it lacks and each key outside
+    ``known`` (when given), or naming the first present key whose value
+    breaks its ``rules`` entry, a ``(predicate, rule)`` pair. ``name``
+    prefixes every message: ``"{name}{key} must {rule}, got {value!r}"``."""
     if not isinstance(section, dict):
-        raise UsageError(f"{name} must be a mapping, got {section!r}")
+        raise error(f"{name}must be a mapping, got {section!r}")
+    problems = []
     missing = [key for key in keys if key not in section]
     if missing:
-        raise UsageError(f"{name} is missing {', '.join(missing)}")
+        problems.append(f"is missing {', '.join(missing)}")
+    unknown = [key for key in section if known is not None and key not in known]
+    if unknown:
+        problems.append(f"has unknown keys {unknown}")
+    if problems:
+        raise error(name + " and ".join(problems))
     for key, (ok, rule) in rules.items():
         if key in section and not ok(section[key]):
-            raise UsageError(f"{name} {key} must {rule}, got {section[key]!r}")
+            raise error(f"{name}{key} must {rule}, got {section[key]!r}")
 
 
 def take_split(dataset: LabeledDataset, split: dict) -> LabeledDataset:
     """The part of a seeded stratified split named by a recipe's ``split``
     block: ``{"holdout_fraction": f, "seed": s, "part": "train" | "holdout"}``."""
-    _require(split, ("holdout_fraction", "part", "seed"), "split block", seed=_SEED,
-             holdout_fraction=(lambda v: is_finite_real(v) and 0 < v < 1, "lie in (0, 1)"))
-    if split["part"] not in SPLIT_PARTS:
-        raise UsageError(f"split part must be one of {SPLIT_PARTS}, got {split['part']!r}")
+    keys = ("holdout_fraction", "part", "seed")
+    require(split, "split block ", keys, known=keys, holdout_fraction=FRACTION, seed=SEED,
+            part=(lambda v: v in SPLIT_PARTS, f"be one of {SPLIT_PARTS}"))
     train, holdout = stratified_split(dataset, split["holdout_fraction"], seed=split["seed"])
     return train if split["part"] == "train" else holdout
 
@@ -421,19 +454,19 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
     an optional ``split`` section then keeps one part of a stratified split
     (see :func:`take_split`).
     """
-    _require(recipe, ("kind",), "dataset recipe")
+    require(recipe, "dataset recipe ", ("kind",),
+            kind=(lambda v: v in tuple(_RECIPE_KEYS), f"be one of {tuple(_RECIPE_KEYS)}"))
     kind = recipe["kind"]
+    require(recipe, f"{kind} recipe ", _RECIPE_KEYS[kind],
+            known=("kind", "shift", "split", *_RECIPE_KEYS[kind]),
+            domain=(lambda v: v in ("source", "target"), "be 'source' or 'target'"))
     if kind == "twin-gaussians":
-        _require(recipe, ("domain", "generator"), "twin-gaussians recipe")
-        if recipe["domain"] not in ("source", "target"):
-            raise UsageError(
-                f"twin-gaussians recipe domain must be 'source' or 'target', got {recipe['domain']!r}"
-            )
         gen = recipe["generator"]
-        _require(gen, ("num_classes", "per_class", "noise"), "twin-gaussians generator",
-                 num_classes=_POSITIVE_INT, per_class=_POSITIVE_INT, rotation_deg=_REAL,
-                 noise=(lambda v: is_finite_real(v) and v >= 0, "be a finite nonnegative number"),
-                 radius=_REAL, seed=_NONNEGATIVE_INT)
+        require(gen, "twin-gaussians generator ", ("num_classes", "per_class", "noise"),
+                known=("num_classes", "per_class", "noise", "rotation_deg", "translation",
+                       "radius", "means", "seed"),
+                num_classes=POSITIVE_INT, per_class=POSITIVE_INT, noise=NONNEGATIVE_REAL,
+                rotation_deg=REAL, radius=REAL, seed=NONNEGATIVE_INT)
         source, target = generate_twin_domains(
             num_classes=gen["num_classes"],
             per_class=gen["per_class"],
@@ -446,18 +479,15 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
         )
         base = source if recipe["domain"] == "source" else target
     elif kind == "csv":
-        _require(recipe, ("path",), "csv recipe")
         base = load_csv(recipe["path"])
-    elif kind == "idx":
-        _require(recipe, ("images", "labels"), "idx recipe")
-        base = load_idx(recipe["images"], recipe["labels"])
     else:
-        raise UsageError(f"unknown dataset recipe kind {kind!r}")
+        base = load_idx(recipe["images"], recipe["labels"])
     shift = recipe.get("shift")
     if shift:
-        _require(shift, ("pareto_alpha", "direction", "degree", "budget"), "shift block",
-                 pareto_alpha=_REAL, degree=_REAL, budget=_POSITIVE_INT,
-                 min_per_class=_NONNEGATIVE_INT, seed=_SEED)
+        require(shift, "shift block ", ("pareto_alpha", "direction", "degree", "budget"),
+                known=("pareto_alpha", "direction", "degree", "budget", "min_per_class", "seed"),
+                pareto_alpha=REAL, degree=REAL, budget=POSITIVE_INT,
+                min_per_class=NONNEGATIVE_INT, seed=SEED)
         spec = ShiftSpec(
             pareto_alpha=shift["pareto_alpha"],
             direction=shift["direction"],

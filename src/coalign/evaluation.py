@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
 
+from . import data as data_mod
 from .errors import MetricError, TableError, UsageError
 
 
@@ -115,14 +117,16 @@ def _method_label(report: dict) -> str:
     return label
 
 
-def _task_label(report: dict) -> str:
+def _task(report: dict) -> tuple[str, float]:
+    """The report's column label and its place: degree columns in degree
+    order, then named tasks."""
     config = report.get("config", {})
     if config.get("task"):
-        return str(config["task"])
+        return str(config["task"]), math.inf
     shift = (config.get("data") or {}).get("shift") or {}
     if "degree" in shift:
-        return f"d={shift['degree']:g}%"
-    return "task"
+        return f"d={shift['degree']:g}%", shift["degree"]
+    return "task", math.inf
 
 
 def render_table(reports: list[dict], fmt: str = "markdown") -> str:
@@ -135,21 +139,20 @@ def render_table(reports: list[dict], fmt: str = "markdown") -> str:
     if not reports:
         raise TableError("no reports to render")
     for index, report in enumerate(reports):
-        if not isinstance(report, dict):
-            raise TableError(f"report {index} must be a mapping, got {report!r}")
-        for key in ("config", "metrics"):
-            if not isinstance(report.get(key, {}), dict):
-                raise TableError(f"report {index}: {key} must be a mapping, got {report[key]!r}")
+        data_mod.require(report, f"report {index}: ", (), TableError,
+                         config=data_mod.MAPPING, metrics=data_mod.MAPPING)
     schemas = {tuple(sorted(r.get("metrics", {}).get("final", {}))) for r in reports}
     if len(schemas) != 1:
         raise TableError(f"reports have mismatched final-metric schemas: {sorted(schemas)}")
 
     cells: dict[tuple[str, str], list[float]] = {}
+    places: dict[str, float] = {}
     for report in reports:
-        key = (_method_label(report), _task_label(report))
-        cells.setdefault(key, []).append(_final_accuracy(report))
+        task, place = _task(report)
+        places[task] = place
+        cells.setdefault((_method_label(report), task), []).append(_final_accuracy(report))
     methods = sorted({m for m, _ in cells})
-    tasks = sorted({t for _, t in cells})
+    tasks = sorted(places, key=lambda t: (places[t], t))
 
     header = ["method"] + tasks
     rows = []

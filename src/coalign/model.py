@@ -18,9 +18,15 @@ import numpy as np
 from . import data as data_mod
 from . import kernels, numerics
 from .errors import CheckpointError, DimensionError
-from .numerics import ParamBlock, is_finite_real, is_int
+from .numerics import ParamBlock
 
 CHECKPOINT_VERSION = 1
+# the checkpoint header: every key is required
+_HEADER_RULES = {
+    "temperature": data_mod.POSITIVE_REAL, "seed": data_mod.NONNEGATIVE_INT,
+    "input_dim": data_mod.POSITIVE_INT, "hidden_dims": data_mod.WIDTHS,
+    "num_classes": data_mod.POSITIVE_INT, "blocks": data_mod.MAPPING,
+}
 
 
 @dataclass
@@ -208,35 +214,22 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(
             f"checkpoint version {doc.get('format_version')} unsupported (want {CHECKPOINT_VERSION})"
         )
-    missing = [k for k in ("temperature", "seed", "input_dim", "hidden_dims", "num_classes", "blocks")
-               if k not in doc]
-    if missing:
-        raise CheckpointError(f"checkpoint {path} is missing {', '.join(missing)}")
-    hidden = doc["hidden_dims"]
-    for key, ok, rule in (
-        ("temperature", is_finite_real(doc["temperature"]) and doc["temperature"] > 0,
-         "be a positive number"),
-        ("seed", is_int(doc["seed"]) and doc["seed"] >= 0, "be a nonnegative integer"),
-        ("input_dim", is_int(doc["input_dim"]) and doc["input_dim"] > 0, "be a positive integer"),
-        ("num_classes", is_int(doc["num_classes"]) and doc["num_classes"] > 0,
-         "be a positive integer"),
-        ("hidden_dims", isinstance(hidden, list) and len(hidden) > 0
-         and all(is_int(v) and v > 0 for v in hidden), "list at least one positive integer width"),
-        ("blocks", isinstance(doc["blocks"], dict), "map block names to blocks"),
-    ):
-        if not ok:
-            raise CheckpointError(f"checkpoint {path}: {key} must {rule}, got {doc[key]!r}")
+    data_mod.require(doc, f"checkpoint {path}: ", tuple(_HEADER_RULES), CheckpointError,
+                     **_HEADER_RULES)
     params = init_model(
         doc["input_dim"],
-        tuple(hidden),
+        tuple(doc["hidden_dims"]),
         doc["num_classes"],
         temperature=doc["temperature"],
         seed=doc["seed"],
     )
+    names = [block.name for block in params.all_blocks()]
+    data_mod.require(doc["blocks"], f"checkpoint {path}: blocks ", names, CheckpointError,
+                     known=names)
     for block in params.all_blocks():
-        entry = doc["blocks"].get(block.name)
-        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
-            raise CheckpointError(f"checkpoint missing block {block.name!r} or its shape/values")
+        entry = doc["blocks"][block.name]
+        data_mod.require(entry, f"checkpoint {path}: block {block.name!r} ", ("shape", "values"),
+                         CheckpointError)
         if entry["shape"] != list(block.value.shape):
             raise CheckpointError(
                 f"block {block.name!r} shape {entry['shape']!r} != model shape {block.value.shape}"

@@ -10,8 +10,6 @@ reversal into the gradients of their one backward chain.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -19,17 +17,6 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DivergenceError, NormalizationError
-
-
-def is_int(value) -> bool:
-    """A non-boolean Python int; configs and checkpoints hold these for
-    counts, widths and seeds."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_finite_real(value) -> bool:
-    """A finite, non-boolean real number."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass

@@ -19,7 +19,9 @@ from . import data as data_mod
 from . import evaluation, model as model_mod, objectives, selftrain
 from .errors import DivergenceError, UsageError
 from .model import ModelParams
-from .numerics import is_finite_real, is_int, mean_entropy, sgd_momentum_step
+from .data import (FRACTION, MAPPING, NONNEGATIVE_INT, NONNEGATIVE_REAL, OPTIONAL_STR,
+                   POSITIVE_INT, POSITIVE_REAL, REAL, WIDTHS, require)
+from .numerics import mean_entropy, sgd_momentum_step
 from .selftrain import K_SCHEDULE_PRESETS, KSchedule
 
 METHODS = ("coal", "source-only", "marginal-align")
@@ -30,6 +32,12 @@ ABLATION_FLAGS = ("disable-pseudo-term", "disable-entropy-term")
 _STREAM_SOURCE = 1
 _STREAM_TARGET = 2
 _STREAM_HOLDOUT = 3
+
+# k_schedule keys: k0 and k_max are percentages
+_PERCENT = (lambda v: REAL[0](v) and 0 <= v <= 100, "lie in [0, 100]")
+_K_SCHEDULE_RULES = {"k0": _PERCENT, "k_step": NONNEGATIVE_REAL, "k_max": _PERCENT}
+# the sections a config's data mapping may hold
+_DATA_SECTIONS = ("twin_gaussians", "shift", "source", "target")
 
 
 @dataclass
@@ -60,57 +68,25 @@ class TrainConfig:
             raise UsageError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.sampler not in ("balanced", "natural"):
             raise UsageError(f"sampler must be balanced or natural, got {self.sampler!r}")
-        if isinstance(self.k_schedule, str):
-            if self.k_schedule not in K_SCHEDULE_PRESETS:
-                raise UsageError(
-                    f"k_schedule must be one of {sorted(K_SCHEDULE_PRESETS)} or a dict, "
-                    f"got {self.k_schedule!r}"
-                )
-            self.k_schedule = K_SCHEDULE_PRESETS[self.k_schedule]
-        elif isinstance(self.k_schedule, dict):
-            unknown = sorted(set(self.k_schedule) - {f.name for f in fields(KSchedule)})
-            if unknown:
-                raise UsageError(f"k_schedule has unknown keys {unknown}")
-            self.k_schedule = KSchedule(**self.k_schedule)
         ks = self.k_schedule
-        # each check tests the type before the value, so a wrongly typed
-        # field fails here by name instead of in a comparison
-        for name, ok, rule in (
-            ("seed", is_int(self.seed) and self.seed >= 0, "be a nonnegative integer"),
-            ("batch_size", is_int(self.batch_size) and self.batch_size > 0, "be a positive integer"),
-            ("epochs", is_int(self.epochs) and self.epochs >= 0, "be a nonnegative integer"),
-            ("pretrain_epochs", is_int(self.pretrain_epochs) and self.pretrain_epochs >= 0,
-             "be a nonnegative integer"),
-            ("lr_head", is_finite_real(self.lr_head) and self.lr_head >= 0,
-             "be a finite nonnegative number"),
-            ("lr_backbone", is_finite_real(self.lr_backbone) and self.lr_backbone >= 0,
-             "be a finite nonnegative number"),
-            ("momentum", is_finite_real(self.momentum) and 0 <= self.momentum < 1, "lie in [0, 1)"),
-            ("alpha", is_finite_real(self.alpha) and self.alpha >= 0,
-             "be a finite nonnegative number"),
-            ("grl_lambda", is_finite_real(self.grl_lambda) and self.grl_lambda >= 0,
-             "be a finite nonnegative number"),
-            ("temperature", is_finite_real(self.temperature) and self.temperature > 0,
-             "be a finite positive number"),
-            ("holdout_fraction",
-             is_finite_real(self.holdout_fraction) and 0 < self.holdout_fraction < 1,
-             "lie in (0, 1)"),
-            ("hidden_dims", isinstance(self.hidden_dims, (list, tuple))
-             and len(self.hidden_dims) > 0 and all(is_int(v) and v > 0 for v in self.hidden_dims),
-             "be a list of at least one positive integer width"),
-            ("ablations", isinstance(self.ablations, (list, tuple)), "be a list of flags"),
-            ("dump_pseudo", isinstance(self.dump_pseudo, bool), "be true or false"),
-            ("data", isinstance(self.data, dict), "be a mapping of data sections"),
-            ("out_dir", self.out_dir is None or isinstance(self.out_dir, str),
-             "be a directory path or null"),
-            ("task", self.task is None or isinstance(self.task, str), "be a name or null"),
-            ("k_schedule", isinstance(ks, KSchedule)
-             and all(is_finite_real(v) for v in (ks.k0, ks.k_step, ks.k_max))
-             and 0 <= ks.k0 <= 100 and 0 <= ks.k_max <= 100 and ks.k_step >= 0,
-             "be a preset name or a dict with k0 and k_max in [0, 100] and k_step >= 0"),
-        ):
-            if not ok:
-                raise UsageError(f"{name} must {rule}, got {getattr(self, name)!r}")
+        if isinstance(ks, str):
+            if ks not in K_SCHEDULE_PRESETS:
+                raise UsageError(
+                    f"k_schedule must be one of {sorted(K_SCHEDULE_PRESETS)} or a dict, got {ks!r}"
+                )
+            ks = K_SCHEDULE_PRESETS[ks]
+        if isinstance(ks, KSchedule):
+            ks = vars(ks)
+        require(ks, "k_schedule ", known=_K_SCHEDULE_RULES, **_K_SCHEDULE_RULES)
+        self.k_schedule = KSchedule(**ks)
+        require(vars(self), "", seed=NONNEGATIVE_INT, batch_size=POSITIVE_INT,
+                epochs=NONNEGATIVE_INT, pretrain_epochs=NONNEGATIVE_INT, lr_head=NONNEGATIVE_REAL,
+                lr_backbone=NONNEGATIVE_REAL, alpha=NONNEGATIVE_REAL, grl_lambda=NONNEGATIVE_REAL,
+                momentum=(lambda v: NONNEGATIVE_REAL[0](v) and v < 1, "lie in [0, 1)"),
+                temperature=POSITIVE_REAL, holdout_fraction=FRACTION, hidden_dims=WIDTHS,
+                ablations=(lambda v: isinstance(v, (list, tuple)), "be a list of flags"),
+                dump_pseudo=(lambda v: isinstance(v, bool), "be true or false"),
+                data=MAPPING, out_dir=OPTIONAL_STR, task=OPTIONAL_STR)
         self.hidden_dims = tuple(self.hidden_dims)
         self.ablations = tuple(self.ablations)
         for flag in self.ablations:
@@ -121,9 +97,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise UsageError(f"unknown config keys {unknown}")
+        require(doc, "config ", known={f.name for f in fields(cls)})
         return cls(**doc)
 
     @classmethod
@@ -345,7 +319,8 @@ def resolve_datasets(
     """Build (source, target_train, target_holdout) plus the two manifest
     recipes from the config's data section."""
     section = config.data
-    for name in ("twin_gaussians", "shift", "source", "target"):
+    require(section, "config data section ", known=_DATA_SECTIONS)
+    for name in _DATA_SECTIONS:
         if name in section and not isinstance(section[name], dict):
             raise UsageError(f"config data section {name!r} must be a mapping, got {section[name]!r}")
     if "twin_gaussians" in section:

@@ -1,15 +1,19 @@
+import json
+import re
 import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import evaluation, kernels
+from coalign import model as M
 from coalign.errors import (
+    CheckpointError,
     ConsistencyError,
     FormatError,
     LengthError,
@@ -24,6 +28,7 @@ from coalign.numerics import (
     linear_forward,
     sgd_momentum_step,
 )
+from coalign.trainer import TrainConfig
 
 
 class TestParetoProportions:
@@ -427,7 +432,108 @@ class TestSplitAndManifest:
             "split": {"holdout_fraction": 0.2, "seed": 3, "part": "train", key: value}},
            f"split block {key}")
           for key, value in (("holdout_fraction", "0.2"), ("seed", -1), ("seed", [1, "2"]))],
+        ({"kind": "twin-gaussians", "domain": "target",
+          "generator": {**TWIN_GENERATOR, "rotaton_deg": 30}}, "rotaton_deg"),
+        ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR,
+          "shfit": TWIN_SHIFT}, "shfit"),
+        ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR,
+          "shift": {**TWIN_SHIFT, "degre": 50.0}}, "degre"),
+        ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR,
+          "split": {"holdout_fraction": 0.2, "seed": 3, "part": "train", "prat": "x"}}, "prat"),
+        ({"kind": "csv", "path": "data.csv", "domain": "target"}, "domain"),
     ])
     def test_bad_recipe_names_the_field(self, recipe, names):
         with pytest.raises(UsageError, match=names):
             D.materialize_dataset(recipe)
+
+
+class TestRequire:
+    def test_names_every_missing_and_unknown_key(self):
+        with pytest.raises(ConsistencyError,
+                           match=r"^block is missing a, c and has unknown keys \['d', 'e'\]$"):
+            D.require({"b": 1, "d": 2, "e": 3}, "block ", ("a", "b", "c"), ConsistencyError,
+                      known=("a", "b", "c"))
+
+
+# a value of any JSON type; each property keeps only the values that the
+# field's rule rejects, so most of them have the wrong type
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+# the rule each boundary applies to each field, as (predicate, rule text);
+# only the predicate is used here, the message is matched by its form
+CONFIG_RULES = {
+    "seed": D.NONNEGATIVE_INT, "batch_size": D.POSITIVE_INT, "epochs": D.NONNEGATIVE_INT,
+    "pretrain_epochs": D.NONNEGATIVE_INT, "lr_head": D.NONNEGATIVE_REAL,
+    "lr_backbone": D.NONNEGATIVE_REAL, "alpha": D.NONNEGATIVE_REAL,
+    "grl_lambda": D.NONNEGATIVE_REAL, "temperature": D.POSITIVE_REAL,
+    "holdout_fraction": D.FRACTION, "hidden_dims": D.WIDTHS, "data": D.MAPPING,
+    "out_dir": D.OPTIONAL_STR, "task": D.OPTIONAL_STR,
+    "momentum": (lambda v: D.NONNEGATIVE_REAL[0](v) and v < 1, ""),
+    "ablations": (lambda v: isinstance(v, (list, tuple)), ""),
+    "dump_pseudo": (lambda v: isinstance(v, bool), ""),
+}
+PERCENT = (lambda v: D.REAL[0](v) and 0 <= v <= 100, "")
+K_SCHEDULE_RULES = {"k0": PERCENT, "k_step": D.NONNEGATIVE_REAL, "k_max": PERCENT}
+RECIPE_RULES = {
+    **{("generator", key): rule for key, rule in (
+        ("num_classes", D.POSITIVE_INT), ("per_class", D.POSITIVE_INT),
+        ("noise", D.NONNEGATIVE_REAL), ("rotation_deg", D.REAL), ("radius", D.REAL),
+        ("seed", D.NONNEGATIVE_INT))},
+    **{("shift", key): rule for key, rule in (
+        ("pareto_alpha", D.REAL), ("degree", D.REAL), ("budget", D.POSITIVE_INT),
+        ("min_per_class", D.NONNEGATIVE_INT), ("seed", D.SEED))},
+    **{("split", key): rule for key, rule in (
+        ("holdout_fraction", D.FRACTION), ("seed", D.SEED),
+        ("part", (lambda v: v in D.SPLIT_PARTS, "")))},
+}
+BLOCK_NAMES = {"generator": "twin-gaussians generator ", "shift": "shift block ",
+               "split": "split block "}
+HEADER_RULES = {
+    "temperature": D.POSITIVE_REAL, "seed": D.NONNEGATIVE_INT, "input_dim": D.POSITIVE_INT,
+    "hidden_dims": D.WIDTHS, "num_classes": D.POSITIVE_INT, "blocks": D.MAPPING,
+}
+
+
+def names_field(prefix: str, key: str, value) -> str:
+    """The pattern of the one message form: "{name}{key} must {rule}, got {value!r}"."""
+    return f"^{re.escape(prefix + key)} must .+, got {re.escape(repr(value))}$"
+
+
+class TestRulesRejectWrongTypes:
+    @given(field=st.sampled_from(sorted(CONFIG_RULES)), value=JSON_VALUES)
+    def test_config_field(self, field, value):
+        assume(not CONFIG_RULES[field][0](value))
+        with pytest.raises(UsageError, match=names_field("", field, value)):
+            TrainConfig(**{field: value})
+
+    @given(key=st.sampled_from(sorted(K_SCHEDULE_RULES)), value=JSON_VALUES)
+    def test_k_schedule_key(self, key, value):
+        assume(not K_SCHEDULE_RULES[key][0](value))
+        with pytest.raises(UsageError, match=names_field("k_schedule ", key, value)):
+            TrainConfig(k_schedule={key: value})
+
+    @given(field=st.sampled_from(sorted(RECIPE_RULES)), value=JSON_VALUES)
+    def test_recipe_block_field(self, field, value):
+        assume(not RECIPE_RULES[field][0](value))
+        block, key = field
+        recipe = {"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR,
+                  "shift": TWIN_SHIFT,
+                  "split": {"holdout_fraction": 0.2, "seed": 3, "part": "train"}}
+        recipe[block] = {**recipe[block], key: value}
+        with pytest.raises(UsageError, match=names_field(BLOCK_NAMES[block], key, value)):
+            D.materialize_dataset(recipe)
+
+    @given(key=st.sampled_from(sorted(HEADER_RULES)), value=JSON_VALUES)
+    def test_checkpoint_header_field(self, key, value):
+        assume(not HEADER_RULES[key][0](value))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            M.save_checkpoint(M.init_model(2, (4,), 2, seed=0), path)
+            doc = json.loads(path.read_text())
+            doc[key] = value
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError, match=names_field(f"checkpoint {path}: ", key, value)):
+                M.load_checkpoint(path)

@@ -201,8 +201,10 @@ class TestCheckpoint:
         (lambda doc: doc.update(seed=-1), "seed"),
         (lambda doc: doc.update(blocks=[]), "blocks"),
         (lambda doc: doc["blocks"]["layer0.weight"].update(values="abc"), "layer0.weight"),
+        (lambda doc: doc["blocks"].update({"layer1.weight": doc["blocks"]["layer0.weight"]}),
+         "layer1.weight"),
     ], ids=["negative temperature", "text temperature", "text hidden_dims",
-            "negative input_dim", "negative seed", "list blocks", "text values"])
+            "negative input_dim", "negative seed", "list blocks", "text values", "extra block"])
     def test_bad_header_or_block_is_named(self, tmp_path, edit, named):
         path = self._edited(tmp_path, edit)
         with pytest.raises(CheckpointError, match=named):

@@ -88,6 +88,8 @@ class TestTrainConfig:
         ({"data": {"twin_gaussians": 5}}, "'twin_gaussians'"),
         ({"data": {"twin_gaussians": {"num_classes": 2}, "shift": 5}}, "'shift'"),
         ({"data": {"source": [], "target": {"kind": "csv"}}}, "'source'"),
+        ({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
+                   "shfit": {"pareto_alpha": 1.0, "degree": 100.0, "budget": 200}}}, "shfit"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         # a data section of the wrong type is caught where the datasets are

@@ -319,6 +319,10 @@ WIDTHS = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
 SEED = (lambda v: (_is_int(v) and v >= 0)
         or (isinstance(v, list) and len(v) > 0 and all(_is_int(x) and x >= 0 for x in v)),
         "be a nonnegative integer or a list of them")
+REAL_PAIR = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+             and all(_is_finite_real(x) for x in v), "be a pair of finite numbers")
+REAL_PAIRS = (lambda v: isinstance(v, (list, tuple)) and all(REAL_PAIR[0](p) for p in v),
+              "be a list of pairs of finite numbers")
 MAPPING = (lambda v: isinstance(v, dict), "be a mapping")
 OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "be a string or null")
 
@@ -466,7 +470,8 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
                 known=("num_classes", "per_class", "noise", "rotation_deg", "translation",
                        "radius", "means", "seed"),
                 num_classes=POSITIVE_INT, per_class=POSITIVE_INT, noise=NONNEGATIVE_REAL,
-                rotation_deg=REAL, radius=REAL, seed=NONNEGATIVE_INT)
+                rotation_deg=REAL, translation=REAL_PAIR, radius=REAL, means=REAL_PAIRS,
+                seed=NONNEGATIVE_INT)
         source, target = generate_twin_domains(
             num_classes=gen["num_classes"],
             per_class=gen["per_class"],

@@ -117,14 +117,15 @@ def _method_label(report: dict) -> str:
     return label
 
 
-def _task(report: dict) -> tuple[str, float]:
-    """The report's column label and its place: degree columns in degree
-    order, then named tasks."""
+def _task(report: dict, index: int) -> tuple[str, float]:
+    """The column label and place of the report at ``index``: degree
+    columns in degree order, then named tasks."""
     config = report.get("config", {})
     if config.get("task"):
         return str(config["task"]), math.inf
     shift = (config.get("data") or {}).get("shift") or {}
     if "degree" in shift:
+        data_mod.require(shift, f"report {index}: shift ", (), TableError, degree=data_mod.REAL)
         return f"d={shift['degree']:g}%", shift["degree"]
     return "task", math.inf
 
@@ -147,8 +148,8 @@ def render_table(reports: list[dict], fmt: str = "markdown") -> str:
 
     cells: dict[tuple[str, str], list[float]] = {}
     places: dict[str, float] = {}
-    for report in reports:
-        task, place = _task(report)
+    for index, report in enumerate(reports):
+        task, place = _task(report, index)
         places[task] = place
         cells.setdefault((_method_label(report), task), []).append(_final_accuracy(report))
     methods = sorted({m for m, _ in cells})

@@ -165,30 +165,32 @@ _STEP_LOSSES = ("l_sc", "l_target_pseudo", "l_st", "l_h", "l_domain")
 def _run_epoch(
     params: ModelParams,
     config: TrainConfig,
-    global_epoch: int,
-    phase: str,
+    epoch: int,
     step: Callable[..., dict[str, float]],
-    source: data_mod.LabeledDataset,
-    target: data_mod.LabeledDataset | None = None,
+    data: tuple,
+    step_log: list,
     *,
+    paired: bool = False,
     alpha: float = 0.0,
     extra: dict | None = None,
-    holdout: data_mod.LabeledDataset | None = None,
-    step_log: list | None = None,
 ) -> dict:
-    """The epoch loop of every method.
+    """The epoch loop of every method at global epoch ``epoch``, over the
+    run's ``data`` (source, target_train, target_holdout).
 
-    Each optimizer step calls ``step`` with a source batch (and a target
-    batch when ``target`` is given; the shorter plan cycles). ``step``
+    Each optimizer step calls ``step`` with a source batch (and a
+    target_train batch when ``paired``; the shorter plan cycles). ``step``
     accumulates the gradients of its objective and returns its values by
     name; a step that returns no ``l_target_pseudo`` or ``l_h`` reports
-    them as 0.0. The record holds the epoch mean of every step value, then
-    ``extra``, then the holdout metrics; ``alpha`` is logged with each step.
+    them as 0.0. Each step's losses are appended to ``step_log`` with
+    ``alpha``. The record holds the epoch mean of every step value, then
+    ``extra``, then the holdout metrics.
     """
+    source, target_train, holdout = data
+    phase = "pretrain" if epoch < config.pretrain_epochs else "adapt"
     lrs = _learning_rates(params, config)
-    plans = [_batch_plan(source, config, _STREAM_SOURCE, global_epoch, config.sampler)]
-    if target is not None:
-        plans.append(_batch_plan(target, config, _STREAM_TARGET, global_epoch, "natural"))
+    plans = [_batch_plan(source, config, _STREAM_SOURCE, epoch, config.sampler)]
+    if paired:
+        plans.append(_batch_plan(target_train, config, _STREAM_TARGET, epoch, "natural"))
     steps = max(len(plan) for plan in plans)
     sums: dict[str, float] = {}
     for i in range(steps):
@@ -197,19 +199,17 @@ def _run_epoch(
         losses = {key: val for key, val in values.items() if key in _STEP_LOSSES}
         for key, val in losses.items():
             if not np.isfinite(val):
-                raise DivergenceError(f"non-finite {key} ({val}) at epoch {global_epoch}, step {i}")
+                raise DivergenceError(f"non-finite {key} ({val}) at epoch {epoch}, step {i}")
         sgd_momentum_step(params.all_blocks(), lrs, config.momentum)
         for key, val in values.items():
             sums[key] = sums.get(key, 0.0) + val
-        if step_log is not None:
-            step_log.append({"epoch": global_epoch, "phase": phase, "step": i, "alpha": alpha, **losses})
-    record = {"epoch": global_epoch, "phase": phase, "k": None,
+        step_log.append({"epoch": epoch, "phase": phase, "step": i, "alpha": alpha, **losses})
+    record = {"epoch": epoch, "phase": phase, "k": None,
               "estimated_target_distribution": None, "masked_pseudo_accuracy": None,
               "domain_discriminator_accuracy": None,
-              **{key: val / steps for key, val in sums.items()}, **(extra or {})}
-    if holdout is not None:
-        record.update(evaluate_model(params, holdout))
-        record.pop("confusion")
+              **{key: val / steps for key, val in sums.items()}, **(extra or {}),
+              **evaluate_model(params, holdout)}
+    record.pop("confusion")
     return record
 
 
@@ -219,41 +219,21 @@ def _source_step(params: ModelParams, source: data_mod.LabeledDataset, batch: np
     return {"l_sc": l_sc, "l_st": l_sc}
 
 
-def pretrain(
-    params: ModelParams,
-    source: data_mod.LabeledDataset,
-    config: TrainConfig,
-    *,
-    epochs: int | None = None,
-    start_epoch: int = 0,
-    holdout: data_mod.LabeledDataset | None = None,
-    phase: str = "pretrain",
-    step_log: list | None = None,
-) -> list[dict]:
-    """Supervised training on source batches only; returns epoch records."""
-    epochs = config.pretrain_epochs if epochs is None else epochs
-    step = partial(_source_step, params, source)
-    return [
-        _run_epoch(params, config, start_epoch + e, phase, step, source,
-                   holdout=holdout, step_log=step_log)
-        for e in range(epochs)
-    ]
+def pretrain(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
+             step_log: list) -> dict:
+    """One epoch of supervised training on source batches only; the
+    source-only baseline also runs it after pretraining."""
+    return _run_epoch(params, config, epoch, partial(_source_step, params, data[0]), data, step_log)
 
 
-def run_coal_epoch(
-    params: ModelParams,
-    source: data_mod.LabeledDataset,
-    target_train: data_mod.LabeledDataset,
-    config: TrainConfig,
-    epoch: int,
-    *,
-    holdout: data_mod.LabeledDataset | None = None,
-    step_log: list | None = None,
-    pseudo_dir: str | Path | None = None,
-) -> dict:
+def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
+                   step_log: list) -> dict:
     """One adaptation epoch: pseudo-label assignment, per-class top-k
-    selection, then paired source/target steps of the combined objective."""
-    k = selftrain.advance_k(config.k_schedule, epoch)
+    selection, then paired source/target steps of the combined objective.
+    The k schedule and the pseudo-label dump count adaptation epochs."""
+    source, target_train, _ = data
+    adapt_epoch = epoch - config.pretrain_epochs
+    k = selftrain.advance_k(config.k_schedule, adapt_epoch)
     pseudo_labels, confidence = selftrain.assign_pseudo_labels(params, target_train.features)
     pseudo = selftrain.select_top_k_per_class(pseudo_labels, confidence, k, target_train.num_classes)
     selected = pseudo.mask == 1
@@ -265,8 +245,8 @@ def run_coal_epoch(
         )
     else:
         extra["warnings"] = ["no pseudo labels selected; epoch ran on the supervised loss only"]
-    if pseudo_dir is not None:
-        selftrain.write_pseudo_csv(pseudo, Path(pseudo_dir) / f"pseudo_epoch_{epoch:03d}.csv")
+    if config.dump_pseudo and config.out_dir:
+        selftrain.write_pseudo_csv(pseudo, Path(config.out_dir) / f"pseudo_epoch_{adapt_epoch:03d}.csv")
 
     use_pseudo = "disable-pseudo-term" not in config.ablations and selected.any()
     use_entropy = "disable-entropy-term" not in config.ablations
@@ -285,23 +265,15 @@ def run_coal_epoch(
             config.alpha, entropy_term=use_entropy,
         )
 
-    return _run_epoch(params, config, config.pretrain_epochs + epoch, "adapt", step,
-                      source, target_train, alpha=config.alpha, extra=extra,
-                      holdout=holdout, step_log=step_log)
+    return _run_epoch(params, config, epoch, step, data, step_log,
+                      paired=True, alpha=config.alpha, extra=extra)
 
 
-def run_marginal_align_epoch(
-    params: ModelParams,
-    source: data_mod.LabeledDataset,
-    target_train: data_mod.LabeledDataset,
-    config: TrainConfig,
-    epoch: int,
-    *,
-    holdout: data_mod.LabeledDataset | None = None,
-    step_log: list | None = None,
-) -> dict:
+def run_marginal_align_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
+                             step_log: list) -> dict:
     """Supervised loss plus adversarial domain confusion on embeddings; no
     conditioning and no self-training."""
+    source, target_train, _ = data
 
     def step(sb: np.ndarray, tb: np.ndarray) -> dict:
         return objectives.marginal_align_objective(
@@ -309,15 +281,14 @@ def run_marginal_align_epoch(
             config.grl_lambda,
         )
 
-    return _run_epoch(params, config, config.pretrain_epochs + epoch, "adapt", step,
-                      source, target_train, holdout=holdout, step_log=step_log)
+    return _run_epoch(params, config, epoch, step, data, step_log, paired=True)
 
 
-def resolve_datasets(
-    config: TrainConfig,
-) -> tuple[data_mod.LabeledDataset, data_mod.LabeledDataset, data_mod.LabeledDataset, dict, dict]:
-    """Build (source, target_train, target_holdout) plus the two manifest
-    recipes from the config's data section."""
+def resolve_datasets(config: TrainConfig) -> tuple[tuple, dict[str, dict]]:
+    """The run's (source, target_train, target_holdout) and the recipe each
+    one's manifest records, keyed source, target_train and target_holdout.
+    Each target part is its recipe's split of the one materialized target,
+    so ``materialize_dataset`` rebuilds every part from its recipe."""
     section = config.data
     require(section, "config data section ", known=_DATA_SECTIONS)
     for name in _DATA_SECTIONS:
@@ -329,28 +300,30 @@ def resolve_datasets(
         src_recipe = {"kind": "twin-gaussians", "domain": "source", "generator": gen}
         tgt_recipe = {"kind": "twin-gaussians", "domain": "target", "generator": gen}
         if shift:
+            require(shift, "config data shift ", seed=NONNEGATIVE_INT)
             shift_seed = shift.get("seed", 0)
             src_recipe["shift"] = {**shift, "direction": data_mod.DIRECTION_SOURCE, "seed": shift_seed}
             tgt_recipe["shift"] = {**shift, "direction": data_mod.DIRECTION_TARGET, "seed": shift_seed + 1}
     elif "source" in section and "target" in section:
         src_recipe = section["source"]
         tgt_recipe = section["target"]
+        if "split" in tgt_recipe:
+            # a manifest recipe holds one split, the run's own holdout split
+            raise UsageError("config data target recipe must not hold a split block, got "
+                             f"{tgt_recipe['split']!r}; the run splits the target itself")
     else:
         raise UsageError("config data section needs either twin_gaussians or source/target recipes")
     source = data_mod.materialize_dataset(src_recipe)
     target = data_mod.materialize_dataset(tgt_recipe)
     if source.num_classes != target.num_classes or source.features.shape[1] != target.features.shape[1]:
         raise UsageError("source and target datasets disagree on classes or feature dimension")
-    target_train, target_holdout = data_mod.stratified_split(
-        target, **_holdout_split(config)
-    )
-    return source, target_train, target_holdout, src_recipe, tgt_recipe
-
-
-def _holdout_split(config: TrainConfig) -> dict:
-    """The seeded target split, in the form a manifest recipe's ``split``
-    block takes."""
-    return {"holdout_fraction": config.holdout_fraction, "seed": [config.seed, _STREAM_HOLDOUT]}
+    split = {"holdout_fraction": config.holdout_fraction, "seed": [config.seed, _STREAM_HOLDOUT]}
+    recipes = {"source": src_recipe, **{
+        f"target_{part}": {**tgt_recipe, "split": {**split, "part": part}}
+        for part in data_mod.SPLIT_PARTS}}
+    target_parts = (data_mod.take_split(target, recipes[f"target_{part}"]["split"])
+                    for part in data_mod.SPLIT_PARTS)
+    return (source, *target_parts), recipes
 
 
 def run_experiment(config: TrainConfig) -> RunReport:
@@ -361,15 +334,13 @@ def run_experiment(config: TrainConfig) -> RunReport:
     dumps.
     """
     t_start = time.perf_counter()
-    source, target_train, target_holdout, src_recipe, tgt_recipe = resolve_datasets(config)
+    data, recipes = resolve_datasets(config)
+    source, target_train, target_holdout = data
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        data_mod.write_manifest(source, out_dir / "source_manifest.json", src_recipe, config.seed)
-        split = _holdout_split(config)
-        for part, dataset in (("train", target_train), ("holdout", target_holdout)):
-            recipe = {**tgt_recipe, "split": {**split, "part": part}}
-            data_mod.write_manifest(dataset, out_dir / f"target_{part}_manifest.json", recipe, config.seed)
+        for (name, recipe), dataset in zip(recipes.items(), data):
+            data_mod.write_manifest(dataset, out_dir / f"{name}_manifest.json", recipe, config.seed)
 
     params = model_mod.init_model(
         source.features.shape[1], config.hidden_dims, source.num_classes,
@@ -379,27 +350,13 @@ def run_experiment(config: TrainConfig) -> RunReport:
     epoch_times: list[float] = []
     records = []
 
-    pseudo_dir = out_dir if (config.dump_pseudo and out_dir is not None) else None
-    for global_epoch in range(config.pretrain_epochs + config.epochs):
+    # looked up per run, so a wrapped module attribute is the one called
+    adapt = {"coal": run_coal_epoch, "marginal-align": run_marginal_align_epoch,
+             "source-only": pretrain}[config.method]
+    for epoch in range(config.pretrain_epochs + config.epochs):
         t0 = time.perf_counter()
-        epoch = global_epoch - config.pretrain_epochs
-        if epoch < 0 or config.method == "source-only":
-            record = pretrain(
-                params, source, config, epochs=1, start_epoch=global_epoch,
-                holdout=target_holdout, phase="pretrain" if epoch < 0 else "adapt",
-                step_log=step_log,
-            )[0]
-        elif config.method == "coal":
-            record = run_coal_epoch(
-                params, source, target_train, config, epoch,
-                holdout=target_holdout, step_log=step_log, pseudo_dir=pseudo_dir,
-            )
-        else:
-            record = run_marginal_align_epoch(
-                params, source, target_train, config, epoch,
-                holdout=target_holdout, step_log=step_log,
-            )
-        records.append(record)
+        run_epoch = pretrain if epoch < config.pretrain_epochs else adapt
+        records.append(run_epoch(params, data, config, epoch, step_log))
         epoch_times.append(time.perf_counter() - t0)
 
     final = evaluate_model(params, target_holdout)

@@ -441,6 +441,12 @@ class TestSplitAndManifest:
         ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR,
           "split": {"holdout_fraction": 0.2, "seed": 3, "part": "train", "prat": "x"}}, "prat"),
         ({"kind": "csv", "path": "data.csv", "domain": "target"}, "domain"),
+        *[({"kind": "twin-gaussians", "domain": "target",
+            "generator": {**TWIN_GENERATOR, key: value}}, f"generator {key}")
+          for key, value in (("translation", 5), ("translation", "x"), ("translation", ["a", "b"]),
+                             ("translation", [1.0, 2.0, 3.0]), ("translation", [float("nan"), 0.0]),
+                             ("means", "x"), ("means", [[1, "a"], [2, 3], [0, 0]]),
+                             ("means", [[float("nan"), 0.0], [2.0, 0.0], [0.0, 2.0]]))],
     ])
     def test_bad_recipe_names_the_field(self, recipe, names):
         with pytest.raises(UsageError, match=names):
@@ -481,7 +487,7 @@ RECIPE_RULES = {
     **{("generator", key): rule for key, rule in (
         ("num_classes", D.POSITIVE_INT), ("per_class", D.POSITIVE_INT),
         ("noise", D.NONNEGATIVE_REAL), ("rotation_deg", D.REAL), ("radius", D.REAL),
-        ("seed", D.NONNEGATIVE_INT))},
+        ("seed", D.NONNEGATIVE_INT), ("translation", D.REAL_PAIR), ("means", D.REAL_PAIRS))},
     **{("shift", key): rule for key, rule in (
         ("pareto_alpha", D.REAL), ("degree", D.REAL), ("budget", D.POSITIVE_INT),
         ("min_per_class", D.NONNEGATIVE_INT), ("seed", D.SEED))},

@@ -234,3 +234,8 @@ class TestRenderTable:
     def test_non_mapping_report_names_its_index(self, bad):
         with pytest.raises(TableError, match="^report 1"):
             E.render_table([fake_report("coal", 0.0, 1, 0.9), bad], "csv")
+
+    def test_non_numeric_degree_names_its_index(self):
+        reports = [fake_report("coal", 0.0, 1, 0.9), fake_report("coal", "50", 1, 0.9)]
+        with pytest.raises(TableError, match="^report 1: shift degree must be a finite number, got '50'$"):
+            E.render_table(reports, "csv")

@@ -16,11 +16,12 @@ def test_minimax_step_directions_on_fixture():
     """Averaged over batches, a classifier-only update raises the batch
     entropy and an extractor-only update lowers it."""
     cfg = fixture_config("coal", 1, 100.0)
-    source, tgt_train, _, _, _ = trainer.resolve_datasets(cfg)
+    data, _ = trainer.resolve_datasets(cfg)
+    tgt_train = data[1]
     params = M.init_model(2, cfg.hidden_dims, 4, temperature=cfg.temperature, seed=1)
-    trainer.pretrain(params, source, cfg)
-    for epoch in range(3):
-        trainer.run_coal_epoch(params, source, tgt_train, cfg, epoch)
+    for epoch in range(cfg.pretrain_epochs + 3):
+        run_epoch = trainer.pretrain if epoch < cfg.pretrain_epochs else trainer.run_coal_epoch
+        run_epoch(params, data, cfg, epoch, [])
 
     deltas_c, deltas_f = [], []
     head_lrs = {b.name: (0.01 if b.name == "prototypes" else 0.0) for b in params.all_blocks()}

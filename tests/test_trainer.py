@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,16 @@ def tiny_twin_config(method="source-only", seed=0, **overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def pretrained(cfg, data=None):
+    """A seed-0 model after ``cfg.pretrain_epochs`` source epochs on ``data``
+    (the config's datasets by default), together with that data."""
+    data = data or trainer.resolve_datasets(cfg)[0]
+    params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
+    for epoch in range(cfg.pretrain_epochs):
+        trainer.pretrain(params, data, cfg, epoch, [])
+    return params, data
 
 
 class TestTrainConfig:
@@ -90,6 +101,14 @@ class TestTrainConfig:
         ({"data": {"source": [], "target": {"kind": "csv"}}}, "'source'"),
         ({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
                    "shfit": {"pareto_alpha": 1.0, "degree": 100.0, "budget": 200}}}, "shfit"),
+        *[({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
+                     "shift": {"pareto_alpha": 1.0, "degree": 100.0, "budget": 200, "seed": seed}}},
+           f"^config data shift seed must be a nonnegative integer, got {re.escape(repr(seed))}$")
+          for seed in ([1, 2], "x", None)],
+        ({"data": {"source": {"kind": "csv", "path": "s.csv"},
+                   "target": {"kind": "csv", "path": "t.csv",
+                              "split": {"holdout_fraction": 0.5, "seed": 1, "part": "train"}}}},
+         "^config data target recipe must not hold a split block"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         # a data section of the wrong type is caught where the datasets are
@@ -133,13 +152,11 @@ class TestTrainConfig:
 
 class TestPretrain:
     def test_zero_epochs_leaves_model_unchanged(self):
-        cfg = tiny_twin_config()
-        source, *_ = trainer.resolve_datasets(cfg)
-        params = M.init_model(2, cfg.hidden_dims, 2, seed=0)
-        before = [b.value.copy() for b in params.all_blocks()]
-        trainer.pretrain(params, source, cfg, epochs=0)
-        for b, v in zip(params.all_blocks(), before):
-            assert np.array_equal(b.value, v)
+        cfg = tiny_twin_config(pretrain_epochs=0)
+        params, _ = pretrained(cfg)
+        fresh = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
+        for b, f in zip(params.all_blocks(), fresh.all_blocks()):
+            assert np.array_equal(b.value, f.value)
 
     def test_same_seed_identical_checkpoints(self, tmp_path):
         for name in ("a", "b"):
@@ -158,32 +175,26 @@ class TestPretrain:
                   "shift": {"pareto_alpha": 1.0, "degree": 0.0, "budget": 160,
                             "min_per_class": 2, "seed": 5}},
         )
-        source, *_ = trainer.resolve_datasets(cfg)
-        params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
-        trainer.pretrain(params, source, cfg)
+        params, (source, *_) = pretrained(cfg)
         assert trainer.evaluate_model(params, source)["per_class_mean_accuracy"] > 0.95
 
-    def test_epoch_at_a_time_matches_one_call(self):
-        cfg = tiny_twin_config(pretrain_epochs=3)
-        source, *_ = trainer.resolve_datasets(cfg)
-        whole = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
-        split = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
-        records = trainer.pretrain(whole, source, cfg)
-        split_records = [r for e in range(3)
-                         for r in trainer.pretrain(split, source, cfg, epochs=1, start_epoch=e)]
-        assert records == split_records
-        for a, b in zip(whole.all_blocks(), split.all_blocks()):
-            assert np.array_equal(a.value, b.value)
-            assert np.array_equal(a.momentum, b.momentum)
+    def test_run_experiment_pretraining_matches_epoch_calls(self, tmp_path):
+        cfg = tiny_twin_config(pretrain_epochs=3, epochs=0, out_dir=str(tmp_path / "run"))
+        report = run_experiment(cfg)
+        data, _ = trainer.resolve_datasets(cfg)
+        params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=cfg.seed)
+        records = [trainer.pretrain(params, data, cfg, epoch, []) for epoch in range(3)]
+        assert report.metrics["epochs"] == records
+        M.save_checkpoint(params, tmp_path / "calls.json")
+        assert (tmp_path / "calls.json").read_text() == (tmp_path / "run" / "checkpoint.json").read_text()
 
     def test_non_finite_loss_aborts(self):
         cfg = tiny_twin_config()
-        source, *_ = trainer.resolve_datasets(cfg)
+        (source, *targets), _ = trainer.resolve_datasets(cfg)
         poisoned = D.LabeledDataset(source.features.copy(), source.labels, source.num_classes)
         poisoned.features[0, 0] = np.nan
-        params = M.init_model(2, cfg.hidden_dims, 2, seed=0)
         with pytest.raises(DivergenceError):
-            trainer.pretrain(params, poisoned, cfg)
+            pretrained(cfg, (poisoned, *targets))
 
 
 class TestAdaptEpochDivergence:
@@ -193,39 +204,33 @@ class TestAdaptEpochDivergence:
     ])
     def test_nan_target_row_names_epoch_and_step(self, method, run_epoch):
         cfg = tiny_twin_config(method)
-        source, tgt_train, _, _, _ = trainer.resolve_datasets(cfg)
+        params, (source, tgt_train, tgt_hold) = pretrained(cfg)
         poisoned = D.LabeledDataset(tgt_train.features.copy(), tgt_train.labels, tgt_train.num_classes)
         poisoned.features[0, 0] = np.nan
-        params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
-        trainer.pretrain(params, source, cfg)
         epoch = cfg.pretrain_epochs
         plan = trainer._batch_plan(poisoned, cfg, trainer._STREAM_TARGET, epoch, "natural")
         step = next(i for i, batch in enumerate(plan) if 0 in batch)
         with pytest.raises(DivergenceError, match=f"at epoch {epoch}, step {step}$"):
-            run_epoch(params, source, poisoned, cfg, 0)
+            run_epoch(params, (source, poisoned, tgt_hold), cfg, epoch, [])
 
 
 class TestCoalEpoch:
     def test_entropy_ablation_records_but_never_backprops(self, monkeypatch):
         cfg = tiny_twin_config("coal", ablations=("disable-entropy-term",))
-        source, tgt_train, tgt_hold, _, _ = trainer.resolve_datasets(cfg)
-        params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
-        trainer.pretrain(params, source, cfg)
+        params, data = pretrained(cfg)
         called = []
         monkeypatch.setattr(
             objectives, "entropy_objective",
             lambda *a, **k: called.append(1))
-        record = trainer.run_coal_epoch(params, source, tgt_train, cfg, 0, holdout=tgt_hold)
+        record = trainer.run_coal_epoch(params, data, cfg, cfg.pretrain_epochs, [])
         assert called == []
         assert record["l_h"] > 0.0
 
     def test_pseudo_ablation_keeps_l_st_equal_l_sc(self):
         cfg = tiny_twin_config("coal", ablations=("disable-pseudo-term",))
-        source, tgt_train, _, _, _ = trainer.resolve_datasets(cfg)
-        params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
-        trainer.pretrain(params, source, cfg)
+        params, data = pretrained(cfg)
         log = []
-        trainer.run_coal_epoch(params, source, tgt_train, cfg, 0, step_log=log)
+        trainer.run_coal_epoch(params, data, cfg, cfg.pretrain_epochs, log)
         assert log
         for entry in log:
             assert entry["l_st"] == entry["l_sc"]
@@ -233,20 +238,16 @@ class TestCoalEpoch:
 
     def test_loss_breakdown_identity_every_step(self):
         cfg = tiny_twin_config("coal")
-        source, tgt_train, _, _, _ = trainer.resolve_datasets(cfg)
-        params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
-        trainer.pretrain(params, source, cfg)
+        params, data = pretrained(cfg)
         log = []
-        trainer.run_coal_epoch(params, source, tgt_train, cfg, 0, step_log=log)
+        trainer.run_coal_epoch(params, data, cfg, cfg.pretrain_epochs, log)
         for entry in log:
             assert abs(entry["l_st"] - (entry["l_sc"] + entry["l_target_pseudo"])) < 1e-9
 
     def test_zero_k_schedule_warns_and_proceeds(self):
         cfg = tiny_twin_config("coal", k_schedule={"k0": 0, "k_step": 0, "k_max": 0})
-        source, tgt_train, _, _, _ = trainer.resolve_datasets(cfg)
-        params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature, seed=0)
-        trainer.pretrain(params, source, cfg)
-        record = trainer.run_coal_epoch(params, source, tgt_train, cfg, 0)
+        params, data = pretrained(cfg)
+        record = trainer.run_coal_epoch(params, data, cfg, cfg.pretrain_epochs, [])
         assert record["warnings"]
         assert record["estimated_target_distribution"] is None
 
@@ -259,14 +260,14 @@ class TestRunExperiment:
         assert a.timing != b.timing or a.timing == b.timing  # timing may differ
 
     def test_per_epoch_times_are_measured(self, monkeypatch):
-        # a fake clock that each pretrain call advances by its start epoch + 1
+        # a fake clock that each pretrain call advances by its epoch + 1
         clock = [0.0]
         monkeypatch.setattr(trainer, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
         real_pretrain = trainer.pretrain
 
-        def pretrain(*args, start_epoch=0, **kwargs):
-            clock[0] += start_epoch + 1.0
-            return real_pretrain(*args, start_epoch=start_epoch, **kwargs)
+        def pretrain(params, data, config, epoch, step_log):
+            clock[0] += epoch + 1.0
+            return real_pretrain(params, data, config, epoch, step_log)
 
         monkeypatch.setattr(trainer, "pretrain", pretrain)
         report = run_experiment(tiny_twin_config(pretrain_epochs=3, epochs=2))
@@ -325,12 +326,14 @@ class TestAblationExactness:
 class TestResolveDatasets:
     def test_manifest_recipes_rebuild_identically(self):
         cfg = tiny_twin_config()
-        source, _, _, src_recipe, tgt_recipe = trainer.resolve_datasets(cfg)
-        assert D.dataset_fingerprint(D.materialize_dataset(src_recipe)) == D.dataset_fingerprint(source)
+        data, recipes = trainer.resolve_datasets(cfg)
+        assert list(recipes) == ["source", "target_train", "target_holdout"]
+        for recipe, dataset in zip(recipes.values(), data, strict=True):
+            assert D.dataset_fingerprint(D.materialize_dataset(recipe)) == D.dataset_fingerprint(dataset)
 
     def test_directions_assigned_per_domain(self):
         cfg = tiny_twin_config()
-        source, tgt_train, tgt_hold, _, _ = trainer.resolve_datasets(cfg)
+        (source, tgt_train, tgt_hold), _ = trainer.resolve_datasets(cfg)
         # source-reversed puts the small class first; target-ranked the opposite
         assert source.class_counts()[0] < source.class_counts()[1]
         total_target = tgt_train.class_counts() + tgt_hold.class_counts()

@@ -377,36 +377,24 @@ def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.
     c = dataset.num_classes
     rng = np.random.default_rng(seed)
     members = [np.flatnonzero(dataset.labels == cls) for cls in range(c)]
-    queues = [list(m[rng.permutation(len(m))]) for m in members]
-    positions = [0] * c
-
-    def draw(cls: int, n: int) -> list[int]:
-        out = []
-        while n > 0:
-            queue = queues[cls]
-            if positions[cls] >= len(queue):
-                queues[cls] = list(members[cls][rng.permutation(len(members[cls]))])
-                positions[cls] = 0
-                queue = queues[cls]
-            take = min(n, len(queue) - positions[cls])
-            out.extend(queue[positions[cls] : positions[cls] + take])
-            positions[cls] += take
-            n -= take
-        return out
-
+    streams = [_reshuffled(m, m[rng.permutation(len(m))], rng) for m in members]
     base, rem = divmod(batch_size, c)
     class_order = rng.permutation(c)
-    n_batches = math.ceil(len(dataset) / batch_size)
+    fixed = [cls for cls in range(c) for _ in range(base)]
     plan = []
-    for b in range(n_batches):
-        batch = []
-        for cls in range(c):
-            batch.extend(draw(cls, base))
-        for j in range(rem):
-            batch.extend(draw(int(class_order[(b * rem + j) % c]), 1))
-        batch = np.array(batch, dtype=np.int64)
+    for b in range(math.ceil(len(dataset) / batch_size)):
+        rotating = [int(class_order[(b * rem + j) % c]) for j in range(rem)]
+        batch = np.array([next(streams[cls]) for cls in fixed + rotating], dtype=np.int64)
         plan.append(batch[rng.permutation(len(batch))])
     return plan
+
+
+def _reshuffled(members: np.ndarray, order: np.ndarray, rng: np.random.Generator):
+    """``order``, then ``members`` reshuffled by ``rng`` each time the
+    previous order runs out, drawn only when the next item is needed."""
+    while True:
+        yield from order
+        order = members[rng.permutation(len(members))]
 
 
 def natural_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.ndarray]:
@@ -472,16 +460,7 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
                 num_classes=POSITIVE_INT, per_class=POSITIVE_INT, noise=NONNEGATIVE_REAL,
                 rotation_deg=REAL, translation=REAL_PAIR, radius=REAL, means=REAL_PAIRS,
                 seed=NONNEGATIVE_INT)
-        source, target = generate_twin_domains(
-            num_classes=gen["num_classes"],
-            per_class=gen["per_class"],
-            noise=gen["noise"],
-            rotation_deg=gen.get("rotation_deg", 0.0),
-            translation=tuple(gen.get("translation", (0.0, 0.0))),
-            radius=gen.get("radius", 2.0),
-            means=np.asarray(gen["means"], dtype=np.float64) if "means" in gen else None,
-            seed=gen.get("seed", 0),
-        )
+        source, target = generate_twin_domains(**gen)
         base = source if recipe["domain"] == "source" else target
     elif kind == "csv":
         base = load_csv(recipe["path"])
@@ -493,13 +472,7 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
                 known=("pareto_alpha", "direction", "degree", "budget", "min_per_class", "seed"),
                 pareto_alpha=REAL, degree=REAL, budget=POSITIVE_INT,
                 min_per_class=NONNEGATIVE_INT, seed=SEED)
-        spec = ShiftSpec(
-            pareto_alpha=shift["pareto_alpha"],
-            direction=shift["direction"],
-            degree=shift["degree"],
-            budget=shift["budget"],
-            min_per_class=shift.get("min_per_class", 2),
-        )
+        spec = ShiftSpec(**{key: value for key, value in shift.items() if key != "seed"})
         base = build_shift(base, spec, seed=shift.get("seed", 0))
     split = recipe.get("split")
     if split:

@@ -100,32 +100,55 @@ def project_features_2d(embeddings: np.ndarray) -> np.ndarray:
     return projected
 
 
-def _final_accuracy(report: dict) -> float:
-    try:
-        return report["metrics"]["final"]["per_class_mean_accuracy"]
-    except (KeyError, TypeError) as exc:
-        raise TableError(f"report missing final per-class mean accuracy: {exc}") from exc
+# the report fields render_table reads besides the final accuracy and the
+# shift degree; each report must pass them before the table is built
+_REPORT_CONFIG_RULES = {
+    "method": (lambda v: isinstance(v, str), "be a string"),
+    "ablations": (lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),
+                  "be a list of strings"),
+    "sampler": (lambda v: isinstance(v, str), "be a string"),
+    "task": data_mod.OPTIONAL_STR,
+    "data": data_mod.MAPPING,
+}
+
+
+def _check_report(report, index: int) -> None:
+    """Raise TableError, naming the report's index and field, for any field
+    the table reads that is missing or of the wrong kind."""
+    where = f"report {index}: "
+    data_mod.require(report, where, ("metrics",), TableError,
+                     config=data_mod.MAPPING, metrics=data_mod.MAPPING)
+    data_mod.require(report["metrics"], where + "metrics ", ("final",), TableError,
+                     final=data_mod.MAPPING)
+    data_mod.require(report["metrics"]["final"], where + "metrics final ",
+                     ("per_class_mean_accuracy",), TableError,
+                     per_class_mean_accuracy=data_mod.REAL)
+    config = report.get("config", {})
+    data_mod.require(config, where + "config ", (), TableError, **_REPORT_CONFIG_RULES)
+    data = config.get("data", {})
+    data_mod.require(data, where + "config data ", (), TableError, shift=data_mod.MAPPING)
+    data_mod.require(data.get("shift", {}), where + "shift ", (), TableError,
+                     degree=data_mod.REAL)
 
 
 def _method_label(report: dict) -> str:
     config = report.get("config", {})
     label = config.get("method", "?")
-    for flag in config.get("ablations") or []:
+    for flag in config.get("ablations", []):
         label += f" [{flag}]"
     if config.get("sampler") == "natural":
         label += " [natural sampler]"
     return label
 
 
-def _task(report: dict, index: int) -> tuple[str, float]:
-    """The column label and place of the report at ``index``: degree
-    columns in degree order, then named tasks."""
+def _task(report: dict) -> tuple[str, float]:
+    """The report's column label and place: degree columns in degree
+    order, then named tasks."""
     config = report.get("config", {})
     if config.get("task"):
-        return str(config["task"]), math.inf
-    shift = (config.get("data") or {}).get("shift") or {}
+        return config["task"], math.inf
+    shift = config.get("data", {}).get("shift", {})
     if "degree" in shift:
-        data_mod.require(shift, f"report {index}: shift ", (), TableError, degree=data_mod.REAL)
         return f"d={shift['degree']:g}%", shift["degree"]
     return "task", math.inf
 
@@ -140,18 +163,18 @@ def render_table(reports: list[dict], fmt: str = "markdown") -> str:
     if not reports:
         raise TableError("no reports to render")
     for index, report in enumerate(reports):
-        data_mod.require(report, f"report {index}: ", (), TableError,
-                         config=data_mod.MAPPING, metrics=data_mod.MAPPING)
-    schemas = {tuple(sorted(r.get("metrics", {}).get("final", {}))) for r in reports}
+        _check_report(report, index)
+    schemas = {tuple(sorted(r["metrics"]["final"])) for r in reports}
     if len(schemas) != 1:
         raise TableError(f"reports have mismatched final-metric schemas: {sorted(schemas)}")
 
     cells: dict[tuple[str, str], list[float]] = {}
     places: dict[str, float] = {}
-    for index, report in enumerate(reports):
-        task, place = _task(report, index)
+    for report in reports:
+        task, place = _task(report)
         places[task] = place
-        cells.setdefault((_method_label(report), task), []).append(_final_accuracy(report))
+        cells.setdefault((_method_label(report), task), []).append(
+            report["metrics"]["final"]["per_class_mean_accuracy"])
     methods = sorted({m for m, _ in cells})
     tasks = sorted(places, key=lambda t: (places[t], t))
 

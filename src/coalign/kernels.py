@@ -20,14 +20,15 @@ def softmax(logits):
 
 
 def xent(probs, labels, weights):
-    # loss = sum over weighted rows of -log p[row, label] / max(1, sum(weights))
+    # loss = sum over weighted rows of -log p[row, label] / max(1, sum(weights)),
+    # which is +0.0, not -0.0, when no row is weighted
     # dlogits[row] = weights[row] * (p - onehot) / max(1, sum(weights))
     denom = max(1.0, float(weights.sum()))
     picked = probs[np.arange(probs.shape[0]), labels]
     active = weights > 0.0
     logp = np.zeros_like(picked)
     logp[active] = np.log(picked[active])
-    loss = float(-(weights * logp).sum() / denom)
+    loss = float(0.0 - (weights * logp).sum() / denom)
     dlogits = probs * (weights / denom)[:, None]
     dlogits[np.arange(probs.shape[0]), labels] -= weights / denom
     return loss, dlogits

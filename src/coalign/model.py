@@ -90,8 +90,7 @@ def init_model(
     each column is a unit prototype from the first step. The domain head
     starts at zero, which makes an untrained discriminator output exactly 0.5.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    data_mod.require({"temperature": temperature}, "", temperature=data_mod.POSITIVE_REAL)
     rng = np.random.default_rng([seed, 0])
     layers = []
     fan_in = input_dim

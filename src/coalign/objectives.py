@@ -106,24 +106,24 @@ def coal_objective(
     source_inputs: np.ndarray,
     source_labels: np.ndarray,
     target_inputs: np.ndarray,
-    target_pseudo: np.ndarray | None,
-    target_mask: np.ndarray | None,
+    target_pseudo: np.ndarray,
+    target_weights: np.ndarray,
     alpha: float,
-    *,
-    entropy_term: bool = True,
 ) -> dict[str, float]:
     """One coal step's objective from a single stacked forward/backward over
     [source; target].
 
     The losses come from slices of the one cache: cross-entropy on the source
-    rows, the masked pseudo-label cross-entropy on the target rows (dropped
-    when ``target_mask`` is None) and the target entropy. The entropy keeps
-    the routing of :func:`entropy_objective`: the prototypes take the gradient
-    of -alpha * entropy and the extractor that of +alpha * entropy. With
-    ``entropy_term`` off the entropy is reported but not backpropagated.
-    Returns ``l_sc``, ``l_target_pseudo``, ``l_st`` (their sum) and ``l_h``
-    by name. Gradients equal :func:`self_training_loss` plus
-    :func:`entropy_objective` up to summation order.
+    rows, the pseudo-label cross-entropy on the target rows weighted by
+    ``target_weights`` and the target entropy. The entropy keeps the routing
+    of :func:`entropy_objective`: the prototypes take the gradient of
+    -alpha * entropy and the extractor that of +alpha * entropy. All-zero
+    weights drop the pseudo-label term and ``alpha = 0`` the entropy
+    gradient, which is how the ablations switch a term off; ``l_h`` is
+    reported either way. Returns ``l_sc``, ``l_target_pseudo``, ``l_st``
+    (their sum) and ``l_h`` by name. Gradients equal
+    :func:`self_training_loss` plus :func:`entropy_objective` up to
+    summation order.
     """
     if len(source_inputs) == 0:
         raise UsageError("source batch is empty")
@@ -132,17 +132,10 @@ def coal_objective(
     n = len(source_inputs)
     cache = model_mod.forward_full(params, np.vstack([source_inputs, target_inputs]))
     l_sc, d_src = numerics.cross_entropy(cache.probs[:n], source_labels)
-    if target_mask is None:
-        l_pseudo, d_pseudo = 0.0, np.zeros_like(cache.logits[n:])
-    else:
-        l_pseudo, d_pseudo = numerics.cross_entropy(cache.probs[n:], target_pseudo, target_mask)
+    l_pseudo, d_pseudo = numerics.cross_entropy(cache.probs[n:], target_pseudo, target_weights)
     l_h, d_ent = numerics.mean_entropy(cache.probs[n:])
-    if entropy_term:
-        d_head = np.vstack([d_src, d_pseudo - alpha * d_ent])
-        d_feature = np.vstack([d_src, d_pseudo + alpha * d_ent])
-    else:
-        d_head, d_feature = np.vstack([d_src, d_pseudo]), None
-    model_mod.backward_head(params, cache, d_head, feature_d_logits=d_feature)
+    model_mod.backward_head(params, cache, np.vstack([d_src, d_pseudo - alpha * d_ent]),
+                            feature_d_logits=np.vstack([d_src, d_pseudo + alpha * d_ent]))
     return {"l_sc": l_sc, "l_target_pseudo": l_pseudo, "l_st": l_sc + l_pseudo, "l_h": l_h}
 
 

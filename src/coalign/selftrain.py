@@ -58,13 +58,6 @@ def assign_pseudo_labels(params: ModelParams, features: np.ndarray) -> tuple[np.
     return labels, confidence
 
 
-def _per_class_quota(k: float, class_size: int) -> int:
-    # ceil(k% of the class), e.g. k=30 of 10 samples is exactly 3
-    if k <= 0 or class_size == 0:
-        return 0
-    return math.ceil(k * class_size / 100.0)
-
-
 def select_top_k_per_class(
     labels: np.ndarray, confidence: np.ndarray, k: float, num_classes: int
 ) -> PseudoLabelSet:
@@ -80,9 +73,8 @@ def select_top_k_per_class(
     mask = np.zeros(len(labels), dtype=np.int64)
     for cls in range(num_classes):
         members = np.flatnonzero(labels == cls)
-        quota = _per_class_quota(k, len(members))
-        if quota == 0:
-            continue
+        # ceil(k% of the class), e.g. k=30 of 10 samples is exactly 3
+        quota = math.ceil(k * len(members) / 100.0)
         order = np.lexsort((members, -confidence[members]))
         mask[members[order[:quota]]] = 1
     return PseudoLabelSet(labels, confidence, mask, float(k), num_classes)

@@ -244,26 +244,25 @@ def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch:
             (pseudo.labels[selected] == target_train.labels[selected]).mean()
         )
     else:
-        extra["warnings"] = ["no pseudo labels selected; epoch ran on the supervised loss only"]
+        extra["warnings"] = ["no pseudo labels selected; the pseudo-label term was zero this epoch"]
     if config.dump_pseudo and config.out_dir:
         selftrain.write_pseudo_csv(pseudo, Path(config.out_dir) / f"pseudo_epoch_{adapt_epoch:03d}.csv")
 
-    use_pseudo = "disable-pseudo-term" not in config.ablations and selected.any()
-    use_entropy = "disable-entropy-term" not in config.ablations
+    # an ablated term stays in the objective with a zero weight or a zero alpha
+    ablated = set(config.ablations)
+    weights = pseudo.mask * float("disable-pseudo-term" not in ablated)
+    alpha = 0.0 if "disable-entropy-term" in ablated else config.alpha
 
     def step(sb: np.ndarray, tb: np.ndarray) -> dict:
         tgt_x = target_train.features[tb]
-        if not (use_pseudo or use_entropy):
+        if ablated == set(ABLATION_FLAGS):
             # the source-only step itself, so a double ablation stays
             # bit-identical to source-only; the entropy is only reported
             values = _source_step(params, source, sb)
             values["l_h"], _ = mean_entropy(model_mod.forward_full(params, tgt_x).probs)
             return values
-        return objectives.coal_objective(
-            params, source.features[sb], source.labels[sb], tgt_x, pseudo.labels[tb],
-            pseudo.mask[tb].astype(np.float64) if use_pseudo else None,
-            config.alpha, entropy_term=use_entropy,
-        )
+        return objectives.coal_objective(params, source.features[sb], source.labels[sb], tgt_x,
+                                         pseudo.labels[tb], weights[tb], alpha)
 
     return _run_epoch(params, config, epoch, step, data, step_log,
                       paired=True, alpha=config.alpha, extra=extra)

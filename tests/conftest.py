@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from coalign import data as D
 from coalign.trainer import TrainConfig, run_experiment
 
 FIXTURE_SEEDS = (1, 2, 3)
@@ -112,6 +113,23 @@ def sampler_study_config(sampler: str, seed: int) -> TrainConfig:
 
 def final_accuracy(report) -> float:
     return report.metrics["final"]["per_class_mean_accuracy"]
+
+
+@pytest.fixture
+def file_recipes(tmp_path):
+    """csv and idx recipes for the same 90 labelled rows (classes of 40, 30
+    and 20 rows, 2x2-pixel features), keyed by kind."""
+    rng = np.random.default_rng(0)
+    labels = rng.permutation(np.repeat(np.arange(3), (40, 30, 20)))
+    dataset = D.LabeledDataset(rng.integers(0, 256, (90, 4)) / 255.0, labels, 3)
+    path = tmp_path / "rows.csv"
+    path.write_text("x0,x1,x2,x3,label\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + f",{label}\n"
+        for row, label in zip(dataset.features, labels)))
+    D.write_idx(dataset, tmp_path / "images.idx", tmp_path / "labels.idx", 2, 2)
+    return {"csv": {"kind": "csv", "path": str(path)},
+            "idx": {"kind": "idx", "images": str(tmp_path / "images.idx"),
+                    "labels": str(tmp_path / "labels.idx")}}
 
 
 @pytest.fixture(scope="session")

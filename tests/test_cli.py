@@ -60,6 +60,25 @@ class TestGenShift:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["per_class_counts"] == [20, 80]
 
+    def test_csv_input(self, tmp_path, file_recipes):
+        out = tmp_path / "split"
+        run_cli("gen-shift", "--input", file_recipes["csv"]["path"], "--degree", "100",
+                "--budget", "60", "--direction", "ut", "--seed", "5", "--out", str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["recipe"]["kind"] == "csv"
+        rebuilt = D.materialize_dataset(manifest["recipe"])
+        assert D.dataset_fingerprint(rebuilt) == manifest["sha256"]
+        written = D.load_csv(out / "data.csv")
+        assert np.array_equal(written.features, rebuilt.features)
+        assert written.class_counts().tolist() == manifest["per_class_counts"]
+
+    def test_input_with_another_suffix(self, tmp_path):
+        (tmp_path / "rows.txt").write_text("x0,label\n0.5,0\n")
+        with pytest.raises(SystemExit, match="--input must be a .csv path or a synthetic: spec"):
+            run_cli("gen-shift", "--input", str(tmp_path / "rows.txt"), "--budget", "10",
+                    "--direction", "ut", "--out", str(tmp_path / "x"))
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_synthetic_key(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("gen-shift", "--input", "synthetic:rotund=3", "--budget", "10",

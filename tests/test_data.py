@@ -349,6 +349,21 @@ class TestBalancedBatches:
         with pytest.raises(SamplerError, match="class 1"):
             D.balanced_batches(pool, 4, seed=0)
 
+    @given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+           batch_size=st.integers(1, 40), seed=st.integers(0, 2**16))
+    def test_members_of_a_class_are_drawn_evenly(self, sizes, batch_size, seed):
+        # a class reshuffles only once all its members were drawn, so in one
+        # epoch each member is drawn floor(t/n) or ceil(t/n) times, where t
+        # counts the draws from the class and n its size
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        pool = D.LabeledDataset(np.zeros((len(labels), 1)), labels, len(sizes))
+        drawn = np.bincount(np.concatenate(D.balanced_batches(pool, batch_size, seed)),
+                            minlength=len(labels))
+        for cls, n in enumerate(sizes):
+            counts = drawn[labels == cls]
+            t = int(counts.sum())
+            assert set(counts.tolist()) <= {t // n, -(-t // n)}
+
 
 class TestNaturalBatches:
     def test_partition(self):
@@ -404,6 +419,24 @@ class TestSplitAndManifest:
         rebuilt = D.materialize_dataset(doc["recipe"])
         assert D.dataset_fingerprint(rebuilt) == doc["sha256"]
         assert doc["per_class_counts"] == ds.class_counts().tolist()
+
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_file_recipe_applies_its_shift_then_its_split(self, file_recipes, kind):
+        recipe = file_recipes[kind]
+        shift = {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": 100.0,
+                 "budget": 60, "seed": 2}
+        split = {"holdout_fraction": 0.25, "seed": 3, "part": "holdout"}
+        got = D.materialize_dataset({**recipe, "shift": shift, "split": split})
+
+        base = D.load_csv(recipe["path"]) if kind == "csv" else D.load_idx(recipe["images"],
+                                                                           recipe["labels"])
+        spec = D.ShiftSpec(1.0, D.DIRECTION_TARGET, 100.0, 60)
+        shifted = D.build_shift(base, spec, seed=2)
+        assert np.array_equal(shifted.class_counts(),
+                              D.largest_remainder_counts(D.shift_proportions(3, spec), 60))
+        _, holdout = D.stratified_split(shifted, 0.25, seed=3)
+        assert D.dataset_fingerprint(got) == D.dataset_fingerprint(holdout)
+        assert got.provenance.startswith(f"{kind}:") and got.provenance.endswith("|holdout")
 
     def test_unknown_recipe_kind(self):
         with pytest.raises(UsageError):

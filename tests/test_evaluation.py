@@ -239,3 +239,33 @@ class TestRenderTable:
         reports = [fake_report("coal", 0.0, 1, 0.9), fake_report("coal", "50", 1, 0.9)]
         with pytest.raises(TableError, match="^report 1: shift degree must be a finite number, got '50'$"):
             E.render_table(reports, "csv")
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda r: r["config"].update(data=[1]), "config data must be a mapping"),
+        (lambda r: r["config"]["data"].update(shift=5), "config data shift must be a mapping"),
+        (lambda r: r["config"].update(ablations=5), "config ablations must be a list of strings"),
+        (lambda r: r["config"].update(ablations="ab"), "config ablations must be a list of strings"),
+        (lambda r: r["config"].update(method=5), "config method must be a string"),
+        (lambda r: r["metrics"].update(final=5), "metrics final must be a mapping"),
+        (lambda r: r["metrics"]["final"].update(per_class_mean_accuracy="x"),
+         "metrics final per_class_mean_accuracy must be a finite number"),
+        (lambda r: r["metrics"]["final"].update(per_class_mean_accuracy=None),
+         "metrics final per_class_mean_accuracy must be a finite number"),
+    ], ids=["data", "shift", "ablations int", "ablations str", "method", "final",
+            "accuracy str", "accuracy null"])
+    def test_bad_field_names_its_index_and_field(self, edit, named):
+        bad = fake_report("coal", 0.0, 1, 0.9)
+        edit(bad)
+        with pytest.raises(TableError, match=f"^report 1: {named}, got "):
+            E.render_table([fake_report("coal", 0.0, 1, 0.9), bad], "csv")
+
+    def test_named_task_and_natural_sampler_labels(self):
+        named = fake_report("source-only", 0.0, 1, 0.7, sampler="natural")
+        named["config"]["task"] = "A->B"
+        no_shift = {"config": {"method": "coal"},
+                    "metrics": {"final": {"per_class_mean_accuracy": 0.8, "overall_accuracy": 0.8}}}
+        rows = list(csv.reader(io.StringIO(
+            E.render_table([named, fake_report("coal", 0.0, 1, 0.9), no_shift], "csv"))))
+        assert rows == [["method", "d=0%", "A->B", "task"],
+                        ["coal", "90.00", "", "80.00"],
+                        ["source-only [natural sampler]", "", "70.00", ""]]

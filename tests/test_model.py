@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from coalign import model as M
 from coalign import objectives
-from coalign.errors import CheckpointError, DimensionError
+from coalign.errors import CheckpointError, DimensionError, UsageError
 from coalign.numerics import sgd_momentum_step
 
 
@@ -125,6 +125,13 @@ class TestDomainDiscriminator:
             sgd_momentum_step([w, b], lrs, 0.9)
             params.zero_grads()
         assert accuracy > 0.9
+
+
+class TestInitModel:
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), "0.3", 0, -1.0, None])
+    def test_bad_temperature_is_named(self, temperature):
+        with pytest.raises(UsageError, match="^temperature must be a finite positive number, got "):
+            M.init_model(2, (4,), 2, temperature=temperature)
 
 
 class TestCheckpoint:

@@ -262,8 +262,9 @@ class TestStackedSteps:
             l_h = mean_entropy(M.forward_full(params, tgt_x).probs)[0]
         reference = _grads(params)
 
+        # alpha = 0 is how an ablation drops the entropy gradient
         got = objectives.coal_objective(
-            params, src_x, src_y, tgt_x, pseudo, weights, alpha, entropy_term=entropy_term)
+            params, src_x, src_y, tgt_x, pseudo, weights, alpha if entropy_term else 0.0)
         assert got == pytest.approx(
             {"l_sc": l_sc, "l_target_pseudo": l_pseudo, "l_st": l_st, "l_h": l_h}, abs=1e-10)
         _assert_blocks_close(_grads(params), reference)
@@ -280,8 +281,11 @@ class TestStackedSteps:
         l_h = objectives.entropy_objective(params, tgt_x, alpha)
         reference = _grads(params)
 
-        got = objectives.coal_objective(params, src_x, src_y, tgt_x, None, None, alpha)
+        # all-zero weights are how an ablation drops the pseudo-label term
+        got = objectives.coal_objective(params, src_x, src_y, tgt_x, rng.integers(0, 3, n_tgt),
+                                        np.zeros(n_tgt), alpha)
         assert got["l_target_pseudo"] == 0.0 and got["l_st"] == got["l_sc"]
+        assert math.copysign(1.0, got["l_target_pseudo"]) == 1.0
         assert got["l_sc"] == pytest.approx(l_sc, abs=1e-10)
         assert got["l_h"] == pytest.approx(l_h, abs=1e-10)
         _assert_blocks_close(_grads(params), reference)
@@ -320,7 +324,8 @@ class TestStackedSteps:
         params = M.init_model(2, (4,), 2, seed=0)
         empty_x, empty_y, tgt = np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((3, 2))
         with pytest.raises(UsageError):
-            objectives.coal_objective(params, empty_x, empty_y, tgt, None, None, 0.1)
+            objectives.coal_objective(params, empty_x, empty_y, tgt, np.zeros(3, dtype=int),
+                                      np.ones(3), 0.1)
         with pytest.raises(UsageError):
             objectives.marginal_align_objective(params, empty_x, empty_y, tgt)
 

@@ -331,6 +331,21 @@ class TestResolveDatasets:
         for recipe, dataset in zip(recipes.values(), data, strict=True):
             assert D.dataset_fingerprint(D.materialize_dataset(recipe)) == D.dataset_fingerprint(dataset)
 
+    def test_csv_source_and_idx_target_write_manifests_that_rebuild(self, tmp_path, file_recipes):
+        shift = {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": 50.0,
+                 "budget": 60, "seed": 2}
+        cfg = TrainConfig(method="coal", seed=1, epochs=1, pretrain_epochs=1, batch_size=16,
+                          temperature=0.3, out_dir=str(tmp_path / "run"),
+                          data={"source": file_recipes["csv"],
+                                "target": {**file_recipes["idx"], "shift": shift}})
+        run_experiment(cfg)
+        for name in ("source", "target_train", "target_holdout"):
+            doc = json.loads((tmp_path / "run" / f"{name}_manifest.json").read_text())
+            rebuilt = D.materialize_dataset(doc["recipe"])
+            assert D.dataset_fingerprint(rebuilt) == doc["sha256"]
+            assert rebuilt.class_counts().tolist() == doc["per_class_counts"]
+        assert doc["recipe"]["kind"] == "idx" and doc["recipe"]["split"]["part"] == "holdout"
+
     def test_directions_assigned_per_domain(self):
         cfg = tiny_twin_config()
         (source, tgt_train, tgt_hold), _ = trainer.resolve_datasets(cfg)

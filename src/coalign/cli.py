@@ -142,6 +142,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConsistencyError(
             f"{args.data}: the dataset its recipe regenerates does not match its sha256"
         )
+    if dataset.num_classes != params.num_classes:
+        raise ConsistencyError(f"{args.checkpoint} predicts {params.num_classes} classes but "
+                               f"{args.data} holds {dataset.num_classes}")
     cache = model_mod.forward_full(params, dataset.features)
     predicted = cache.probs.argmax(axis=1)
     cm = evaluation.confusion_matrix(dataset.labels, predicted, dataset.num_classes)

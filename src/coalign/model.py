@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from . import kernels, numerics
+from . import numerics
 from .errors import CheckpointError, DimensionError
 from .numerics import ParamBlock
 
@@ -135,9 +135,9 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
         preacts.append(z)
         h = numerics.relu(z)
         acts.append(h)
-    normalized, norms = kernels.normalize_rows(h)
+    normalized, norms = numerics.normalize_rows(h)
     logits = normalized @ params.prototypes.value / params.temperature
-    probs = kernels.softmax(logits)
+    probs = numerics.softmax(logits)
     return ForwardCache(x, preacts, acts, normalized, norms, logits, probs)
 
 
@@ -179,7 +179,7 @@ def backward_head(
     if feature_d_logits is None:
         feature_d_logits = d_logits
     d_norm = feature_d_logits @ params.prototypes.value.T / t
-    d_embed = kernels.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
+    d_embed = numerics.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
     if d_embed_extra is not None:
         d_embed += d_embed_extra
     backward_extractor(params, cache, d_embed, feature_scale)

@@ -1,4 +1,6 @@
-"""Differentiable building blocks for the fixed two-layer-MLP + cosine-head graph.
+"""Every numeric operation of the two-layer-MLP + cosine-head graph, one
+function each: linear layers, ReLU, softmax, row normalization and its
+backward, masked cross-entropy, mean entropy and the momentum SGD update.
 
 All arrays are 64-bit row-major; samples are rows. Gradients are hand-derived
 per operation and accumulated into :class:`ParamBlock` instances. Backward
@@ -15,8 +17,10 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionError, DivergenceError, NormalizationError
+
+# normalize_rows divides rows whose norm is at most NORM_EPS by it instead
+NORM_EPS = 1e-12
 
 
 @dataclass
@@ -76,14 +80,37 @@ def relu_backward(g: np.ndarray, pre: np.ndarray) -> np.ndarray:
     return np.where(pre > 0.0, g, 0.0)
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.sqrt((x * x).sum(axis=1))
+    denom = np.where(norms > NORM_EPS, norms, NORM_EPS)
+    return x / denom[:, None], norms
+
+
+def normalize_rows_bwd(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    # rows with norm > NORM_EPS: d = (g - y (y.g)) / norm; others: d = g / NORM_EPS
+    denom = np.where(norms > NORM_EPS, norms, NORM_EPS)
+    proj = (y * g).sum(axis=1)
+    dx = (g - y * proj[:, None]) / denom[:, None]
+    small = norms <= NORM_EPS
+    if small.any():
+        dx[small] = g[small] / NORM_EPS
+    return dx
+
+
 def cross_entropy(
     probs: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Masked mean cross-entropy of softmax probability rows and its
-    gradient w.r.t. the logits they came from.
-
-    loss = sum over weighted rows of -log probs[row, label], divided by
-    max(1, sum of weights); gradients of unweighted rows are zero.
+    gradient w.r.t. the logits they came from. With W = max(1, sum of
+    weights), loss = sum over weighted rows of -log probs[r, labels[r]] / W,
+    so +0.0 when no row is weighted, and the gradient of row r is
+    weights[r] * (probs[r] - onehot(labels[r])) / W, zero if unweighted.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != probs.shape[0]:
@@ -97,20 +124,36 @@ def cross_entropy(
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.shape[0] != probs.shape[0]:
             raise DimensionError(f"{weights.shape[0]} weights for {probs.shape[0]} logit rows")
-    return kernels.xent(probs, labels, weights)
+    denom = max(1.0, float(weights.sum()))
+    rows = np.arange(probs.shape[0])
+    picked = probs[rows, labels]
+    active = weights > 0.0
+    logp = np.zeros_like(picked)
+    logp[active] = np.log(picked[active])
+    loss = float(0.0 - (weights * logp).sum() / denom)
+    d_logits = probs * (weights / denom)[:, None]
+    d_logits[rows, labels] -= weights / denom
+    return loss, d_logits
 
 
 def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean Shannon entropy of probability rows, gradient w.r.t. the logits.
 
-    Rows must sum to 1 within 1e-4; 0 log 0 counts as 0.
+    Rows must sum to 1 within 1e-4; 0 log 0 counts as 0. The gradient of
+    row r is -p (log p + H_r) / rows.
     """
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     sums = probs.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-4:
         worst = int(np.abs(sums - 1.0).argmax())
         raise NormalizationError(f"row {worst} sums to {sums[worst]:.6f}, expected 1")
-    return kernels.entropy(probs)
+    rows = probs.shape[0]
+    logp = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    plogp = probs * logp
+    row_h = -plogp.sum(axis=1)
+    h = float(row_h.sum() / rows)
+    d_logits = -(probs * (logp + row_h[:, None])) / rows
+    return h, d_logits
 
 
 def sgd_momentum_step(
@@ -122,7 +165,9 @@ def sgd_momentum_step(
         if not np.isfinite(block.grad).all():
             raise DivergenceError(f"non-finite gradient in block {block.name!r}")
     for block in blocks:
-        kernels.sgd_update(block.value, block.grad, block.momentum, learning_rates[block.name], momentum)
+        block.momentum *= momentum
+        block.momentum += block.grad
+        block.value -= learning_rates[block.name] * block.momentum
         block.zero_grad()
 
 

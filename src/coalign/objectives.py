@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model as model_mod
-from . import kernels, numerics
+from . import numerics
 from .errors import UsageError
 from .model import ModelParams
 
@@ -72,7 +72,7 @@ def _domain_confusion(
     domains[n_source:] = 1
     w, b = params.domain_head
     logits = numerics.linear_forward(embeddings, w, b)
-    loss, d_logits = numerics.cross_entropy(kernels.softmax(logits), domains)
+    loss, d_logits = numerics.cross_entropy(numerics.softmax(logits), domains)
     d_embed = numerics.linear_backward(d_logits, embeddings, w, b)
     accuracy = float((logits.argmax(axis=1) == domains).mean())
     return loss, d_embed, accuracy

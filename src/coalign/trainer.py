@@ -88,10 +88,13 @@ class TrainConfig:
                 dump_pseudo=(lambda v: isinstance(v, bool), "be true or false"),
                 data=MAPPING, out_dir=OPTIONAL_STR, task=OPTIONAL_STR)
         self.hidden_dims = tuple(self.hidden_dims)
-        self.ablations = tuple(self.ablations)
         for flag in self.ablations:
             if flag not in ABLATION_FLAGS:
                 raise UsageError(f"unknown ablation flag {flag!r}")
+            if self.ablations.count(flag) > 1:
+                raise UsageError(f"ablations repeat flag {flag!r}")
+        # one run, one spelling: flags are kept in ABLATION_FLAGS order
+        self.ablations = tuple(f for f in ABLATION_FLAGS if f in self.ablations)
         if self.ablations and self.method != "coal":
             raise UsageError("ablation flags are only valid with method=coal")
 

@@ -132,8 +132,7 @@ def file_recipes(tmp_path):
                     "labels": str(tmp_path / "labels.idx")}}
 
 
-@pytest.fixture(scope="session")
-def benchmark_grid():
+def benchmark_runs() -> dict:
     """All fixture runs used by the directional criteria, keyed by
     (method, degree, seed); ablation variants keyed by (flag, 100.0, seed)."""
     grid = {}
@@ -149,13 +148,23 @@ def benchmark_grid():
     return grid
 
 
-@pytest.fixture(scope="session")
-def sampler_grid():
+def sampler_runs() -> dict:
+    """Source-only runs of the sampler study, keyed by (sampler, seed)."""
     return {
         (sampler, seed): run_experiment(sampler_study_config(sampler, seed))
         for sampler in ("balanced", "natural")
         for seed in FIXTURE_SEEDS
     }
+
+
+@pytest.fixture(scope="session")
+def benchmark_grid():
+    return benchmark_runs()
+
+
+@pytest.fixture(scope="session")
+def sampler_grid():
+    return sampler_runs()
 
 
 def grid_mean(grid, method, degree) -> float:

@@ -4,13 +4,18 @@ The runs are coal (full, each single ablation and both ablations),
 marginal-align and source-only on the pinned twin-Gaussian fixture of
 ``conftest.fixture_config``, at shift degrees 0 and 100 and seed 1, each
 with an ``out_dir`` and pseudo-label dumps. Each checkpoint is then
-evaluated by ``coalign eval`` on its holdout manifest. Two commits give the
-same outputs when their printed lines are the same:
+evaluated by ``coalign eval`` on its holdout manifest.
 
-    PYTHONPATH=src python tests/pinned_hashes.py > before.txt
-    # check out the other commit
-    PYTHONPATH=src python tests/pinned_hashes.py > after.txt
-    diff before.txt after.txt
+It prints one ``<sha256>  <name>`` line per artifact.
+``tests/pinned_hashes.txt`` holds the committed lines; a change is checked
+against them, and a change that moves an artifact on purpose rewrites them:
+
+    PYTHONPATH=src python tests/pinned_hashes.py | diff tests/pinned_hashes.txt -
+    PYTHONPATH=src python tests/pinned_hashes.py > tests/pinned_hashes.txt
+
+The hashes hold for the numpy and BLAS builds they were written with. The
+metrics payloads of these runs are pinned by ``tests/pinned_metrics.json``
+and by the ``metrics.jsonl`` and ``report.json`` hashes here.
 
 ``report.json`` is hashed without its ``timing`` and ``out_dir``, which
 differ between runs, and eval stdout with its output directory replaced.
@@ -56,8 +61,7 @@ def run_hashes(root: Path) -> list[tuple[str, str]]:
             out = root / tag
             config = fixture_config(method, SEED, degree, ablations=ablations,
                                     out_dir=str(out), dump_pseudo=True)
-            report = run_experiment(config)
-            lines.append((f"{tag}/metrics_payload", sha256(report.metrics_payload().encode())))
+            run_experiment(config)
             doc = json.loads((out / "report.json").read_text())
             del doc["timing"], doc["config"]["out_dir"]
             lines.append((f"{tag}/report.json", sha256(json.dumps(doc, sort_keys=True).encode())))

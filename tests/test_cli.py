@@ -180,6 +180,22 @@ class TestEval:
                     "--data", str(path), "--out-dir", str(tmp_path / "eval"))
 
 
+    @pytest.mark.parametrize("model_classes, data_classes", [(3, 2), (2, 3)])
+    def test_class_count_mismatch_raises(self, tmp_path, model_classes, data_classes):
+        config = tiny_config_doc(tmp_path, data={"twin_gaussians": {
+            "num_classes": model_classes, "per_class": 60, "noise": 0.4, "seed": 3}})
+        run_dir = tmp_path / "run"
+        run_cli("train", "--config", str(config), "--out-dir", str(run_dir))
+        split = tmp_path / "split"
+        run_cli("gen-shift", "--input", f"synthetic:classes={data_classes},per_class=50,seed=3",
+                "--degree", "0", "--budget", "60", "--direction", "ut", "--out", str(split))
+        with pytest.raises(ConsistencyError,
+                           match=f"predicts {model_classes} classes but .* holds {data_classes}"):
+            run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(split / "manifest.json"), "--out-dir", str(tmp_path / "eval"))
+        assert not (tmp_path / "eval").exists()
+
+
 class TestReport:
     def test_markdown_table_from_glob(self, tmp_path, capsys):
         config = tiny_config_doc(tmp_path)

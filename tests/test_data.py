@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coalign import data as D
-from coalign import evaluation, kernels
+from coalign import evaluation, numerics
 from coalign import model as M
 from coalign.errors import (
     CheckpointError,
@@ -152,7 +152,7 @@ class TestTwinDomains:
         b = ParamBlock("b", np.zeros((1, 4)))
         lrs = {"w": 0.1, "b": 0.1}
         for _ in range(400):
-            _, dl = cross_entropy(kernels.softmax(linear_forward(src.features, w, b)), src.labels)
+            _, dl = cross_entropy(numerics.softmax(linear_forward(src.features, w, b)), src.labels)
             linear_backward(dl, src.features, w, b)
             sgd_momentum_step([w, b], lrs, 0.9)
 

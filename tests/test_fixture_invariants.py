@@ -2,6 +2,7 @@
 reuse the session benchmark grid where possible."""
 
 import copy
+import json
 
 import numpy as np
 
@@ -10,6 +11,19 @@ from coalign import evaluation, objectives, trainer
 from coalign.data import natural_batches
 from coalign.numerics import mean_entropy, sgd_momentum_step
 from conftest import FIXTURE_SEEDS, fixture_config, grid_mean
+from pinned_metrics import LEDGER, moved, run_hashes, versions
+
+
+def test_fixture_runs_match_the_ledger(benchmark_grid, sampler_grid):
+    """Every session-fixture run gives the metrics payload the committed
+    ledger holds; a failure names each run that moved or is missing."""
+    ledger = json.loads(LEDGER.read_text())
+    keys = moved(ledger["runs"], run_hashes(benchmark_grid, sampler_grid))
+    assert not keys, (
+        f"{len(keys)} of {len(ledger['runs'])} runs moved against {LEDGER.name} "
+        f"(written with numpy {ledger['numpy']}, BLAS {ledger['blas']}; this run has "
+        f"numpy {versions()['numpy']}, BLAS {versions()['blas']}): {', '.join(keys)}"
+    )
 
 
 def test_minimax_step_directions_on_fixture():

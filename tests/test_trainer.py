@@ -1,15 +1,16 @@
+import copy
 import json
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import model as M
-from coalign import objectives, trainer
+from coalign import errors, evaluation, objectives, trainer
 from coalign.errors import DivergenceError, UsageError
 from coalign.selftrain import KSchedule
 from coalign.trainer import TrainConfig, run_experiment
@@ -43,6 +44,28 @@ def pretrained(cfg, data=None):
     for epoch in range(cfg.pretrain_epochs):
         trainer.pretrain(params, data, cfg, epoch, [])
     return params, data
+
+
+# a small coal config whose every leaf the boundary property test replaces
+SMALL_CONFIG = tiny_twin_config(
+    "coal", ablations=("disable-entropy-term",), hidden_dims=(8, 4),
+    k_schedule={"k0": 20.0, "k_step": 5.0, "k_max": 50.0}, task="t").to_dict()
+WRONG_VALUES = (None, "x", [1, 2], {"a": 1}, float("nan"), float("inf"), float("-inf"),
+                -1, -2.5, -0.0, True)
+
+
+def _leaf_paths(node, path=()):
+    """The key path of every leaf of a nest of dicts and lists."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in _leaf_paths(child, path + (key,))]
+
+
+LEAF_PATHS = _leaf_paths(SMALL_CONFIG)
 
 
 class TestTrainConfig:
@@ -109,6 +132,8 @@ class TestTrainConfig:
                    "target": {"kind": "csv", "path": "t.csv",
                               "split": {"holdout_fraction": 0.5, "seed": 1, "part": "train"}}}},
          "^config data target recipe must not hold a split block"),
+        ({"ablations": ["disable-pseudo-term", "disable-pseudo-term"]},
+         "^ablations repeat flag 'disable-pseudo-term'$"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         # a data section of the wrong type is caught where the datasets are
@@ -137,6 +162,36 @@ class TestTrainConfig:
             data={"twin_gaussians": {"num_classes": 2}}, out_dir="out", task="t")
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
         assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_ablation_flags_are_kept_in_canonical_order(self):
+        configs = [TrainConfig(ablations=flags)
+                   for flags in (trainer.ABLATION_FLAGS, trainer.ABLATION_FLAGS[::-1])]
+        assert configs[1].ablations == trainer.ABLATION_FLAGS
+        assert configs[0].to_dict() == configs[1].to_dict()
+        reports = [{"config": cfg.to_dict(), "metrics": {"final": {"per_class_mean_accuracy": 0.5}}}
+                   for cfg in configs]
+        rows = evaluation.render_table(reports, "csv").splitlines()[1:]
+        assert rows == ["coal [disable-pseudo-term] [disable-entropy-term],50.00"]
+
+    # about as many examples as there are (leaf, value) pairs
+    @settings(max_examples=len(LEAF_PATHS) * len(WRONG_VALUES))
+    @given(path=st.sampled_from(LEAF_PATHS), value=st.sampled_from(WRONG_VALUES))
+    def test_a_wrong_leaf_fails_with_a_package_error(self, path, value):
+        """One leaf of a small config set to a wrong value either builds the
+        run's datasets and model or raises an error type of the package."""
+        doc = copy.deepcopy(SMALL_CONFIG)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            cfg = TrainConfig.from_dict(doc)
+            (source, *_), _ = trainer.resolve_datasets(cfg)
+            M.init_model(source.features.shape[1], cfg.hidden_dims, source.num_classes,
+                         temperature=cfg.temperature, seed=cfg.seed)
+        except Exception as exc:  # the assertion is on the type
+            assert type(exc).__module__ == errors.__name__, (
+                f"{'/'.join(map(str, path))} = {value!r}: {type(exc).__name__}: {exc}")
 
     def test_schedule_preset_resolution(self):
         cfg = TrainConfig(k_schedule="fast-start")

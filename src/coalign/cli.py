@@ -13,7 +13,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation, model as model_mod, trainer
-from .errors import ConsistencyError, TableError
+from .errors import CoalignError, ConsistencyError, TableError, UsageError
 
 
 def _parse_synthetic(spec: str) -> dict:
@@ -92,17 +92,18 @@ def cmd_gen_shift(args: argparse.Namespace) -> int:
 
 
 def _load_config(args: argparse.Namespace) -> trainer.TrainConfig:
-    """The --config file with --out-dir, when given, in place of its out_dir."""
-    config = trainer.TrainConfig.from_file(args.config)
+    """The --config file with --out-dir and --dump-pseudo, when given, in
+    place of its own values; the result is checked as one document."""
+    doc = data_mod.read_json_object(args.config, UsageError)
     if args.out_dir:
-        config.out_dir = args.out_dir
-    return config
+        doc["out_dir"] = args.out_dir
+    if getattr(args, "dump_pseudo", False):
+        doc["dump_pseudo"] = True
+    return trainer.TrainConfig.from_dict(doc)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if args.dump_pseudo:
-        config.dump_pseudo = True
     report = trainer.run_experiment(config)
     final = report.metrics["final"]
     print(f"method={config.method} seed={config.seed}")
@@ -113,24 +114,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    reports = trainer.sweep_degrees(config, args.degrees)
+def _run_table(configs: list[trainer.TrainConfig], out_dir: str | None, table_name: str) -> int:
+    """Run ``configs``, print their markdown table and write it into ``out_dir``, when set."""
+    reports = trainer.run_experiments(configs)
     table = evaluation.render_table([r.to_dict() for r in reports], "markdown")
     print(table)
-    if config.out_dir:
-        Path(config.out_dir, "sweep_table.md").write_text(table)
+    if out_dir:
+        Path(out_dir, table_name).write_text(table)
     return 0
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    return _run_table(trainer.degree_configs(config, args.degrees), config.out_dir, "sweep_table.md")
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    reports = trainer.run_ablations(config)
-    table = evaluation.render_table([r.to_dict() for r in reports], "markdown")
-    print(table)
-    if config.out_dir:
-        Path(config.out_dir, "ablation_table.md").write_text(table)
-    return 0
+    return _run_table(trainer.ablation_configs(config), config.out_dir, "ablation_table.md")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -228,8 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a package error is one line on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CoalignError as exc:
+        print(f"coalign: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

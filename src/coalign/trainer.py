@@ -97,15 +97,13 @@ class TrainConfig:
         self.ablations = tuple(f for f in ABLATION_FLAGS if f in self.ablations)
         if self.ablations and self.method != "coal":
             raise UsageError("ablation flags are only valid with method=coal")
+        if self.dump_pseudo and not self.out_dir:
+            raise UsageError("dump_pseudo needs an out_dir to write the pseudo-label dumps into")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
         require(doc, "config ", known={f.name for f in fields(cls)})
         return cls(**doc)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TrainConfig":
-        return cls.from_dict(data_mod.read_json_object(path, UsageError))
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -248,7 +246,7 @@ def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch:
         )
     else:
         extra["warnings"] = ["no pseudo labels selected; the pseudo-label term was zero this epoch"]
-    if config.dump_pseudo and config.out_dir:
+    if config.dump_pseudo:
         selftrain.write_pseudo_csv(pseudo, Path(config.out_dir) / f"pseudo_epoch_{adapt_epoch:03d}.csv")
 
     # an ablated term stays in the objective with a zero weight or a zero alpha
@@ -392,27 +390,39 @@ def run_experiment(config: TrainConfig) -> RunReport:
     return report
 
 
-def sweep_degrees(config: TrainConfig, degrees: list[float]) -> list[RunReport]:
-    """Re-run one config across shift degrees; each run gets its own out dir."""
-    if "shift" not in config.data:
+def run_experiments(configs: list[TrainConfig]) -> list[RunReport]:
+    """The one driver of many runs: one report per config, in order. Two
+    configs that share an out_dir fail before any run starts."""
+    dirs = [Path(config.out_dir) for config in configs if config.out_dir]
+    for out in dirs:
+        if dirs.count(out) > 1:
+            raise UsageError(f"two runs would write to out_dir {str(out)!r}")
+    # looked up per run, so a wrapped module attribute is the one called
+    return [run_experiment(config) for config in configs]
+
+
+def _variant(config: TrainConfig, name: str, **changes) -> TrainConfig:
+    """``config`` with ``changes``, writing into ``<out_dir>/<name>`` when it has an out_dir."""
+    out = str(Path(config.out_dir) / name) if config.out_dir else None
+    return replace(config, out_dir=out, **changes)
+
+
+def degree_configs(config: TrainConfig, degrees: list[float]) -> list[TrainConfig]:
+    """One config per shift degree, each with its own out dir ``degree_{d:g}``."""
+    if not isinstance(config.data.get("shift"), dict):
         raise UsageError("sweep requires a data section with a shift block")
-    reports = []
+    configs = []
     for degree in degrees:
+        require({"degree": degree}, "sweep ", degree=_PERCENT)
         data = json.loads(json.dumps(config.data))
         data["shift"]["degree"] = degree
-        out = str(Path(config.out_dir) / f"degree_{degree:g}") if config.out_dir else None
-        reports.append(run_experiment(replace(config, data=data, out_dir=out)))
-    return reports
+        configs.append(_variant(config, f"degree_{degree:g}", data=data))
+    return configs
 
 
-def run_ablations(config: TrainConfig) -> list[RunReport]:
-    """Full model plus each single-term ablation, same seed and data."""
+def ablation_configs(config: TrainConfig) -> list[TrainConfig]:
+    """The full model, then each single-term ablation; out dirs ``full`` and ``<flag>``."""
     if config.method != "coal":
         raise UsageError("ablation study requires method=coal")
-    variants = [(), ("disable-pseudo-term",), ("disable-entropy-term",)]
-    reports = []
-    for flags in variants:
-        suffix = "full" if not flags else flags[0]
-        out = str(Path(config.out_dir) / suffix) if config.out_dir else None
-        reports.append(run_experiment(replace(config, ablations=flags, out_dir=out)))
-    return reports
+    return [_variant(config, flags[0] if flags else "full", ablations=flags)
+            for flags in [(), *((flag,) for flag in ABLATION_FLAGS)]]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from coalign import data as D
-from coalign.trainer import TrainConfig, run_experiment
+from coalign.trainer import ABLATION_FLAGS, TrainConfig, run_experiments
 
 FIXTURE_SEEDS = (1, 2, 3)
 
@@ -135,26 +135,19 @@ def file_recipes(tmp_path):
 def benchmark_runs() -> dict:
     """All fixture runs used by the directional criteria, keyed by
     (method, degree, seed); ablation variants keyed by (flag, 100.0, seed)."""
-    grid = {}
-    for method in ("source-only", "coal", "marginal-align"):
-        for degree in (0.0, 100.0):
-            for seed in FIXTURE_SEEDS:
-                grid[(method, degree, seed)] = run_experiment(fixture_config(method, seed, degree))
-    for flag in ("disable-pseudo-term", "disable-entropy-term"):
-        for seed in FIXTURE_SEEDS:
-            grid[(flag, 100.0, seed)] = run_experiment(
-                fixture_config("coal", seed, 100.0, ablations=(flag,))
-            )
-    return grid
+    configs = {(method, degree, seed): fixture_config(method, seed, degree)
+               for method in ("source-only", "coal", "marginal-align")
+               for degree in (0.0, 100.0) for seed in FIXTURE_SEEDS}
+    configs.update({(flag, 100.0, seed): fixture_config("coal", seed, 100.0, ablations=(flag,))
+                    for flag in ABLATION_FLAGS for seed in FIXTURE_SEEDS})
+    return dict(zip(configs, run_experiments(list(configs.values()))))
 
 
 def sampler_runs() -> dict:
     """Source-only runs of the sampler study, keyed by (sampler, seed)."""
-    return {
-        (sampler, seed): run_experiment(sampler_study_config(sampler, seed))
-        for sampler in ("balanced", "natural")
-        for seed in FIXTURE_SEEDS
-    }
+    configs = {(sampler, seed): sampler_study_config(sampler, seed)
+               for sampler in ("balanced", "natural") for seed in FIXTURE_SEEDS}
+    return dict(zip(configs, run_experiments(list(configs.values()))))
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,7 @@ from pathlib import Path
 from conftest import fixture_config
 
 from coalign import cli
-from coalign.trainer import run_experiment
+from coalign.trainer import run_experiments
 
 VARIANTS = (
     ("coal", "coal", ()),
@@ -54,31 +54,31 @@ def sha256(data: bytes) -> str:
 
 
 def run_hashes(root: Path) -> list[tuple[str, str]]:
+    runs = {f"{name}/d{degree:g}": (method, degree, ablations)
+            for name, method, ablations in VARIANTS for degree in DEGREES}
+    run_experiments([fixture_config(method, SEED, degree, ablations=ablations,
+                                    out_dir=str(root / tag), dump_pseudo=True)
+                     for tag, (method, degree, ablations) in runs.items()])
     lines = []
-    for name, method, ablations in VARIANTS:
-        for degree in DEGREES:
-            tag = f"{name}/d{degree:g}"
-            out = root / tag
-            config = fixture_config(method, SEED, degree, ablations=ablations,
-                                    out_dir=str(out), dump_pseudo=True)
-            run_experiment(config)
-            doc = json.loads((out / "report.json").read_text())
-            del doc["timing"], doc["config"]["out_dir"]
-            lines.append((f"{tag}/report.json", sha256(json.dumps(doc, sort_keys=True).encode())))
-            for path in sorted(out.iterdir()):
-                if path.name != "report.json":
-                    lines.append((f"{tag}/{path.name}", sha256(path.read_bytes())))
+    for tag in runs:
+        out = root / tag
+        doc = json.loads((out / "report.json").read_text())
+        del doc["timing"], doc["config"]["out_dir"]
+        lines.append((f"{tag}/report.json", sha256(json.dumps(doc, sort_keys=True).encode())))
+        for path in sorted(out.iterdir()):
+            if path.name != "report.json":
+                lines.append((f"{tag}/{path.name}", sha256(path.read_bytes())))
 
-            eval_dir = root / "eval" / tag
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"),
-                          "--data", str(out / "target_holdout_manifest.json"),
-                          "--out-dir", str(eval_dir)])
-            text = stdout.getvalue().replace(str(eval_dir), "<out>")
-            lines.append((f"{tag}/eval/stdout", sha256(text.encode())))
-            for path in sorted(eval_dir.iterdir()):
-                lines.append((f"{tag}/eval/{path.name}", sha256(path.read_bytes())))
+        eval_dir = root / "eval" / tag
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                      "--data", str(out / "target_holdout_manifest.json"),
+                      "--out-dir", str(eval_dir)])
+        text = stdout.getvalue().replace(str(eval_dir), "<out>")
+        lines.append((f"{tag}/eval/stdout", sha256(text.encode())))
+        for path in sorted(eval_dir.iterdir()):
+            lines.append((f"{tag}/eval/{path.name}", sha256(path.read_bytes())))
     return lines
 
 

@@ -1,16 +1,25 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from coalign import cli
+from coalign import cli, errors, trainer
 from coalign import data as D
-from coalign.errors import ConsistencyError, TableError, UsageError
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def assert_fails_with(code, capsys, pattern):
+    """The command exited 2 with one stderr line, a ``coalign: error:``
+    message that ``pattern`` matches."""
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("coalign: error: ") and err.count("\n") == 1, err
+    assert re.search(pattern, err), err
 
 
 def tiny_config_doc(tmp_path, method="coal", **overrides):
@@ -106,11 +115,21 @@ class TestTrain:
         assert json.dumps(a["metrics"], sort_keys=True) == json.dumps(b["metrics"], sort_keys=True)
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
-    def test_bad_config_file_names_the_path(self, tmp_path, text):
+    def test_bad_config_file_names_the_path(self, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
         path.write_text(text)
-        with pytest.raises(UsageError, match="broken.json"):
-            run_cli("train", "--config", str(path))
+        assert_fails_with(run_cli("train", "--config", str(path)), capsys, "broken.json")
+
+    def test_dump_pseudo_without_an_out_dir_is_rejected(self, tmp_path, capsys):
+        config = tiny_config_doc(tmp_path, out_dir=None)
+        code = run_cli("train", "--config", str(config), "--dump-pseudo")
+        assert_fails_with(code, capsys, "dump_pseudo needs an out_dir")
+
+    def test_out_dir_flag_completes_a_dump_pseudo_config(self, tmp_path):
+        config = tiny_config_doc(tmp_path, out_dir=None, dump_pseudo=True)
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(config), "--out-dir", str(out)) == 0
+        assert (out / "pseudo_epoch_001.csv").exists()
 
     def test_dump_pseudo_flag(self, tmp_path):
         config = tiny_config_doc(tmp_path)
@@ -154,7 +173,7 @@ class TestEval:
         assert len(rebuilt) == manifest["total"]
 
     @pytest.mark.parametrize("tamper", ["split part", "no sha256"])
-    def test_tampered_manifest_raises(self, tmp_path, tamper):
+    def test_tampered_manifest_raises(self, tmp_path, capsys, tamper):
         run_dir = tmp_path / "run"
         run_cli("train", "--config", str(tiny_config_doc(tmp_path)), "--out-dir", str(run_dir))
         path = run_dir / "target_holdout_manifest.json"
@@ -164,24 +183,24 @@ class TestEval:
         else:
             del manifest["sha256"]
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ConsistencyError, match="target_holdout_manifest.json"):
-            run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
-                    "--data", str(path), "--out-dir", str(tmp_path / "eval"))
+        code = run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                       "--data", str(path), "--out-dir", str(tmp_path / "eval"))
+        assert_fails_with(code, capsys, "target_holdout_manifest.json")
         assert not (tmp_path / "eval" / "confusion.csv").exists()
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
-    def test_unreadable_manifest_names_the_path(self, tmp_path, text):
+    def test_unreadable_manifest_names_the_path(self, tmp_path, capsys, text):
         run_dir = tmp_path / "run"
         run_cli("train", "--config", str(tiny_config_doc(tmp_path)), "--out-dir", str(run_dir))
         path = tmp_path / "broken_manifest.json"
         path.write_text(text)
-        with pytest.raises(ConsistencyError, match="broken_manifest.json"):
-            run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
-                    "--data", str(path), "--out-dir", str(tmp_path / "eval"))
+        code = run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                       "--data", str(path), "--out-dir", str(tmp_path / "eval"))
+        assert_fails_with(code, capsys, "broken_manifest.json")
 
 
     @pytest.mark.parametrize("model_classes, data_classes", [(3, 2), (2, 3)])
-    def test_class_count_mismatch_raises(self, tmp_path, model_classes, data_classes):
+    def test_class_count_mismatch_raises(self, tmp_path, capsys, model_classes, data_classes):
         config = tiny_config_doc(tmp_path, data={"twin_gaussians": {
             "num_classes": model_classes, "per_class": 60, "noise": 0.4, "seed": 3}})
         run_dir = tmp_path / "run"
@@ -189,10 +208,9 @@ class TestEval:
         split = tmp_path / "split"
         run_cli("gen-shift", "--input", f"synthetic:classes={data_classes},per_class=50,seed=3",
                 "--degree", "0", "--budget", "60", "--direction", "ut", "--out", str(split))
-        with pytest.raises(ConsistencyError,
-                           match=f"predicts {model_classes} classes but .* holds {data_classes}"):
-            run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
-                    "--data", str(split / "manifest.json"), "--out-dir", str(tmp_path / "eval"))
+        code = run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                       "--data", str(split / "manifest.json"), "--out-dir", str(tmp_path / "eval"))
+        assert_fails_with(code, capsys, f"predicts {model_classes} classes but .* holds {data_classes}")
         assert not (tmp_path / "eval").exists()
 
 
@@ -223,11 +241,10 @@ class TestReport:
             run_cli("report", "--glob", str(tmp_path / "nothing*"))
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
-    def test_bad_report_names_the_path(self, tmp_path, text):
+    def test_bad_report_names_the_path(self, tmp_path, capsys, text):
         path = tmp_path / "report.json"
         path.write_text(text)
-        with pytest.raises(TableError, match="report.json"):
-            run_cli("report", "--glob", str(path))
+        assert_fails_with(run_cli("report", "--glob", str(path)), capsys, "report.json")
 
 
 class TestSweepAndAblate:
@@ -254,3 +271,51 @@ class TestSweepAndAblate:
         table = capsys.readouterr().out
         assert "disable-pseudo-term" in table
         assert (out / "ablation_table.md").exists()
+
+    @pytest.mark.parametrize("degrees, shown", [("0,150", "150.0"), ("0,nan", "nan"),
+                                                ("100,-5", "-5.0")])
+    def test_bad_degree_fails_before_the_first_run(self, tmp_path, capsys, degrees, shown):
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--config", str(tiny_config_doc(tmp_path)), "--degrees", degrees,
+                       "--out-dir", str(out))
+        assert_fails_with(code, capsys, rf"sweep degree must lie in \[0, 100\], got {shown}$")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("degrees, shared", [("0,0", "degree_0"),
+                                                 ("1e-7,1.0000001e-7,100", "degree_1e-07")])
+    def test_runs_sharing_a_directory_fail_before_the_first_run(self, tmp_path, capsys, degrees,
+                                                                 shared):
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--config", str(tiny_config_doc(tmp_path)), "--degrees", degrees,
+                       "--out-dir", str(out))
+        assert_fails_with(code, capsys, re.escape(str(out / shared)))
+        assert not out.exists()
+
+    def test_every_run_goes_through_run_experiment(self, tmp_path, monkeypatch):
+        # a wrapper bound to the module attribute sees each run of a sweep
+        # and of an ablation study, as the benchmark's per-run probe does
+        calls = []
+        run = trainer.run_experiment
+
+        def counting(config):
+            calls.append(config.out_dir)
+            return run(config)
+
+        monkeypatch.setattr(trainer, "run_experiment", counting)
+        config = str(tiny_config_doc(tmp_path))
+        sweep, ablate = tmp_path / "sweep", tmp_path / "ablate"
+        assert run_cli("sweep", "--config", config, "--degrees", "0,100",
+                       "--out-dir", str(sweep)) == 0
+        assert len(calls) == 2
+        assert run_cli("ablate", "--config", config, "--out-dir", str(ablate)) == 0
+        assert len(calls) == 2 + 3
+        assert (sweep / "sweep_table.md").exists() and (ablate / "ablation_table.md").exists()
+
+
+def test_every_package_error_keeps_its_builtin_base():
+    types = [t for t in vars(errors).values()
+             if isinstance(t, type) and issubclass(t, Exception) and t is not errors.CoalignError]
+    assert len(types) == 13
+    for t in types:
+        assert issubclass(t, errors.CoalignError), t
+        assert issubclass(t, (ValueError, FloatingPointError)), t

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import model as M
-from coalign import errors, evaluation, objectives, trainer
+from coalign import cli, errors, evaluation, objectives, trainer
 from coalign.errors import DivergenceError, UsageError
 from coalign.selftrain import KSchedule
 from coalign.trainer import TrainConfig, run_experiment
@@ -76,6 +76,11 @@ class TestTrainConfig:
     def test_rejects_ablations_outside_coal(self):
         with pytest.raises(UsageError):
             TrainConfig(method="source-only", ablations=("disable-entropy-term",))
+
+    @pytest.mark.parametrize("out_dir", [None, ""])
+    def test_dump_pseudo_needs_an_out_dir(self, out_dir):
+        with pytest.raises(UsageError, match="^dump_pseudo needs an out_dir"):
+            TrainConfig(dump_pseudo=True, out_dir=out_dir)
 
     @pytest.mark.parametrize("doc, names", [
         ({"learning_rate": 0.1}, "learning_rate"),
@@ -201,7 +206,7 @@ class TestTrainConfig:
         cfg = tiny_twin_config("coal", seed=4, alpha=0.25)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        loaded = TrainConfig.from_file(path)
+        loaded = cli._load_config(SimpleNamespace(config=path, out_dir=None))
         assert loaded.to_dict() == cfg.to_dict()
 
 
@@ -353,13 +358,29 @@ class TestRunExperiment:
     def test_sweep_emits_report_per_degree(self, tmp_path):
         cfg = tiny_twin_config("coal", out_dir=str(tmp_path / "sweep"))
         cfg.data["twin_gaussians"]["per_class"] = 100
-        reports = trainer.sweep_degrees(cfg, [0.0, 20.0, 40.0, 60.0, 80.0, 100.0])
+        reports = trainer.run_experiments(
+            trainer.degree_configs(cfg, [0.0, 20.0, 40.0, 60.0, 80.0, 100.0]))
         assert len(reports) == 6
         degrees = [r.config["data"]["shift"]["degree"] for r in reports]
         assert degrees == [0.0, 20.0, 40.0, 60.0, 80.0, 100.0]
 
+    def test_builders_name_each_run_dir(self, tmp_path):
+        cfg = tiny_twin_config("coal", out_dir=str(tmp_path))
+        configs = trainer.degree_configs(cfg, [0.0, 12.5, 100]) + trainer.ablation_configs(cfg)
+        names = ("degree_0", "degree_12.5", "degree_100", "full", *trainer.ABLATION_FLAGS)
+        assert [c.out_dir for c in configs] == [str(tmp_path / name) for name in names]
+
+    @pytest.mark.parametrize("shift", [None, 5])
+    def test_sweep_needs_a_shift_block(self, shift):
+        cfg = tiny_twin_config("coal")
+        cfg.data = {"twin_gaussians": cfg.data["twin_gaussians"]}
+        if shift is not None:
+            cfg.data["shift"] = shift
+        with pytest.raises(UsageError, match="^sweep requires a data section with a shift block"):
+            trainer.degree_configs(cfg, [0.0])
+
     def test_ablation_study_variants(self):
-        reports = trainer.run_ablations(tiny_twin_config("coal"))
+        reports = trainer.run_experiments(trainer.ablation_configs(tiny_twin_config("coal")))
         flags = [tuple(r.config["ablations"]) for r in reports]
         assert flags == [(), ("disable-pseudo-term",), ("disable-entropy-term",)]
 

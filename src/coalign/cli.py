@@ -27,14 +27,14 @@ def _parse_synthetic(spec: str) -> dict:
     for item in filter(None, body.split(",")):
         key, _, value = item.partition("=")
         if key not in params:
-            raise SystemExit(f"unknown synthetic key {key!r} (have {sorted(params)})")
+            raise UsageError(f"unknown synthetic key {key!r} (have {sorted(params)})")
         # the type of each key's default is the type its value must parse as
         parse = type(params[key])
         try:
             params[key] = parse(value)
         except ValueError:
             kind = "an integer" if parse is int else "a number"
-            raise SystemExit(f"synthetic key {key!r} must be {kind}, got {value!r}") from None
+            raise UsageError(f"synthetic key {key!r} must be {kind}, got {value!r}") from None
     return {
         "kind": "twin-gaussians",
         "domain": params["domain"],
@@ -56,7 +56,7 @@ def _input_recipe(text: str) -> dict:
     path = Path(text)
     if path.suffix == ".csv":
         return {"kind": "csv", "path": str(path)}
-    raise SystemExit(f"--input must be a .csv path or a synthetic: spec, got {text!r}")
+    raise UsageError(f"--input must be a .csv path or a synthetic: spec, got {text!r}")
 
 
 def _degree_list(text: str) -> list[float]:
@@ -175,7 +175,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     paths = sorted(glob_mod.glob(args.glob))
     if not paths:
-        raise SystemExit(f"no reports match {args.glob!r}")
+        raise UsageError(f"no reports match {args.glob!r}")
     reports = [data_mod.read_json_object(p, TableError) for p in paths]
     print(evaluation.render_table(reports, args.format), end="")
     return 0

@@ -31,12 +31,13 @@ _HEADER_RULES = {
 
 @dataclass
 class ModelParams:
-    """All trainable state plus the fixed temperature."""
+    """All trainable state, every block a part of one ``arena``, plus the fixed temperature."""
 
     layers: list[tuple[ParamBlock, ParamBlock]]
     prototypes: ParamBlock
     temperature: float
     domain_head: tuple[ParamBlock, ParamBlock]
+    arena: ParamBlock
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
@@ -48,15 +49,11 @@ class ModelParams:
     def classifier_blocks(self) -> list[ParamBlock]:
         return [self.prototypes]
 
-    def domain_blocks(self) -> list[ParamBlock]:
-        return list(self.domain_head)
-
     def all_blocks(self) -> list[ParamBlock]:
-        return self.extractor_blocks() + self.classifier_blocks() + self.domain_blocks()
+        return list(self.arena.parts)
 
     def zero_grads(self) -> None:
-        for block in self.all_blocks():
-            block.zero_grad()
+        self.arena.zero_grad()
 
 
 @dataclass
@@ -92,29 +89,25 @@ def init_model(
     """
     data_mod.require({"temperature": temperature}, "", temperature=data_mod.POSITIVE_REAL)
     rng = np.random.default_rng([seed, 0])
-    layers = []
+    values = {}
     fan_in = input_dim
     for i, width in enumerate(hidden_dims):
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, width))
-        layers.append(
-            (
-                ParamBlock(f"layer{i}.weight", w),
-                ParamBlock(f"layer{i}.bias", np.zeros((1, width))),
-            )
-        )
+        values[f"layer{i}.weight"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, width))
+        values[f"layer{i}.bias"] = np.zeros((1, width))
         fan_in = width
     d = hidden_dims[-1]
     proto = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, num_classes))
-    proto /= np.linalg.norm(proto, axis=0, keepdims=True)
-    domain = (
-        ParamBlock("domain.weight", np.zeros((d, 2))),
-        ParamBlock("domain.bias", np.zeros((1, 2))),
-    )
+    values["prototypes"] = proto / np.linalg.norm(proto, axis=0, keepdims=True)
+    values["domain.weight"] = np.zeros((d, 2))
+    values["domain.bias"] = np.zeros((1, 2))
+    arena = numerics.arena("arena", values)
+    *extractor, prototypes, domain_weight, domain_bias = arena.parts
     return ModelParams(
-        layers=layers,
-        prototypes=ParamBlock("prototypes", proto),
+        layers=list(zip(extractor[::2], extractor[1::2])),
+        prototypes=prototypes,
         temperature=temperature,
-        domain_head=domain,
+        domain_head=(domain_weight, domain_bias),
+        arena=arena,
         input_dim=input_dim,
         hidden_dims=tuple(hidden_dims),
         num_classes=num_classes,

@@ -25,12 +25,14 @@ NORM_EPS = 1e-12
 
 @dataclass
 class ParamBlock:
-    """One trainable tensor with its gradient and momentum buffer."""
+    """One trainable tensor with its gradient and momentum buffer; an arena's
+    ``parts`` are the named blocks whose buffers are views into its own."""
 
     name: str
     value: np.ndarray
     grad: np.ndarray = field(init=False)
     momentum: np.ndarray = field(init=False)
+    parts: list["ParamBlock"] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
@@ -52,6 +54,20 @@ class ParamBlock:
             self.grad += g
         else:
             self.grad += scale * g
+
+
+def arena(name: str, values: Mapping[str, np.ndarray]) -> ParamBlock:
+    """One 1-row block holding ``values`` end to end, in order; each part is
+    named by its key and keeps its shape."""
+    block = ParamBlock(name, np.concatenate([v.reshape(-1) for v in values.values()])[None])
+    stop = 0
+    for part_name, v in values.items():
+        start, stop = stop, stop + v.size
+        part = ParamBlock(part_name, block.value[0, start:stop].reshape(v.shape))
+        part.grad, part.momentum = (a[0, start:stop].reshape(v.shape)
+                                    for a in (block.grad, block.momentum))
+        block.parts.append(part)
+    return block
 
 
 def linear_forward(x: np.ndarray, weights: ParamBlock, bias: ParamBlock) -> np.ndarray:
@@ -157,17 +173,20 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def sgd_momentum_step(
-    blocks: Iterable[ParamBlock], learning_rates: Mapping[str, float], momentum: float
+    blocks: Iterable[ParamBlock], learning_rates: Mapping[str, float | np.ndarray], momentum: float
 ) -> None:
-    """buffer <- momentum * buffer + grad; value <- value - lr * buffer; grads zeroed."""
+    """buffer <- momentum * buffer + grad; value <- value - lr * buffer; grads zeroed.
+    An lr is a number or one per element; lr * buffer is formed in the grad buffer."""
     blocks = list(blocks)
     for block in blocks:
         if not np.isfinite(block.grad).all():
-            raise DivergenceError(f"non-finite gradient in block {block.name!r}")
+            bad = next(b for b in [*block.parts, block] if not np.isfinite(b.grad).all())
+            raise DivergenceError(f"non-finite gradient in block {bad.name!r}")
     for block in blocks:
         block.momentum *= momentum
         block.momentum += block.grad
-        block.value -= learning_rates[block.name] * block.momentum
+        np.multiply(learning_rates[block.name], block.momentum, out=block.grad)
+        block.value -= block.grad
         block.zero_grad()
 
 

@@ -131,13 +131,13 @@ class RunReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
 
 
-def _learning_rates(params: ModelParams, config: TrainConfig) -> dict[str, float]:
-    lrs = {}
-    for block in params.extractor_blocks():
-        lrs[block.name] = config.lr_backbone
-    for block in params.classifier_blocks() + params.domain_blocks():
-        lrs[block.name] = config.lr_head
-    return lrs
+def _learning_rates(params: ModelParams, config: TrainConfig) -> dict[str, np.ndarray]:
+    """The arena's per-element learning rates: lr_backbone on the extractor,
+    lr_head on the prototypes and the domain head."""
+    extractor = {block.name for block in params.extractor_blocks()}
+    return {params.arena.name: np.concatenate([
+        np.full(block.value.size, config.lr_backbone if block.name in extractor else config.lr_head)
+        for block in params.all_blocks()])}
 
 
 def _batch_plan(dataset, config: TrainConfig, stream: int, global_epoch: int, sampler: str):
@@ -201,7 +201,7 @@ def _run_epoch(
         for key, val in losses.items():
             if not np.isfinite(val):
                 raise DivergenceError(f"non-finite {key} ({val}) at epoch {epoch}, step {i}")
-        sgd_momentum_step(params.all_blocks(), lrs, config.momentum)
+        sgd_momentum_step([params.arena], lrs, config.momentum)
         for key, val in values.items():
             sums[key] = sums.get(key, 0.0) + val
         step_log.append({"epoch": epoch, "phase": phase, "step": i, "alpha": alpha, **losses})
@@ -408,15 +408,20 @@ def _variant(config: TrainConfig, name: str, **changes) -> TrainConfig:
 
 
 def degree_configs(config: TrainConfig, degrees: list[float]) -> list[TrainConfig]:
-    """One config per shift degree, each with its own out dir ``degree_{d:g}``."""
+    """One config per shift degree, each with its own out dir ``degree_{d:g}``.
+    Two degrees of one name would fill one table cell ``d={d:g}%``, so they fail."""
     if not isinstance(config.data.get("shift"), dict):
         raise UsageError("sweep requires a data section with a shift block")
-    configs = []
+    configs, names = [], []
     for degree in degrees:
         require({"degree": degree}, "sweep ", degree=_PERCENT)
         data = json.loads(json.dumps(config.data))
         data["shift"]["degree"] = degree
-        configs.append(_variant(config, f"degree_{degree:g}", data=data))
+        names.append(f"degree_{degree:g}")
+        configs.append(_variant(config, names[-1], data=data))
+        if names.count(names[-1]) > 1:
+            run = configs[-1].out_dir or names[-1]
+            raise UsageError(f"sweep repeats degree {degree:g} (run {run})")
     return configs
 
 

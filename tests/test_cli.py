@@ -81,25 +81,25 @@ class TestGenShift:
         assert np.array_equal(written.features, rebuilt.features)
         assert written.class_counts().tolist() == manifest["per_class_counts"]
 
-    def test_input_with_another_suffix(self, tmp_path):
+    def test_input_with_another_suffix(self, tmp_path, capsys):
         (tmp_path / "rows.txt").write_text("x0,label\n0.5,0\n")
-        with pytest.raises(SystemExit, match="--input must be a .csv path or a synthetic: spec"):
-            run_cli("gen-shift", "--input", str(tmp_path / "rows.txt"), "--budget", "10",
-                    "--direction", "ut", "--out", str(tmp_path / "x"))
+        code = run_cli("gen-shift", "--input", str(tmp_path / "rows.txt"), "--budget", "10",
+                       "--direction", "ut", "--out", str(tmp_path / "x"))
+        assert_fails_with(code, capsys, "--input must be a .csv path or a synthetic: spec")
         assert not (tmp_path / "x").exists()
 
-    def test_unknown_synthetic_key(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli("gen-shift", "--input", "synthetic:rotund=3", "--budget", "10",
-                    "--direction", "ut", "--out", str(tmp_path / "x"))
+    def test_unknown_synthetic_key(self, tmp_path, capsys):
+        code = run_cli("gen-shift", "--input", "synthetic:rotund=3", "--budget", "10",
+                       "--direction", "ut", "--out", str(tmp_path / "x"))
+        assert_fails_with(code, capsys, "unknown synthetic key 'rotund'")
 
     @pytest.mark.parametrize("item", ["classes=abc", "classes=2.5", "per_class=1e2", "seed=x",
                                       "noise=loud"])
-    def test_bad_synthetic_value_names_the_key(self, tmp_path, item):
+    def test_bad_synthetic_value_names_the_key(self, tmp_path, capsys, item):
         key = item.partition("=")[0]
-        with pytest.raises(SystemExit, match=f"'{key}'"):
-            run_cli("gen-shift", "--input", f"synthetic:{item}", "--budget", "10",
-                    "--direction", "ut", "--out", str(tmp_path / "x"))
+        code = run_cli("gen-shift", "--input", f"synthetic:{item}", "--budget", "10",
+                       "--direction", "ut", "--out", str(tmp_path / "x"))
+        assert_fails_with(code, capsys, f"'{key}'")
         assert not (tmp_path / "x").exists()
 
 
@@ -236,9 +236,10 @@ class TestReport:
         assert rows[0][0] == "method"
         assert len(rows) == 2
 
-    def test_no_matches(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli("report", "--glob", str(tmp_path / "nothing*"))
+    def test_no_matches(self, tmp_path, capsys):
+        pattern = str(tmp_path / "nothing*")
+        assert_fails_with(run_cli("report", "--glob", pattern), capsys,
+                          re.escape(f"no reports match {pattern!r}"))
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_bad_report_names_the_path(self, tmp_path, capsys, text):
@@ -290,6 +291,16 @@ class TestSweepAndAblate:
                        "--out-dir", str(out))
         assert_fails_with(code, capsys, re.escape(str(out / shared)))
         assert not out.exists()
+
+    @pytest.mark.parametrize("degrees, shown", [("0,0", "0"), ("1e-7,1.0000001e-7", "1e-07")])
+    def test_repeated_degree_without_an_out_dir_fails_before_the_first_run(
+            self, tmp_path, capsys, monkeypatch, degrees, shown):
+        # two runs of one name would be averaged into one table cell
+        calls = []
+        monkeypatch.setattr(trainer, "run_experiment", calls.append)
+        code = run_cli("sweep", "--config", str(tiny_config_doc(tmp_path)), "--degrees", degrees)
+        assert_fails_with(code, capsys, rf"sweep repeats degree {shown} \(run degree_{shown}\)$")
+        assert calls == []
 
     def test_every_run_goes_through_run_experiment(self, tmp_path, monkeypatch):
         # a wrapper bound to the module attribute sees each run of a sweep

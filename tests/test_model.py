@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalign import model as M
-from coalign import objectives
+from coalign import objectives, trainer
 from coalign.errors import CheckpointError, DimensionError, UsageError
 from coalign.numerics import sgd_momentum_step
 
@@ -132,6 +132,65 @@ class TestInitModel:
     def test_bad_temperature_is_named(self, temperature):
         with pytest.raises(UsageError, match="^temperature must be a finite positive number, got "):
             M.init_model(2, (4,), 2, temperature=temperature)
+
+
+def per_block_step(params, config, grads):
+    """The update of each block on its own, as (value, momentum) by name:
+    the reference the one arena update must equal bit for bit."""
+    extractor = {block.name for block in params.extractor_blocks()}
+    expected = {}
+    for block in params.all_blocks():
+        lr = config.lr_backbone if block.name in extractor else config.lr_head
+        momentum = block.momentum * config.momentum + grads[block.name]
+        expected[block.name] = (block.value - lr * momentum, momentum)
+    return expected
+
+
+def arena_step(params, config, grads):
+    for block in params.all_blocks():
+        block.grad[...] = grads[block.name]
+    sgd_momentum_step([params.arena], trainer._learning_rates(params, config), config.momentum)
+
+
+def assert_views_of_the_arena(params):
+    for block in params.all_blocks():
+        for attr in ("value", "grad", "momentum"):
+            assert np.shares_memory(getattr(block, attr), getattr(params.arena, attr)), (
+                block.name, attr)
+
+
+class TestArena:
+    @settings(max_examples=40, deadline=None)
+    @given(input_dim=st.integers(1, 6), hidden=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+           classes=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           lr_backbone=st.floats(0.0, 1.0), lr_head=st.floats(0.0, 1.0),
+           momentum=st.floats(0.0, 0.99), steps=st.integers(1, 4))
+    def test_one_arena_update_is_the_per_block_update(
+            self, input_dim, hidden, classes, seed, lr_backbone, lr_head, momentum, steps):
+        params = M.init_model(input_dim, tuple(hidden), classes, seed=seed)
+        assert_views_of_the_arena(params)
+        config = trainer.TrainConfig(lr_backbone=lr_backbone, lr_head=lr_head, momentum=momentum)
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            grads = {b.name: rng.normal(size=b.value.shape) for b in params.all_blocks()}
+            expected = per_block_step(params, config, grads)
+            arena_step(params, config, grads)
+            for block in params.all_blocks():
+                value, moment = expected[block.name]
+                assert block.value.tobytes() == value.tobytes(), block.name
+                assert block.momentum.tobytes() == moment.tobytes(), block.name
+                assert not block.grad.any(), block.name
+
+        with tempfile.TemporaryDirectory() as tmp:
+            M.save_checkpoint(params, Path(tmp, "model.json"))
+            loaded = M.load_checkpoint(Path(tmp, "model.json"))
+        assert_views_of_the_arena(loaded)
+        params.arena.momentum[...] = 0.0  # a checkpoint holds no momentum
+        grads = {b.name: rng.normal(size=b.value.shape) for b in params.all_blocks()}
+        arena_step(params, config, grads)
+        arena_step(loaded, config, grads)
+        assert loaded.arena.value.tobytes() == params.arena.value.tobytes()
+        assert loaded.arena.momentum.tobytes() == params.arena.momentum.tobytes()
 
 
 class TestCheckpoint:

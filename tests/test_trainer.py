@@ -274,6 +274,23 @@ class TestAdaptEpochDivergence:
             run_epoch(params, (source, poisoned, tgt_hold), cfg, epoch, [])
 
 
+    @pytest.mark.parametrize("name", ["layer0.weight", "layer1.bias", "prototypes", "domain.bias"])
+    def test_nan_gradient_names_its_block(self, name):
+        # the step updates the whole arena, but the error names the part
+        cfg = tiny_twin_config()
+        data = trainer.resolve_datasets(cfg)[0]
+        params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature)
+        poisoned = {block.name: block for block in params.all_blocks()}[name]
+
+        def step(batch):
+            values = trainer._source_step(params, data[0], batch)
+            poisoned.grad.flat[-1] = np.nan
+            return values
+
+        with pytest.raises(DivergenceError, match=f"^non-finite gradient in block '{name}'$"):
+            trainer._run_epoch(params, cfg, 0, step, data, [])
+
+
 class TestCoalEpoch:
     def test_entropy_ablation_records_but_never_backprops(self, monkeypatch):
         cfg = tiny_twin_config("coal", ablations=("disable-entropy-term",))

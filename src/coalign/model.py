@@ -147,7 +147,9 @@ def backward_extractor(
         w, b = params.layers[i]
         g = numerics.relu_backward(g, cache.preacts[i])
         upstream = cache.inputs if i == 0 else cache.acts[i - 1]
-        g = numerics.linear_backward(g, upstream, w, b, scale)
+        numerics.linear_backward(g, upstream, w, b, scale)
+        if i > 0:
+            g = g @ w.value.T
 
 
 def backward_head(

@@ -81,11 +81,11 @@ def linear_forward(x: np.ndarray, weights: ParamBlock, bias: ParamBlock) -> np.n
 
 def linear_backward(
     g: np.ndarray, x: np.ndarray, weights: ParamBlock, bias: ParamBlock, scale: float = 1.0
-) -> np.ndarray:
-    """Accumulate scale * dW, scale * db; return the unscaled input gradient."""
+) -> None:
+    """Accumulate scale * dW, scale * db. A caller that reads the input
+    gradient forms ``g @ weights.value.T`` itself."""
     weights.accumulate(x.T @ g, scale)
     bias.accumulate(g.sum(axis=0, keepdims=True), scale)
-    return g @ weights.value.T
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -93,7 +93,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(g: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    return np.where(pre > 0.0, g, 0.0)
+    """The bits of ``np.where(pre > 0.0, g, 0.0)``, by ANDing g's words with
+    an all-ones or all-zeros mask: no per-element branch on the unit pattern."""
+    mask = (pre > 0.0).astype(np.int64)
+    np.negative(mask, out=mask)
+    np.bitwise_and(mask, g.view(np.int64), out=mask)
+    return mask.view(np.float64)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -73,7 +73,8 @@ def _domain_confusion(
     w, b = params.domain_head
     logits = numerics.linear_forward(embeddings, w, b)
     loss, d_logits = numerics.cross_entropy(numerics.softmax(logits), domains)
-    d_embed = numerics.linear_backward(d_logits, embeddings, w, b)
+    numerics.linear_backward(d_logits, embeddings, w, b)
+    d_embed = d_logits @ w.value.T
     accuracy = float((logits.argmax(axis=1) == domains).mean())
     return loss, d_embed, accuracy
 

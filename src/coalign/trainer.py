@@ -7,6 +7,7 @@ its JSON outputs.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -199,7 +200,7 @@ def _run_epoch(
                   **step(*(plan[i % len(plan)] for plan in plans))}
         losses = {key: val for key, val in values.items() if key in _STEP_LOSSES}
         for key, val in losses.items():
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise DivergenceError(f"non-finite {key} ({val}) at epoch {epoch}, step {i}")
         sgd_momentum_step([params.arena], lrs, config.momentum)
         for key, val in values.items():

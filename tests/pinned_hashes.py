@@ -3,8 +3,11 @@
 The runs are coal (full, each single ablation and both ablations),
 marginal-align and source-only on the pinned twin-Gaussian fixture of
 ``conftest.fixture_config``, at shift degrees 0 and 100 and seed 1, each
-with an ``out_dir`` and pseudo-label dumps. Each checkpoint is then
-evaluated by ``coalign eval`` on its holdout manifest.
+with an ``out_dir`` and pseudo-label dumps, plus a coal and a marginal-align
+run at the benchmark's ``wide`` shapes (64-D inputs, hidden (256, 128), 10
+classes, batch 256) on seeded IDX pools written to the temporary directory.
+Each checkpoint is then evaluated by ``coalign eval`` on its holdout
+manifest.
 
 It prints one ``<sha256>  <name>`` line per artifact.
 ``tests/pinned_hashes.txt`` holds the committed lines; a change is checked
@@ -18,7 +21,8 @@ metrics payloads of these runs are pinned by ``tests/pinned_metrics.json``
 and by the ``metrics.jsonl`` and ``report.json`` hashes here.
 
 ``report.json`` is hashed without its ``timing`` and ``out_dir``, which
-differ between runs, and eval stdout with its output directory replaced.
+differ between runs, eval stdout with its output directory replaced, and
+every artifact with the temporary directory replaced.
 pytest does not collect this file.
 """
 
@@ -30,12 +34,15 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 from conftest import fixture_config
 
 from coalign import cli
-from coalign.trainer import run_experiments
+from coalign import data as D
+from coalign.trainer import TrainConfig, run_experiments
 
 VARIANTS = (
     ("coal", "coal", ()),
@@ -47,18 +54,45 @@ VARIANTS = (
 )
 DEGREES = (0.0, 100.0)
 SEED = 1
+WIDE_CLASSES = 10
 
 
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def wide_recipes(root: Path) -> dict:
+    """Source and target IDX recipes of 8x8 pixels: one random template per
+    class plus Gaussian noise; the target is contrast-reduced and brightened,
+    and both take the label shift at degree 100."""
+    rng = np.random.default_rng([SEED, 64])
+    templates = 0.2 + 0.6 * rng.random((WIDE_CLASSES, 64))
+    recipes = {}
+    for name, per_class, direction, budget in (("source", 600, D.DIRECTION_SOURCE, 2560),
+                                               ("target", 800, D.DIRECTION_TARGET, 3200)):
+        labels = rng.permutation(np.repeat(np.arange(WIDE_CLASSES), per_class))
+        x = templates[labels] + 0.25 * rng.standard_normal((len(labels), 64))
+        if name == "target":
+            x = 0.8 * x + 0.15
+        images, label_file = root / f"{name}-images.idx", root / f"{name}-labels.idx"
+        D.write_idx(D.LabeledDataset(np.clip(x, 0.0, 1.0), labels, WIDE_CLASSES),
+                    images, label_file, 8, 8)
+        recipes[name] = {"kind": "idx", "images": str(images), "labels": str(label_file),
+                         "shift": {"pareto_alpha": 1.0, "direction": direction, "degree": 100.0,
+                                   "budget": budget, "min_per_class": 2, "seed": 17}}
+    return recipes
 
 
 def run_hashes(root: Path) -> list[tuple[str, str]]:
-    runs = {f"{name}/d{degree:g}": (method, degree, ablations)
+    runs = {f"{name}/d{degree:g}": fixture_config(method, SEED, degree, ablations=ablations)
             for name, method, ablations in VARIANTS for degree in DEGREES}
-    run_experiments([fixture_config(method, SEED, degree, ablations=ablations,
-                                    out_dir=str(root / tag), dump_pseudo=True)
-                     for tag, (method, degree, ablations) in runs.items()])
+    recipes = wide_recipes(root)
+    runs.update({f"wide/{method}": TrainConfig(
+        method=method, seed=SEED, epochs=10, pretrain_epochs=5, batch_size=256,
+        hidden_dims=(256, 128), alpha=0.1, grl_lambda=2.0, k_schedule="fast-start",
+        temperature=0.3, data=recipes) for method in ("coal", "marginal-align")})
+    run_experiments([replace(config, out_dir=str(root / tag), dump_pseudo=True)
+                     for tag, config in runs.items()])
+
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data.replace(str(root).encode(), b"<root>")).hexdigest()
+
     lines = []
     for tag in runs:
         out = root / tag

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coalign import numerics
 from coalign.errors import DimensionError, DivergenceError, NormalizationError
@@ -34,6 +37,46 @@ class TestLinearForward:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(1, 3\).*\(2, 2\)"):
             numerics.linear_forward(np.ones((1, 3)), block("w", np.ones((2, 2))), block("b", [[0, 0]]))
+
+
+class TestLinearBackward:
+    def test_accumulates_scaled_gradients_and_returns_none(self):
+        rng = np.random.default_rng(7)
+        x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        w, b = block("w", np.ones((3, 2))), block("b", np.zeros((1, 2)))
+        assert numerics.linear_backward(g, x, w, b) is None
+        assert numerics.linear_backward(g, x, w, b, -0.5) is None
+        assert np.array_equal(w.grad, x.T @ g + -0.5 * (x.T @ g))
+        assert np.array_equal(b.grad, g.sum(axis=0, keepdims=True)
+                              + -0.5 * g.sum(axis=0, keepdims=True))
+        assert np.array_equal(w.value, np.ones((3, 2)))
+
+
+# every float class the select must pass through bit for bit: signed zeros,
+# infinities, NaN and subnormals, mixed with arbitrary floats
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                                  5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+ANY_FLOAT = st.one_of(SPECIAL_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestReluBackward:
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           layout=st.sampled_from(["contiguous", "row slice", "every other row", "transposed"]))
+    def test_bits_match_where_for_every_layout(self, data, rows, cols, layout):
+        pre = data.draw(arrays(np.float64, (rows, cols), elements=ANY_FLOAT))
+        if layout == "transposed":
+            g = data.draw(arrays(np.float64, (cols, rows), elements=ANY_FLOAT)).T
+        else:
+            extra = data.draw(arrays(np.float64, (2 * rows + 1, cols), elements=ANY_FLOAT))
+            # the leading rows of a stacked gradient, as d_embed[:n] is passed
+            g = {"contiguous": extra[:rows].copy(), "row slice": extra[:rows],
+                 "every other row": extra[::2][:rows]}[layout]
+        before = g.tobytes()
+        got = numerics.relu_backward(g, pre)
+        want = np.where(pre > 0.0, g, 0.0)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert g.tobytes() == before
 
 
 class TestNormalizeRows:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coalign import model as M
-from coalign import objectives
+from coalign import numerics, objectives
 from coalign.errors import UsageError
 from coalign.numerics import mean_entropy, sgd_momentum_step
 
@@ -329,3 +329,79 @@ class TestStackedSteps:
         with pytest.raises(UsageError):
             objectives.marginal_align_objective(params, empty_x, empty_y, tgt)
 
+
+
+def _reference_linear_backward(g, x, weights, bias):
+    """The full chain rule of one linear layer: accumulate dW and db, then
+    form the input gradient whether or not it is read."""
+    weights.accumulate(x.T @ g)
+    bias.accumulate(g.sum(axis=0, keepdims=True))
+    return g @ weights.value.T
+
+
+def _reference_head(params, cache, d_logits, feature_d_logits, d_embed_extra=None):
+    """backward_head written out with np.where for every ReLU and the input
+    gradient formed at every layer, the first included."""
+    t = params.temperature
+    params.prototypes.accumulate(cache.normalized.T @ d_logits / t)
+    d_norm = feature_d_logits @ params.prototypes.value.T / t
+    g = numerics.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
+    if d_embed_extra is not None:
+        g += d_embed_extra
+    for i in reversed(range(len(params.layers))):
+        g = np.where(cache.preacts[i] > 0.0, g, 0.0)
+        upstream = cache.inputs if i == 0 else cache.acts[i - 1]
+        g = _reference_linear_backward(g, upstream, *params.layers[i])
+
+
+class TestWideShapeIdentity:
+    """One step at the benchmark's wide shapes (64-D inputs, hidden
+    (256, 128), 10 classes, 256 + 256 rows) leaves the arena gradient
+    byte-identical to the written-out reference chain. About half of the
+    ReLU units are active, in random order."""
+
+    N = 256
+
+    def setup_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        params = M.init_model(64, (256, 128), 10, temperature=0.3, seed=seed)
+        params.domain_head[0].value[...] = rng.normal(size=(128, 2))
+        params.domain_head[1].value[...] = rng.normal(size=(1, 2))
+        src_x, tgt_x = rng.random((self.N, 64)), 0.8 * rng.random((self.N, 64)) + 0.15
+        return params, rng, src_x, rng.integers(0, 10, self.N), tgt_x
+
+    def test_coal_step(self):
+        params, rng, src_x, src_y, tgt_x = self.setup_batch(21)
+        pseudo, weights, alpha = rng.integers(0, 10, self.N), rng.random(self.N) < 0.5, 0.1
+        objectives.coal_objective(params, src_x, src_y, tgt_x, pseudo, weights, alpha)
+        got = params.arena.grad.tobytes()
+        params.zero_grads()
+
+        cache = M.forward_full(params, np.vstack([src_x, tgt_x]))
+        assert 0.3 < np.mean(cache.preacts[0] > 0.0) < 0.7
+        _, d_src = numerics.cross_entropy(cache.probs[:self.N], src_y)
+        _, d_pseudo = numerics.cross_entropy(cache.probs[self.N:], pseudo, weights)
+        _, d_ent = numerics.mean_entropy(cache.probs[self.N:])
+        _reference_head(params, cache, np.vstack([d_src, d_pseudo - alpha * d_ent]),
+                        np.vstack([d_src, d_pseudo + alpha * d_ent]))
+        assert got == params.arena.grad.tobytes()
+
+    def test_marginal_align_step(self):
+        params, rng, src_x, src_y, tgt_x = self.setup_batch(22)
+        lam = 2.0
+        objectives.marginal_align_objective(params, src_x, src_y, tgt_x, grl_lambda=lam)
+        got = params.arena.grad.tobytes()
+        params.zero_grads()
+
+        cache = M.forward_full(params, np.vstack([src_x, tgt_x]))
+        _, d_src = numerics.cross_entropy(cache.probs[:self.N], src_y)
+        d_logits = np.zeros_like(cache.logits)
+        d_logits[:self.N] = d_src
+        domains = np.repeat([0, 1], self.N)
+        w, b = params.domain_head
+        logits = numerics.linear_forward(cache.embeddings, w, b)
+        _, d_dom = numerics.cross_entropy(numerics.softmax(logits), domains)
+        d_embed = _reference_linear_backward(d_dom, cache.embeddings, w, b)
+        assert np.abs(d_embed).max() > 0.0
+        _reference_head(params, cache, d_logits, d_logits, -lam * d_embed)
+        assert got == params.arena.grad.tobytes()

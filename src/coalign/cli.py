@@ -16,49 +16,6 @@ from . import evaluation, model as model_mod, trainer
 from .errors import CoalignError, ConsistencyError, TableError, UsageError
 
 
-def _parse_synthetic(spec: str) -> dict:
-    """synthetic:key=value,... generator spec for gen-shift.
-
-    Keys: classes, per_class, noise, rotation, tx, ty, radius, seed, domain.
-    """
-    params = {"classes": 4, "per_class": 500, "noise": 0.6, "rotation": 0.0,
-              "tx": 0.0, "ty": 0.0, "radius": 2.0, "seed": 0, "domain": "source"}
-    body = spec[len("synthetic:"):]
-    for item in filter(None, body.split(",")):
-        key, _, value = item.partition("=")
-        if key not in params:
-            raise UsageError(f"unknown synthetic key {key!r} (have {sorted(params)})")
-        # the type of each key's default is the type its value must parse as
-        parse = type(params[key])
-        try:
-            params[key] = parse(value)
-        except ValueError:
-            kind = "an integer" if parse is int else "a number"
-            raise UsageError(f"synthetic key {key!r} must be {kind}, got {value!r}") from None
-    return {
-        "kind": "twin-gaussians",
-        "domain": params["domain"],
-        "generator": {
-            "num_classes": params["classes"],
-            "per_class": params["per_class"],
-            "noise": params["noise"],
-            "rotation_deg": params["rotation"],
-            "translation": [params["tx"], params["ty"]],
-            "radius": params["radius"],
-            "seed": params["seed"],
-        },
-    }
-
-
-def _input_recipe(text: str) -> dict:
-    if text.startswith("synthetic:"):
-        return _parse_synthetic(text)
-    path = Path(text)
-    if path.suffix == ".csv":
-        return {"kind": "csv", "path": str(path)}
-    raise UsageError(f"--input must be a .csv path or a synthetic: spec, got {text!r}")
-
-
 def _degree_list(text: str) -> list[float]:
     """The --degrees value: comma-separated shift degrees in percent."""
     try:
@@ -68,16 +25,10 @@ def _degree_list(text: str) -> list[float]:
 
 
 def cmd_gen_shift(args: argparse.Namespace) -> int:
-    recipe = _input_recipe(args.input)
-    recipe["shift"] = {
-        "pareto_alpha": args.alpha,
-        "direction": data_mod.DIRECTION_SOURCE if args.direction == "rs" else data_mod.DIRECTION_TARGET,
-        "degree": args.degree,
-        "budget": args.budget,
-        "min_per_class": args.min_per_class,
-        "seed": args.seed,
-    }
+    recipe = data_mod.read_json_object(args.recipe, UsageError)
     dataset = data_mod.materialize_dataset(recipe)
+    # the manifest's seed is the shift's seed, the one materialize_dataset draws with
+    seed = (recipe.get("shift") or {}).get("seed", 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "data.csv", "w") as fh:
@@ -85,7 +36,7 @@ def cmd_gen_shift(args: argparse.Namespace) -> int:
         fh.write(",".join(cols + ["label"]) + "\n")
         for row, label in zip(dataset.features, dataset.labels):
             fh.write(",".join(f"{v:.17g}" for v in row) + f",{label}\n")
-    data_mod.write_manifest(dataset, out / "manifest.json", recipe, args.seed)
+    data_mod.write_manifest(dataset, out / "manifest.json", recipe, seed)
     print(f"wrote {len(dataset)} samples to {out}/data.csv")
     print(f"per-class counts: {dataset.class_counts().tolist()}")
     return 0
@@ -151,10 +102,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cm = evaluation.confusion_matrix(dataset.labels, predicted, dataset.num_classes)
     per_class = evaluation.per_class_mean_accuracy(cm)
     overall = evaluation.overall_accuracy(cm)
-    predicted_dist = evaluation.label_distribution(
-        np.bincount(predicted, minlength=dataset.num_classes)
-    )
-    true_dist = evaluation.label_distribution(dataset.class_counts())
+    predicted_dist = evaluation.label_distribution(cm.sum(axis=0))
+    true_dist = evaluation.label_distribution(cm.sum(axis=1))
     comparison = evaluation.compare_distributions(predicted_dist, true_dist)
     print(f"per-class mean accuracy: {per_class:.4f}")
     print(f"overall accuracy:        {overall:.4f}")
@@ -186,14 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-shift", help="generate a label-shifted split")
-    p.add_argument("--input", required=True, help="csv path or synthetic:k=v,... spec")
-    p.add_argument("--alpha", type=float, default=1.0, help="Pareto shape")
-    p.add_argument("--degree", type=float, default=100.0, help="shift degree in percent")
-    p.add_argument("--budget", type=int, required=True, help="total sample count")
-    p.add_argument("--direction", choices=["rs", "ut"], required=True,
-                   help="rs = reversed source ranking, ut = target ranking")
-    p.add_argument("--min-per-class", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--recipe", required=True,
+                   help="dataset recipe JSON, as in a config's data.source or a manifest's recipe")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_shift)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as model_mod
-from .errors import EstimationError
+from .errors import EstimationError, UsageError
 from .model import ModelParams
 
 
@@ -46,7 +46,7 @@ class PseudoLabelSet:
 
 def advance_k(schedule: KSchedule, epoch: int) -> float:
     if epoch < 0:
-        raise ValueError(f"epoch must be nonnegative, got {epoch}")
+        raise UsageError(f"epoch must be nonnegative, got {epoch}")
     return min(schedule.k0 + epoch * schedule.k_step, schedule.k_max)
 
 
@@ -67,7 +67,7 @@ def select_top_k_per_class(
     nonempty pseudo-class keeps at least one sample whenever k > 0.
     """
     if not 0 <= k <= 100:
-        raise ValueError(f"k must be within [0, 100], got {k}")
+        raise UsageError(f"k must be within [0, 100], got {k}")
     labels = np.asarray(labels, dtype=np.int64)
     confidence = np.asarray(confidence, dtype=np.float64)
     mask = np.zeros(len(labels), dtype=np.int64)

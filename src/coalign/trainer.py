@@ -65,10 +65,16 @@ class TrainConfig:
     dump_pseudo: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise UsageError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.sampler not in ("balanced", "natural"):
-            raise UsageError(f"sampler must be balanced or natural, got {self.sampler!r}")
+        require(vars(self), "", method=(lambda v: v in METHODS, f"be one of {METHODS}"),
+                sampler=(lambda v: v in ("balanced", "natural"), "be balanced or natural"),
+                seed=NONNEGATIVE_INT, batch_size=POSITIVE_INT,
+                epochs=NONNEGATIVE_INT, pretrain_epochs=NONNEGATIVE_INT, lr_head=NONNEGATIVE_REAL,
+                lr_backbone=NONNEGATIVE_REAL, alpha=NONNEGATIVE_REAL, grl_lambda=NONNEGATIVE_REAL,
+                momentum=(lambda v: NONNEGATIVE_REAL[0](v) and v < 1, "lie in [0, 1)"),
+                temperature=POSITIVE_REAL, holdout_fraction=FRACTION, hidden_dims=WIDTHS,
+                ablations=(lambda v: isinstance(v, (list, tuple)), "be a list of flags"),
+                dump_pseudo=(lambda v: isinstance(v, bool), "be true or false"),
+                data=MAPPING, out_dir=OPTIONAL_STR, task=OPTIONAL_STR)
         ks = self.k_schedule
         if isinstance(ks, str):
             if ks not in K_SCHEDULE_PRESETS:
@@ -80,14 +86,6 @@ class TrainConfig:
             ks = vars(ks)
         require(ks, "k_schedule ", known=_K_SCHEDULE_RULES, **_K_SCHEDULE_RULES)
         self.k_schedule = KSchedule(**ks)
-        require(vars(self), "", seed=NONNEGATIVE_INT, batch_size=POSITIVE_INT,
-                epochs=NONNEGATIVE_INT, pretrain_epochs=NONNEGATIVE_INT, lr_head=NONNEGATIVE_REAL,
-                lr_backbone=NONNEGATIVE_REAL, alpha=NONNEGATIVE_REAL, grl_lambda=NONNEGATIVE_REAL,
-                momentum=(lambda v: NONNEGATIVE_REAL[0](v) and v < 1, "lie in [0, 1)"),
-                temperature=POSITIVE_REAL, holdout_fraction=FRACTION, hidden_dims=WIDTHS,
-                ablations=(lambda v: isinstance(v, (list, tuple)), "be a list of flags"),
-                dump_pseudo=(lambda v: isinstance(v, bool), "be true or false"),
-                data=MAPPING, out_dir=OPTIONAL_STR, task=OPTIONAL_STR)
         self.hidden_dims = tuple(self.hidden_dims)
         for flag in self.ablations:
             if flag not in ABLATION_FLAGS:

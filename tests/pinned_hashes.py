@@ -7,7 +7,7 @@ with an ``out_dir`` and pseudo-label dumps, plus a coal and a marginal-align
 run at the benchmark's ``wide`` shapes (64-D inputs, hidden (256, 128), 10
 classes, batch 256) on seeded IDX pools written to the temporary directory.
 Each checkpoint is then evaluated by ``coalign eval`` on its holdout
-manifest.
+manifest, and ``coalign gen-shift`` writes one split of ``GEN_SHIFT_RECIPE``.
 
 It prints one ``<sha256>  <name>`` line per artifact.
 ``tests/pinned_hashes.txt`` holds the committed lines; a change is checked
@@ -55,6 +55,14 @@ VARIANTS = (
 DEGREES = (0.0, 100.0)
 SEED = 1
 WIDE_CLASSES = 10
+# a two-class twin-Gaussian source at shift degree 100 with a 100-sample budget
+GEN_SHIFT_RECIPE = {
+    "kind": "twin-gaussians", "domain": "source",
+    "generator": {"num_classes": 2, "per_class": 200, "noise": 0.4, "rotation_deg": 0.0,
+                  "translation": [0.0, 0.0], "radius": 2.0, "seed": 3},
+    "shift": {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": 100.0,
+              "budget": 100, "min_per_class": 2, "seed": 5},
+}
 
 
 def wide_recipes(root: Path) -> dict:
@@ -113,6 +121,13 @@ def run_hashes(root: Path) -> list[tuple[str, str]]:
         lines.append((f"{tag}/eval/stdout", sha256(text.encode())))
         for path in sorted(eval_dir.iterdir()):
             lines.append((f"{tag}/eval/{path.name}", sha256(path.read_bytes())))
+
+    recipe, split = root / "gen-shift-recipe.json", root / "gen-shift"
+    recipe.write_text(json.dumps(GEN_SHIFT_RECIPE))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["gen-shift", "--recipe", str(recipe), "--out", str(split)])
+    for name in ("data.csv", "manifest.json"):
+        lines.append((f"gen-shift/{name}", sha256((split / name).read_bytes())))
     return lines
 
 

@@ -44,63 +44,93 @@ def tiny_config_doc(tmp_path, method="coal", **overrides):
     return path
 
 
+def twin_recipe(direction=D.DIRECTION_TARGET, **generator):
+    """The two-class twin-Gaussian source at shift degree 100."""
+    return {"kind": "twin-gaussians", "domain": "source",
+            "generator": {"num_classes": 2, "per_class": 200, "noise": 0.4,
+                          "rotation_deg": 0.0, "translation": [0.0, 0.0], "radius": 2.0,
+                          "seed": 3, **generator},
+            "shift": {"pareto_alpha": 1.0, "direction": direction, "degree": 100.0,
+                      "budget": 100, "min_per_class": 2, "seed": 5}}
+
+
+def gen_shift(tmp_path, recipe, out="split"):
+    """Run gen-shift on ``recipe`` written to a file; the exit code."""
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    return run_cli("gen-shift", "--recipe", str(path), "--out", str(tmp_path / out))
+
+
+def check_file_recipe(tmp_path, recipe):
+    """gen-shift on a file recipe at degree 100 writes the rows and the
+    manifest that its recipe regenerates."""
+    recipe = dict(recipe, shift={"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET,
+                                 "degree": 100.0, "budget": 60, "min_per_class": 2, "seed": 5})
+    assert gen_shift(tmp_path, recipe) == 0
+    out = tmp_path / "split"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["recipe"] == recipe
+    rebuilt = D.materialize_dataset(manifest["recipe"])
+    assert D.dataset_fingerprint(rebuilt) == manifest["sha256"]
+    written = D.load_csv(out / "data.csv")
+    assert np.array_equal(written.features, rebuilt.features)
+    assert written.class_counts().tolist() == manifest["per_class_counts"]
+    assert manifest["total"] == 60
+
+
 class TestGenShift:
     def test_synthetic_two_class_counts(self, tmp_path, capsys):
-        out = tmp_path / "split"
-        code = run_cli(
-            "gen-shift", "--input", "synthetic:classes=2,per_class=200,noise=0.4,seed=3",
-            "--alpha", "1.0", "--degree", "100", "--budget", "100",
-            "--direction", "ut", "--seed", "5", "--out", str(out))
-        assert code == 0
+        assert gen_shift(tmp_path, twin_recipe()) == 0
         assert "per-class counts: [80, 20]" in capsys.readouterr().out
+        out = tmp_path / "split"
         dataset = D.load_csv(out / "data.csv")
         assert dataset.class_counts().tolist() == [80, 20]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["per_class_counts"] == [80, 20]
+        assert manifest["seed"] == 5
         # the recipe in the manifest regenerates the exact same split
         rebuilt = D.materialize_dataset(manifest["recipe"])
         assert np.allclose(rebuilt.features, dataset.features)
 
-    def test_rs_direction_reverses(self, tmp_path):
-        out = tmp_path / "split"
-        run_cli("gen-shift", "--input", "synthetic:classes=2,per_class=200,seed=3",
-                "--degree", "100", "--budget", "100", "--direction", "rs",
-                "--seed", "5", "--out", str(out))
-        manifest = json.loads((out / "manifest.json").read_text())
+    def test_source_reversed_direction_reverses(self, tmp_path):
+        assert gen_shift(tmp_path, twin_recipe(D.DIRECTION_SOURCE)) == 0
+        manifest = json.loads((tmp_path / "split" / "manifest.json").read_text())
         assert manifest["per_class_counts"] == [20, 80]
 
     def test_csv_input(self, tmp_path, file_recipes):
-        out = tmp_path / "split"
-        run_cli("gen-shift", "--input", file_recipes["csv"]["path"], "--degree", "100",
-                "--budget", "60", "--direction", "ut", "--seed", "5", "--out", str(out))
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["recipe"]["kind"] == "csv"
-        rebuilt = D.materialize_dataset(manifest["recipe"])
-        assert D.dataset_fingerprint(rebuilt) == manifest["sha256"]
-        written = D.load_csv(out / "data.csv")
-        assert np.array_equal(written.features, rebuilt.features)
-        assert written.class_counts().tolist() == manifest["per_class_counts"]
+        check_file_recipe(tmp_path, file_recipes["csv"])
 
-    def test_input_with_another_suffix(self, tmp_path, capsys):
-        (tmp_path / "rows.txt").write_text("x0,label\n0.5,0\n")
-        code = run_cli("gen-shift", "--input", str(tmp_path / "rows.txt"), "--budget", "10",
-                       "--direction", "ut", "--out", str(tmp_path / "x"))
-        assert_fails_with(code, capsys, "--input must be a .csv path or a synthetic: spec")
-        assert not (tmp_path / "x").exists()
+    def test_idx_input(self, tmp_path, file_recipes):
+        check_file_recipe(tmp_path, file_recipes["idx"])
 
-    def test_unknown_synthetic_key(self, tmp_path, capsys):
-        code = run_cli("gen-shift", "--input", "synthetic:rotund=3", "--budget", "10",
-                       "--direction", "ut", "--out", str(tmp_path / "x"))
-        assert_fails_with(code, capsys, "unknown synthetic key 'rotund'")
+    def test_manifest_recipe_is_a_gen_shift_input(self, tmp_path):
+        assert gen_shift(tmp_path, twin_recipe(), out="a") == 0
+        first = tmp_path / "a"
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert gen_shift(tmp_path, manifest["recipe"], out="b") == 0
+        for name in ("data.csv", "manifest.json"):
+            assert (tmp_path / "b" / name).read_bytes() == (first / name).read_bytes()
 
-    @pytest.mark.parametrize("item", ["classes=abc", "classes=2.5", "per_class=1e2", "seed=x",
-                                      "noise=loud"])
-    def test_bad_synthetic_value_names_the_key(self, tmp_path, capsys, item):
-        key = item.partition("=")[0]
-        code = run_cli("gen-shift", "--input", f"synthetic:{item}", "--budget", "10",
-                       "--direction", "ut", "--out", str(tmp_path / "x"))
-        assert_fails_with(code, capsys, f"'{key}'")
-        assert not (tmp_path / "x").exists()
+    def test_null_shift_writes_the_unshifted_set(self, tmp_path):
+        recipe = dict(twin_recipe(per_class=30), shift=None)
+        assert gen_shift(tmp_path, recipe) == 0
+        manifest = json.loads((tmp_path / "split" / "manifest.json").read_text())
+        assert manifest["per_class_counts"] == [30, 30]
+        assert manifest["seed"] == 0
+        assert manifest["recipe"]["shift"] is None
+
+    def test_bad_generator_field_names_it(self, tmp_path, capsys):
+        code = gen_shift(tmp_path, twin_recipe(num_classes=2.5))
+        assert_fails_with(code, capsys, "generator num_classes must be a positive integer")
+        assert not (tmp_path / "split").exists()
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_recipe_file_that_is_not_an_object_names_the_path(self, tmp_path, capsys, text):
+        path = tmp_path / "broken_recipe.json"
+        path.write_text(text)
+        code = run_cli("gen-shift", "--recipe", str(path), "--out", str(tmp_path / "split"))
+        assert_fails_with(code, capsys, "broken_recipe.json")
+        assert not (tmp_path / "split").exists()
 
 
 class TestTrain:
@@ -206,8 +236,8 @@ class TestEval:
         run_dir = tmp_path / "run"
         run_cli("train", "--config", str(config), "--out-dir", str(run_dir))
         split = tmp_path / "split"
-        run_cli("gen-shift", "--input", f"synthetic:classes={data_classes},per_class=50,seed=3",
-                "--degree", "0", "--budget", "60", "--direction", "ut", "--out", str(split))
+        gen_shift(tmp_path, {"kind": "twin-gaussians", "domain": "source", "generator": {
+            "num_classes": data_classes, "per_class": 50, "noise": 0.6, "seed": 3}})
         code = run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                        "--data", str(split / "manifest.json"), "--out-dir", str(tmp_path / "eval"))
         assert_fails_with(code, capsys, f"predicts {model_classes} classes but .* holds {data_classes}")

@@ -28,7 +28,7 @@ from coalign.numerics import (
     linear_forward,
     sgd_momentum_step,
 )
-from coalign.trainer import TrainConfig
+from coalign.trainer import METHODS, TrainConfig
 
 
 class TestParetoProportions:
@@ -513,6 +513,8 @@ CONFIG_RULES = {
     "momentum": (lambda v: D.NONNEGATIVE_REAL[0](v) and v < 1, ""),
     "ablations": (lambda v: isinstance(v, (list, tuple)), ""),
     "dump_pseudo": (lambda v: isinstance(v, bool), ""),
+    "method": (lambda v: v in METHODS, ""),
+    "sampler": (lambda v: v in ("balanced", "natural"), ""),
 }
 PERCENT = (lambda v: D.REAL[0](v) and 0 <= v <= 100, "")
 K_SCHEDULE_RULES = {"k0": PERCENT, "k_step": D.NONNEGATIVE_REAL, "k_max": PERCENT}

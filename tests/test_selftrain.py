@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coalign import model as M
 from coalign import selftrain
-from coalign.errors import EstimationError
+from coalign.errors import EstimationError, UsageError
 from coalign.selftrain import K_SCHEDULE_PRESETS, KSchedule
 from test_acceptance import brute_force_select
 
@@ -66,6 +66,11 @@ class TestSelectTopKPerClass:
         rng = np.random.default_rng(2)
         out = selftrain.select_top_k_per_class(rng.integers(0, 3, 20), rng.random(20), 100.0, 3)
         assert out.mask.sum() == 20
+
+    @pytest.mark.parametrize("k", [-1, 100.5])
+    def test_k_outside_0_100_raises(self, k):
+        with pytest.raises(UsageError, match=rf"k must be within \[0, 100\], got {k}$"):
+            selftrain.select_top_k_per_class(np.array([0, 1]), np.array([0.9, 0.8]), k, 2)
 
     def test_matches_oracle_with_ties(self):
         rng = np.random.default_rng(3)
@@ -179,7 +184,7 @@ class TestKSchedule:
         assert all(b >= a for a, b in zip(ks, ks[1:]))
 
     def test_negative_epoch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="epoch must be nonnegative, got -1"):
             selftrain.advance_k(KSchedule(), -1)
 
 

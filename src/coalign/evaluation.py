@@ -22,6 +22,10 @@ def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, num_classes
     predicted = np.asarray(predicted, dtype=np.int64)
     if true_labels.shape != predicted.shape:
         raise UsageError(f"{true_labels.shape} true labels vs {predicted.shape} predictions")
+    for side, labels in (("true", true_labels), ("predicted", predicted)):
+        bad = labels[(labels < 0) | (labels >= num_classes)]
+        if bad.size:
+            raise UsageError(f"{side} label {bad[0]} out of range for {num_classes} classes")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (true_labels, predicted), 1)
     return counts

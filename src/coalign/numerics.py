@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, NormalizationError
+from .errors import DimensionError, DivergenceError, NormalizationError, UsageError
 
 # normalize_rows divides rows whose norm is at most NORM_EPS by it instead
 NORM_EPS = 1e-12
@@ -138,7 +138,7 @@ def cross_entropy(
         raise DimensionError(f"{labels.shape[0]} labels for {probs.shape[0]} logit rows")
     if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
         bad = labels[(labels < 0) | (labels >= probs.shape[1])][0]
-        raise IndexError(f"label {bad} out of range for {probs.shape[1]} classes")
+        raise UsageError(f"label {bad} out of range for {probs.shape[1]} classes")
     if weights is None:
         weights = np.ones(probs.shape[0], dtype=np.float64)
     else:

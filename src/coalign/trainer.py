@@ -314,8 +314,11 @@ def resolve_datasets(config: TrainConfig) -> tuple[tuple, dict[str, dict]]:
         raise UsageError("config data section needs either twin_gaussians or source/target recipes")
     source = data_mod.materialize_dataset(src_recipe)
     target = data_mod.materialize_dataset(tgt_recipe)
-    if source.num_classes != target.num_classes or source.features.shape[1] != target.features.shape[1]:
-        raise UsageError("source and target datasets disagree on classes or feature dimension")
+    sides = [(d.num_classes, d.features.shape[1]) for d in (source, target)]
+    if sides[0] != sides[1]:
+        raise UsageError("source and target datasets disagree on classes or feature dimension: "
+                         + ", ".join(f"{name} has {c} classes and {f} features"
+                                     for name, (c, f) in zip(("source", "target"), sides)))
     split = {"holdout_fraction": config.holdout_fraction, "seed": [config.seed, _STREAM_HOLDOUT]}
     recipes = {"source": src_recipe, **{
         f"target_{part}": {**tgt_recipe, "split": {**split, "part": part}}

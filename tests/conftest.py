@@ -7,6 +7,8 @@ is deterministic: a repeated run gives byte-identical metrics.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,14 +134,19 @@ def file_recipes(tmp_path):
                     "labels": str(tmp_path / "labels.idx")}}
 
 
-def benchmark_runs() -> dict:
+def benchmark_runs(out_dirs: dict | None = None) -> dict:
     """All fixture runs used by the directional criteria, keyed by
-    (method, degree, seed); ablation variants keyed by (flag, 100.0, seed)."""
+    (method, degree, seed); ablation variants keyed by (flag, 100.0, seed).
+    A run whose key ``out_dirs`` holds writes its artifacts and pseudo-label
+    dumps to that directory."""
     configs = {(method, degree, seed): fixture_config(method, seed, degree)
                for method in ("source-only", "coal", "marginal-align")
                for degree in (0.0, 100.0) for seed in FIXTURE_SEEDS}
     configs.update({(flag, 100.0, seed): fixture_config("coal", seed, 100.0, ablations=(flag,))
                     for flag in ABLATION_FLAGS for seed in FIXTURE_SEEDS})
+    for key, out_dir in (out_dirs or {}).items():
+        if key in configs:
+            configs[key] = replace(configs[key], out_dir=out_dir, dump_pseudo=True)
     return dict(zip(configs, run_experiments(list(configs.values()))))
 
 
@@ -151,8 +158,17 @@ def sampler_runs() -> dict:
 
 
 @pytest.fixture(scope="session")
-def benchmark_grid():
-    return benchmark_runs()
+def pinned_root(tmp_path_factory):
+    """Where the session's pinned runs write the artifacts the ledger hashes."""
+    return tmp_path_factory.mktemp("pinned")
+
+
+@pytest.fixture(scope="session")
+def benchmark_grid(pinned_root):
+    # imported here: the benchmark loads this file with only src/ on sys.path
+    from pinned_hashes import grid_out_dirs
+
+    return benchmark_runs(grid_out_dirs(pinned_root))
 
 
 @pytest.fixture(scope="session")

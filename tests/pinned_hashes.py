@@ -1,28 +1,31 @@
-"""Print a name and a sha256 for every artifact of the pinned-fixture runs.
+"""Print ``tests/pinned_hashes.txt``, the output ledger of the pinned runs.
 
-The runs are coal (full, each single ablation and both ablations),
-marginal-align and source-only on the pinned twin-Gaussian fixture of
-``conftest.fixture_config``, at shift degrees 0 and 100 and seed 1, each
-with an ``out_dir`` and pseudo-label dumps, plus a coal and a marginal-align
-run at the benchmark's ``wide`` shapes (64-D inputs, hidden (256, 128), 10
-classes, batch 256) on seeded IDX pools written to the temporary directory.
-Each checkpoint is then evaluated by ``coalign eval`` on its holdout
-manifest, and ``coalign gen-shift`` writes one split of ``GEN_SHIFT_RECIPE``.
+Its first line names the numpy and BLAS builds the hashes hold for. Then
+come ``<sha256>  <name>`` lines:
 
-It prints one ``<sha256>  <name>`` line per artifact.
-``tests/pinned_hashes.txt`` holds the committed lines; a change is checked
-against them, and a change that moves an artifact on purpose rewrites them:
+- ``metrics/<key>``: the ``metrics_payload()`` of every session-fixture run
+  (``conftest.benchmark_runs`` and ``sampler_runs``, 30 runs), keyed like
+  ``coal/d100/s1``, ``disable-pseudo-term/d100/s2`` or ``natural/s3``;
+- every artifact of coal (full, each single ablation and both ablations),
+  marginal-align and source-only on the pinned twin-Gaussian fixture of
+  ``conftest.fixture_config`` at shift degrees 0 and 100 and seed 1, each
+  with an ``out_dir`` and pseudo-label dumps, plus a coal and a
+  marginal-align run at the benchmark's ``wide`` shapes (64-D inputs, hidden
+  (256, 128), 10 classes, batch 256) on seeded IDX pools written under the
+  output root. Each checkpoint is then evaluated by ``coalign eval`` on its
+  holdout manifest, and ``coalign gen-shift`` writes one split of
+  ``GEN_SHIFT_RECIPE``.
 
-    PYTHONPATH=src python tests/pinned_hashes.py | diff tests/pinned_hashes.txt -
+Eight of the artifact runs are seed-1 runs of ``benchmark_runs``, which
+writes them into ``grid_out_dirs(root)``; only the other six run here. A
+tier-1 test builds the same lines from the session fixtures and compares
+them with the file. A change that moves an output on purpose rewrites it:
+
     PYTHONPATH=src python tests/pinned_hashes.py > tests/pinned_hashes.txt
-
-The hashes hold for the numpy and BLAS builds they were written with. The
-metrics payloads of these runs are pinned by ``tests/pinned_metrics.json``
-and by the ``metrics.jsonl`` and ``report.json`` hashes here.
 
 ``report.json`` is hashed without its ``timing`` and ``out_dir``, which
 differ between runs, eval stdout with its output directory replaced, and
-every artifact with the temporary directory replaced.
+every artifact with the output root replaced.
 pytest does not collect this file.
 """
 
@@ -38,12 +41,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from conftest import fixture_config
+from conftest import benchmark_runs, fixture_config, sampler_runs
 
 from coalign import cli
 from coalign import data as D
 from coalign.trainer import TrainConfig, run_experiments
 
+LEDGER = Path(__file__).with_name("pinned_hashes.txt")
 VARIANTS = (
     ("coal", "coal", ()),
     ("coal-disable-pseudo-term", "coal", ("disable-pseudo-term",)),
@@ -63,6 +67,11 @@ GEN_SHIFT_RECIPE = {
     "shift": {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": 100.0,
               "budget": 100, "min_per_class": 2, "seed": 5},
 }
+
+
+def versions() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
 
 
 def wide_recipes(root: Path) -> dict:
@@ -87,7 +96,21 @@ def wide_recipes(root: Path) -> dict:
     return recipes
 
 
-def run_hashes(root: Path) -> list[tuple[str, str]]:
+def grid_out_dirs(root: Path) -> dict:
+    """Each fixture run's directory under ``root``, keyed as in
+    ``benchmark_runs``, which writes the runs it holds."""
+    return {(ablations[0] if ablations else method, degree, SEED): str(root / f"{name}/d{degree:g}")
+            for name, method, ablations in VARIANTS if len(ablations) < 2 for degree in DEGREES}
+
+
+def ledger_lines(root: Path, benchmark: dict, sampler: dict) -> list[str]:
+    """The ledger's lines; ``benchmark`` is ``benchmark_runs(grid_out_dirs(root))``."""
+    keyed = {f"{name}/d{degree:g}/s{seed}": report
+             for (name, degree, seed), report in benchmark.items()}
+    keyed.update({f"{name}/s{seed}": report for (name, seed), report in sampler.items()})
+    lines = [(f"metrics/{key}", hashlib.sha256(report.metrics_payload().encode()).hexdigest())
+             for key, report in sorted(keyed.items())]
+
     runs = {f"{name}/d{degree:g}": fixture_config(method, SEED, degree, ablations=ablations)
             for name, method, ablations in VARIANTS for degree in DEGREES}
     recipes = wide_recipes(root)
@@ -95,13 +118,13 @@ def run_hashes(root: Path) -> list[tuple[str, str]]:
         method=method, seed=SEED, epochs=10, pretrain_epochs=5, batch_size=256,
         hidden_dims=(256, 128), alpha=0.1, grl_lambda=2.0, k_schedule="fast-start",
         temperature=0.3, data=recipes) for method in ("coal", "marginal-align")})
+    written = {report.config["out_dir"] for report in benchmark.values()}
     run_experiments([replace(config, out_dir=str(root / tag), dump_pseudo=True)
-                     for tag, config in runs.items()])
+                     for tag, config in runs.items() if str(root / tag) not in written])
 
     def sha256(data: bytes) -> str:
         return hashlib.sha256(data.replace(str(root).encode(), b"<root>")).hexdigest()
 
-    lines = []
     for tag in runs:
         out = root / tag
         doc = json.loads((out / "report.json").read_text())
@@ -128,13 +151,14 @@ def run_hashes(root: Path) -> list[tuple[str, str]]:
         cli.main(["gen-shift", "--recipe", str(recipe), "--out", str(split)])
     for name in ("data.csv", "manifest.json"):
         lines.append((f"gen-shift/{name}", sha256((split / name).read_bytes())))
-    return lines
+    return [versions()] + [f"{digest}  {name}" for name, digest in lines]
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in run_hashes(Path(tmp)):
-            print(f"{digest}  {name}")
+        root = Path(tmp)
+        for line in ledger_lines(root, benchmark_runs(grid_out_dirs(root)), sampler_runs()):
+            print(line)
     return 0
 
 

@@ -18,6 +18,14 @@ class TestConfusionMatrix:
         assert np.array_equal(cm.sum(axis=1), np.bincount(true, minlength=4))
         assert cm.sum() == 200
 
+    @pytest.mark.parametrize("true, pred, message", [
+        ([0, 1], [0, -1], "^predicted label -1 out of range for 2 classes$"),
+        ([0, 2], [0, 1], "^true label 2 out of range for 2 classes$"),
+    ])
+    def test_out_of_range_label_names_its_side(self, true, pred, message):
+        with pytest.raises(UsageError, match=message):
+            E.confusion_matrix(true, pred, 2)
+
 
 class TestPerClassMeanAccuracy:
     def test_perfect_diagonal(self):

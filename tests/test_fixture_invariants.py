@@ -1,8 +1,10 @@
 """Behavioral invariants of the training loop on the pinned fixture; these
 reuse the session benchmark grid where possible."""
 
-import copy
-import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -11,19 +13,37 @@ from coalign import evaluation, objectives, trainer
 from coalign.data import natural_batches
 from coalign.numerics import mean_entropy, sgd_momentum_step
 from conftest import FIXTURE_SEEDS, fixture_config, grid_mean
-from pinned_metrics import LEDGER, moved, run_hashes, versions
+from pinned_hashes import LEDGER, ledger_lines
 
 
-def test_fixture_runs_match_the_ledger(benchmark_grid, sampler_grid):
-    """Every session-fixture run gives the metrics payload the committed
-    ledger holds; a failure names each run that moved or is missing."""
-    ledger = json.loads(LEDGER.read_text())
-    keys = moved(ledger["runs"], run_hashes(benchmark_grid, sampler_grid))
-    assert not keys, (
-        f"{len(keys)} of {len(ledger['runs'])} runs moved against {LEDGER.name} "
-        f"(written with numpy {ledger['numpy']}, BLAS {ledger['blas']}; this run has "
-        f"numpy {versions()['numpy']}, BLAS {versions()['blas']}): {', '.join(keys)}"
-    )
+def test_pinned_outputs_match_the_ledger(pinned_root, benchmark_grid, sampler_grid):
+    """Every session-fixture run's metrics and every pinned artifact, eval
+    output and split hash as the committed ledger holds; a failure names
+    each line that moved, is missing or is extra."""
+    committed = LEDGER.read_text().splitlines()
+    lines = ledger_lines(pinned_root, benchmark_grid, sampler_grid)
+    expected, actual = ({name: digest for digest, name in (line.split("  ", 1) for line in side[1:])}
+                        for side in (committed, lines))
+    changes = ([f"moved {name}" for name in expected if name in actual and actual[name] != expected[name]]
+               + [f"missing {name}" for name in expected if name not in actual]
+               + [f"extra {name}" for name in actual if name not in expected])
+    assert lines == committed, (
+        f"{len(changes)} of {len(committed) - 1} lines differ from {LEDGER.name} (written with "
+        f"{committed[0][2:]}; this run has {lines[0][2:]}): {', '.join(changes)}")
+
+
+def test_conftest_loads_by_path_with_only_src_on_the_path(tmp_path):
+    """The benchmark loads conftest.py by file path with only src/ on
+    sys.path, so conftest must import no module of tests/ at top level."""
+    tests = Path(__file__).parent
+    code = ("import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('pinned', {str(tests / 'conftest.py')!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "print(module.fixture_config('coal', 1, 100.0).method)\n")
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(tests.parent / "src")})
+    assert (result.returncode, result.stdout) == (0, "coal\n"), result.stderr
 
 
 def test_minimax_step_directions_on_fixture():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coalign import numerics
-from coalign.errors import DimensionError, DivergenceError, NormalizationError
+from coalign.errors import DimensionError, DivergenceError, NormalizationError, UsageError
 from coalign.numerics import ParamBlock
 
 
@@ -116,9 +116,9 @@ class TestSoftmaxCrossEntropy:
         assert loss == pytest.approx(0.4076, abs=1e-4)
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(UsageError, match="^label 3 out of range for 3 classes$"):
             numerics.cross_entropy(numerics.softmax(np.zeros((1, 3))), np.array([3]))
-        with pytest.raises(IndexError):
+        with pytest.raises(UsageError, match="^label -1 out of range for 3 classes$"):
             numerics.cross_entropy(numerics.softmax(np.zeros((1, 3))), np.array([-1]))
 
     def test_masked_rows_get_zero_gradient(self):

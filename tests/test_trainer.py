@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import model as M
-from coalign import cli, errors, evaluation, objectives, trainer
+from coalign import cli, errors, evaluation, trainer
 from coalign.errors import DivergenceError, UsageError
 from coalign.selftrain import KSchedule
 from coalign.trainer import TrainConfig, run_experiment
+from conftest import fixture_config
 
 
 def tiny_twin_config(method="source-only", seed=0, **overrides):
@@ -292,16 +294,23 @@ class TestAdaptEpochDivergence:
 
 
 class TestCoalEpoch:
-    def test_entropy_ablation_records_but_never_backprops(self, monkeypatch):
-        cfg = tiny_twin_config("coal", ablations=("disable-entropy-term",))
-        params, data = pretrained(cfg)
-        called = []
-        monkeypatch.setattr(
-            objectives, "entropy_objective",
-            lambda *a, **k: called.append(1))
-        record = trainer.run_coal_epoch(params, data, cfg, cfg.pretrain_epochs, [])
-        assert called == []
-        assert record["l_h"] > 0.0
+    def test_entropy_ablation_records_l_h_but_trains_as_alpha_zero(self):
+        """Pretraining plus one adaptation epoch under disable-entropy-term
+        leaves the arena byte-identical to an alpha 0 run and unlike the
+        alpha 0.1 run, while the epoch still records the entropy."""
+        arenas, records = {}, {}
+        for name, overrides in (("ablated", {"ablations": ("disable-entropy-term",)}),
+                                ("alpha 0", {"alpha": 0.0}), ("alpha 0.1", {"alpha": 0.1})):
+            cfg = fixture_config("coal", 1, 100.0, pretrain_epochs=2, epochs=1, **overrides)
+            data, _ = trainer.resolve_datasets(cfg)
+            params = M.init_model(2, cfg.hidden_dims, 4, temperature=cfg.temperature, seed=1)
+            for epoch in range(cfg.pretrain_epochs):
+                trainer.pretrain(params, data, cfg, epoch, [])
+            records[name] = trainer.run_coal_epoch(params, data, cfg, cfg.pretrain_epochs, [])
+            arenas[name] = params.arena.value.tobytes()
+        assert arenas["ablated"] == arenas["alpha 0"]
+        assert arenas["ablated"] != arenas["alpha 0.1"]
+        assert records["ablated"]["l_h"] > 0.0
 
     def test_pseudo_ablation_keeps_l_st_equal_l_sc(self):
         cfg = tiny_twin_config("coal", ablations=("disable-pseudo-term",))
@@ -446,6 +455,17 @@ class TestResolveDatasets:
         assert source.class_counts()[0] < source.class_counts()[1]
         total_target = tgt_train.class_counts() + tgt_hold.class_counts()
         assert total_target[0] > total_target[1]
+
+    def test_class_mismatch_names_both_sides(self, tmp_path, file_recipes):
+        """A CSV target without the source's top class fails naming each side's shape."""
+        rows = Path(file_recipes["csv"]["path"]).read_text().splitlines(keepends=True)
+        target = tmp_path / "two-classes.csv"
+        target.write_text("".join(row for row in rows if not row.endswith(",2\n")))
+        cfg = TrainConfig(data={"source": file_recipes["csv"],
+                                "target": {"kind": "csv", "path": str(target)}})
+        with pytest.raises(UsageError, match="source has 3 classes and 4 features, "
+                                             "target has 2 classes and 4 features$"):
+            trainer.resolve_datasets(cfg)
 
     def test_requires_data_section(self):
         with pytest.raises(UsageError):

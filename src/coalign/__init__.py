@@ -25,11 +25,7 @@ from .evaluation import (
     render_table,
 )
 from .model import ForwardCache, ModelParams, forward_full, init_model
-from .objectives import (
-    entropy_objective,
-    self_training_loss,
-    source_classification_loss,
-)
+from .objectives import source_classification_loss
 from .selftrain import (
     KSchedule,
     PseudoLabelSet,

@@ -46,9 +46,6 @@ class ModelParams:
     def extractor_blocks(self) -> list[ParamBlock]:
         return [b for pair in self.layers for b in pair]
 
-    def classifier_blocks(self) -> list[ParamBlock]:
-        return [self.prototypes]
-
     def all_blocks(self) -> list[ParamBlock]:
         return list(self.arena.parts)
 
@@ -134,20 +131,14 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     return ForwardCache(x, preacts, acts, normalized, norms, logits, probs)
 
 
-def backward_extractor(
-    params: ModelParams, cache: ForwardCache, d_embed: np.ndarray, scale: float = 1.0
-) -> None:
-    """Chain an embedding gradient back through the extractor.
-
-    ``scale`` is applied per block at accumulation, so the stored gradients
-    are bit-identical to ``scale`` times the unscaled chain.
-    """
+def backward_extractor(params: ModelParams, cache: ForwardCache, d_embed: np.ndarray) -> None:
+    """Chain an embedding gradient back through the extractor."""
     g = d_embed
     for i in range(len(params.layers) - 1, -1, -1):
         w, b = params.layers[i]
         g = numerics.relu_backward(g, cache.preacts[i])
         upstream = cache.inputs if i == 0 else cache.acts[i - 1]
-        numerics.linear_backward(g, upstream, w, b, scale)
+        numerics.linear_backward(g, upstream, w, b)
         if i > 0:
             g = g @ w.value.T
 
@@ -156,8 +147,6 @@ def backward_head(
     params: ModelParams,
     cache: ForwardCache,
     d_logits: np.ndarray,
-    head_scale: float = 1.0,
-    feature_scale: float = 1.0,
     *,
     feature_d_logits: np.ndarray | None = None,
     d_embed_extra: np.ndarray | None = None,
@@ -170,19 +159,14 @@ def backward_head(
     gradient from another head, added before the single extractor chain.
     """
     t = params.temperature
-    params.prototypes.accumulate(cache.normalized.T @ d_logits / t, head_scale)
+    params.prototypes.accumulate(cache.normalized.T @ d_logits / t)
     if feature_d_logits is None:
         feature_d_logits = d_logits
     d_norm = feature_d_logits @ params.prototypes.value.T / t
     d_embed = numerics.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
     if d_embed_extra is not None:
         d_embed += d_embed_extra
-    backward_extractor(params, cache, d_embed, feature_scale)
-
-
-def relu_signature(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Active-unit pattern of every ReLU; used to detect kink crossings."""
-    return np.concatenate([(z > 0.0).reshape(-1) for z in forward_full(params, inputs).preacts])
+    backward_extractor(params, cache, d_embed)
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

@@ -3,17 +3,16 @@ function each: linear layers, ReLU, softmax, row normalization and its
 backward, masked cross-entropy, mean entropy and the momentum SGD update.
 
 All arrays are 64-bit row-major; samples are rows. Gradients are hand-derived
-per operation and accumulated into :class:`ParamBlock` instances. Backward
-helpers take a ``scale`` factor that is applied elementwise at accumulation
-time, which keeps scaled gradients bit-identical to ``scale * naive``; only
-the per-term reference objectives set it, and the training steps fold gradient
-reversal into the gradients of their one backward chain.
+per operation and accumulated into :class:`ParamBlock` instances. The training
+steps fold gradient reversal into the gradients of their one backward chain.
+The finite-difference gradient check lives with the other test oracles in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -44,16 +43,13 @@ class ParamBlock:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
-    def accumulate(self, g: np.ndarray, scale: float = 1.0) -> None:
-        """grad += scale * g, with the scale applied elementwise."""
+    def accumulate(self, g: np.ndarray) -> None:
+        """grad += g, for a g of the block's shape."""
         if g.shape != self.value.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match block {self.name!r} shape {self.value.shape}"
             )
-        if scale == 1.0:
-            self.grad += g
-        else:
-            self.grad += scale * g
+        self.grad += g
 
 
 def arena(name: str, values: Mapping[str, np.ndarray]) -> ParamBlock:
@@ -79,13 +75,11 @@ def linear_forward(x: np.ndarray, weights: ParamBlock, bias: ParamBlock) -> np.n
     return x @ weights.value + bias.value
 
 
-def linear_backward(
-    g: np.ndarray, x: np.ndarray, weights: ParamBlock, bias: ParamBlock, scale: float = 1.0
-) -> None:
-    """Accumulate scale * dW, scale * db. A caller that reads the input
-    gradient forms ``g @ weights.value.T`` itself."""
-    weights.accumulate(x.T @ g, scale)
-    bias.accumulate(g.sum(axis=0, keepdims=True), scale)
+def linear_backward(g: np.ndarray, x: np.ndarray, weights: ParamBlock, bias: ParamBlock) -> None:
+    """Accumulate dW and db. A caller that reads the input gradient forms
+    ``g @ weights.value.T`` itself."""
+    weights.accumulate(x.T @ g)
+    bias.accumulate(g.sum(axis=0, keepdims=True))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -194,55 +188,3 @@ def sgd_momentum_step(
         block.value -= block.grad
         block.zero_grad()
 
-
-def finite_difference_check(
-    loss_fn: Callable[[], float],
-    blocks: Iterable[ParamBlock],
-    *,
-    h: float = 1e-5,
-    rng: np.random.Generator,
-    max_coords: int = 20,
-    kink_signature: Callable[[], np.ndarray] | None = None,
-) -> dict[str, float]:
-    """Compare analytic gradients against central finite differences.
-
-    ``loss_fn`` must run a full forward/backward, accumulating gradients into
-    the blocks, and return the scalar loss. For each block, up to
-    ``max_coords`` coordinates are sampled; a coordinate whose +/-h
-    evaluations land on different sides of a ReLU kink (detected via
-    ``kink_signature``, which returns the active-unit pattern) is skipped.
-
-    Returns the worst relative error per block, where the relative error is
-    |fd - analytic| / max(|fd|, |analytic|, 1e-6).
-    """
-    blocks = list(blocks)
-    for block in blocks:
-        block.zero_grad()
-    loss_fn()
-    analytic = {b.name: b.grad.copy() for b in blocks}
-
-    worst: dict[str, float] = {}
-    for block in blocks:
-        flat = block.value.reshape(-1)
-        n = flat.shape[0]
-        coords = rng.choice(n, size=min(max_coords, n), replace=False)
-        err = 0.0
-        for idx in coords:
-            original = flat[idx]
-            flat[idx] = original + h
-            loss_plus = loss_fn()
-            sig_plus = kink_signature() if kink_signature is not None else None
-            flat[idx] = original - h
-            loss_minus = loss_fn()
-            sig_minus = kink_signature() if kink_signature is not None else None
-            flat[idx] = original
-            if sig_plus is not None and not np.array_equal(sig_plus, sig_minus):
-                continue
-            fd = (loss_plus - loss_minus) / (2.0 * h)
-            an = analytic[block.name].reshape(-1)[idx]
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
-            err = max(err, rel)
-        worst[block.name] = err
-    for block in blocks:
-        block.zero_grad()
-    return worst

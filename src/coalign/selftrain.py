@@ -5,7 +5,6 @@ minority classes cannot be crowded out by easy-to-transfer ones.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,9 +89,9 @@ def estimate_target_distribution(pseudo: PseudoLabelSet) -> np.ndarray:
 
 
 def write_pseudo_csv(pseudo: PseudoLabelSet, path: str | Path) -> None:
-    """Audit dump: one row per target sample (id, label, confidence, mask)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "pseudo_label", "confidence", "mask"])
-        for i in range(len(pseudo.labels)):
-            writer.writerow([i, int(pseudo.labels[i]), f"{pseudo.confidence[i]:.12g}", int(pseudo.mask[i])])
+    """Audit dump: one row per target sample (id, label, confidence, mask),
+    each ended by CRLF as the csv module's default dialect ends rows."""
+    rows = zip(pseudo.labels.tolist(), pseudo.confidence.tolist(), pseudo.mask.tolist())
+    Path(path).write_text("sample,pseudo_label,confidence,mask\r\n" + "".join(
+        f"{i},{label},{conf:.12g},{mask}\r\n" for i, (label, conf, mask) in enumerate(rows)),
+        newline="")

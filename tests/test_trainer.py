@@ -376,6 +376,21 @@ class TestRunExperiment:
         lines = (out / "metrics.jsonl").read_text().strip().splitlines()
         assert all("l_st" in json.loads(line) for line in lines)
 
+    def test_every_step_goes_through_sgd_momentum_step(self, tmp_path, monkeypatch):
+        # a wrapper bound to the module attribute sees each optimizer step,
+        # as the benchmark's step probe does; its traced hook reads len(args[0])
+        blocks_per_call = []
+        step = trainer.sgd_momentum_step
+
+        def counting(*args, **kwargs):
+            blocks_per_call.append(len(args[0]))
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "sgd_momentum_step", counting)
+        run_experiment(tiny_twin_config("coal", out_dir=str(tmp_path)))
+        lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+        assert 0 < len(blocks_per_call) == len(lines)
+
     def test_marginal_align_records_discriminator_accuracy(self):
         report = run_experiment(tiny_twin_config("marginal-align"))
         adapt = [r for r in report.metrics["epochs"] if r["phase"] == "adapt"]

@@ -228,7 +228,8 @@ def write_idx(
     """Inverse of load_idx for fixtures: [0,1] features back to pixel bytes."""
     if rows * cols != dataset.features.shape[1]:
         raise UsageError(f"{rows}x{cols} grid does not match {dataset.features.shape[1]} features")
-    pixels = np.rint(dataset.features * 255.0).astype(np.uint8)
+    scaled = dataset.features * 255.0
+    pixels = np.rint(scaled, out=scaled).astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(dataset), rows, cols))
         fh.write(pixels.tobytes())
@@ -377,24 +378,26 @@ def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.
     c = dataset.num_classes
     rng = np.random.default_rng(seed)
     members = [np.flatnonzero(dataset.labels == cls) for cls in range(c)]
-    streams = [_reshuffled(m, m[rng.permutation(len(m))], rng) for m in members]
+    orders = [m[rng.permutation(len(m))] for m in members]
+    taken = [0] * c
     base, rem = divmod(batch_size, c)
     class_order = rng.permutation(c)
-    fixed = [cls for cls in range(c) for _ in range(base)]
     plan = []
     for b in range(math.ceil(len(dataset) / batch_size)):
         rotating = [int(class_order[(b * rem + j) % c]) for j in range(rem)]
-        batch = np.array([next(streams[cls]) for cls in fixed + rotating], dtype=np.int64)
+        parts = []
+        for cls, need in [(cls, base) for cls in range(c)] + [(cls, 1) for cls in rotating]:
+            while need:
+                # an exhausted class reshuffles only when an item is still needed
+                if taken[cls] == len(orders[cls]):
+                    orders[cls], taken[cls] = members[cls][rng.permutation(len(members[cls]))], 0
+                part = orders[cls][taken[cls]:taken[cls] + need]
+                parts.append(part)
+                taken[cls] += len(part)
+                need -= len(part)
+        batch = np.concatenate(parts)
         plan.append(batch[rng.permutation(len(batch))])
     return plan
-
-
-def _reshuffled(members: np.ndarray, order: np.ndarray, rng: np.random.Generator):
-    """``order``, then ``members`` reshuffled by ``rng`` each time the
-    previous order runs out, drawn only when the next item is needed."""
-    while True:
-        yield from order
-        order = members[rng.permutation(len(members))]
 
 
 def natural_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.ndarray]:

@@ -55,10 +55,11 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations kept for the hand-written backward pass."""
+    """Intermediate activations kept for the hand-written backward pass: one
+    array per layer, its ReLU output, which is also the mask its backward
+    reads, since act > 0 exactly where the pre-activation is."""
 
     inputs: np.ndarray
-    preacts: list[np.ndarray]
     acts: list[np.ndarray]
     normalized: np.ndarray
     norms: np.ndarray
@@ -118,17 +119,17 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise DimensionError(f"inputs shape {x.shape} incompatible with input dim {params.input_dim}")
-    preacts, acts = [], []
+    acts = []
     h = x
     for w, b in params.layers:
-        z = numerics.linear_forward(h, w, b)
-        preacts.append(z)
-        h = numerics.relu(z)
+        h = numerics.linear_forward(h, w, b)
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
     normalized, norms = numerics.normalize_rows(h)
-    logits = normalized @ params.prototypes.value / params.temperature
+    logits = normalized @ params.prototypes.value
+    logits /= params.temperature
     probs = numerics.softmax(logits)
-    return ForwardCache(x, preacts, acts, normalized, norms, logits, probs)
+    return ForwardCache(x, acts, normalized, norms, logits, probs)
 
 
 def backward_extractor(params: ModelParams, cache: ForwardCache, d_embed: np.ndarray) -> None:
@@ -136,7 +137,7 @@ def backward_extractor(params: ModelParams, cache: ForwardCache, d_embed: np.nda
     g = d_embed
     for i in range(len(params.layers) - 1, -1, -1):
         w, b = params.layers[i]
-        g = numerics.relu_backward(g, cache.preacts[i])
+        g = numerics.relu_backward(g, cache.acts[i])
         upstream = cache.inputs if i == 0 else cache.acts[i - 1]
         numerics.linear_backward(g, upstream, w, b)
         if i > 0:
@@ -159,10 +160,13 @@ def backward_head(
     gradient from another head, added before the single extractor chain.
     """
     t = params.temperature
-    params.prototypes.accumulate(cache.normalized.T @ d_logits / t)
+    d_protos = cache.normalized.T @ d_logits
+    d_protos /= t
+    params.prototypes.accumulate(d_protos)
     if feature_d_logits is None:
         feature_d_logits = d_logits
-    d_norm = feature_d_logits @ params.prototypes.value.T / t
+    d_norm = feature_d_logits @ params.prototypes.value.T
+    d_norm /= t
     d_embed = numerics.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
     if d_embed_extra is not None:
         d_embed += d_embed_extra

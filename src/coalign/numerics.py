@@ -67,12 +67,14 @@ def arena(name: str, values: Mapping[str, np.ndarray]) -> ParamBlock:
 
 
 def linear_forward(x: np.ndarray, weights: ParamBlock, bias: ParamBlock) -> np.ndarray:
-    """y = x @ W + b. Caller keeps x for the backward pass."""
+    """y = x @ W + b, the bias added into the product. Caller keeps x for the backward pass."""
     if x.shape[1] != weights.value.shape[0]:
         raise DimensionError(
             f"input shape {x.shape} incompatible with weight shape {weights.value.shape}"
         )
-    return x @ weights.value + bias.value
+    y = x @ weights.value
+    y += bias.value
+    return y
 
 
 def linear_backward(g: np.ndarray, x: np.ndarray, weights: ParamBlock, bias: ParamBlock) -> None:
@@ -82,36 +84,40 @@ def linear_backward(g: np.ndarray, x: np.ndarray, weights: ParamBlock, bias: Par
     bias.accumulate(g.sum(axis=0, keepdims=True))
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(g: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """The bits of ``np.where(pre > 0.0, g, 0.0)``, by ANDing g's words with
-    an all-ones or all-zeros mask: no per-element branch on the unit pattern."""
-    mask = (pre > 0.0).astype(np.int64)
+def relu_backward(g: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """The bits of ``np.where(act > 0.0, g, 0.0)``, by ANDing g's words with
+    an all-ones or all-zeros mask: no per-element branch on the unit pattern.
+    ``act`` is the ReLU output or its input: since act = max(pre, 0),
+    ``act > 0`` and ``pre > 0`` agree for every float64, NaN and ±0 included."""
+    mask = (act > 0.0).astype(np.int64)
     np.negative(mask, out=mask)
     np.bitwise_and(mask, g.view(np.int64), out=mask)
     return mask.view(np.float64)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax, formed in the one array that holds the shifted logits."""
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.sqrt((x * x).sum(axis=1))
+    """Unit rows, divided into the squared-rows buffer, and the row norms."""
+    y = x * x
+    norms = np.sqrt(y.sum(axis=1))
     denom = np.where(norms > NORM_EPS, norms, NORM_EPS)
-    return x / denom[:, None], norms
+    return np.divide(x, denom[:, None], out=y), norms
 
 
 def normalize_rows_bwd(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # rows with norm > NORM_EPS: d = (g - y (y.g)) / norm; others: d = g / NORM_EPS
     denom = np.where(norms > NORM_EPS, norms, NORM_EPS)
     proj = (y * g).sum(axis=1)
-    dx = (g - y * proj[:, None]) / denom[:, None]
+    dx = y * proj[:, None]
+    np.subtract(g, dx, out=dx)
+    dx /= denom[:, None]
     small = norms <= NORM_EPS
     if small.any():
         dx[small] = g[small] / NORM_EPS
@@ -130,24 +136,30 @@ def cross_entropy(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != probs.shape[0]:
         raise DimensionError(f"{labels.shape[0]} labels for {probs.shape[0]} logit rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
-        bad = labels[(labels < 0) | (labels >= probs.shape[1])][0]
+    # a negative label reads as a huge unsigned one
+    unsigned = labels.view(np.uint64)
+    if labels.size and unsigned.max() >= probs.shape[1]:
+        bad = labels[unsigned >= probs.shape[1]][0]
         raise UsageError(f"label {bad} out of range for {probs.shape[1]} classes")
+    rows = np.arange(probs.shape[0])
+    picked = probs[rows, labels]
     if weights is None:
-        weights = np.ones(probs.shape[0], dtype=np.float64)
+        denom = max(1.0, float(probs.shape[0]))
+        loss = float(0.0 - np.log(picked).sum() / denom)
+        scale = 1.0 / denom
+        d_logits = probs * scale
     else:
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.shape[0] != probs.shape[0]:
             raise DimensionError(f"{weights.shape[0]} weights for {probs.shape[0]} logit rows")
-    denom = max(1.0, float(weights.sum()))
-    rows = np.arange(probs.shape[0])
-    picked = probs[rows, labels]
-    active = weights > 0.0
-    logp = np.zeros_like(picked)
-    logp[active] = np.log(picked[active])
-    loss = float(0.0 - (weights * logp).sum() / denom)
-    d_logits = probs * (weights / denom)[:, None]
-    d_logits[rows, labels] -= weights / denom
+        denom = max(1.0, float(weights.sum()))
+        active = weights > 0.0
+        logp = np.zeros_like(picked)
+        logp[active] = np.log(picked[active])
+        loss = float(0.0 - (weights * logp).sum() / denom)
+        scale = weights / denom
+        d_logits = probs * scale[:, None]
+    d_logits[rows, labels] -= scale
     return loss, d_logits
 
 
@@ -167,7 +179,10 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
     plogp = probs * logp
     row_h = -plogp.sum(axis=1)
     h = float(row_h.sum() / rows)
-    d_logits = -(probs * (logp + row_h[:, None])) / rows
+    d_logits = logp + row_h[:, None]
+    np.multiply(probs, d_logits, out=d_logits)
+    np.negative(d_logits, out=d_logits)
+    d_logits /= rows
     return h, d_logits
 
 

@@ -183,7 +183,7 @@ def _run_epoch(
     name; a step that returns no ``l_target_pseudo`` or ``l_h`` reports
     them as 0.0. Each step's losses are appended to ``step_log`` with
     ``alpha``. The record holds the epoch mean of every step value, then
-    ``extra``, then the holdout metrics.
+    ``extra``, then the holdout metrics, its ``confusion`` matrix included.
     """
     source, target_train, holdout = data
     phase = "pretrain" if epoch < config.pretrain_epochs else "adapt"
@@ -209,7 +209,6 @@ def _run_epoch(
               "domain_discriminator_accuracy": None,
               **{key: val / steps for key, val in sums.items()}, **(extra or {}),
               **evaluate_model(params, holdout)}
-    record.pop("confusion")
     return record
 
 
@@ -252,10 +251,11 @@ def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch:
     ablated = set(config.ablations)
     weights = pseudo.mask * float("disable-pseudo-term" not in ablated)
     alpha = 0.0 if "disable-entropy-term" in ablated else config.alpha
+    both_ablated = ablated == set(ABLATION_FLAGS)
 
     def step(sb: np.ndarray, tb: np.ndarray) -> dict:
         tgt_x = target_train.features[tb]
-        if ablated == set(ABLATION_FLAGS):
+        if both_ablated:
             # the source-only step itself, so a double ablation stays
             # bit-identical to source-only; the entropy is only reported
             values = _source_step(params, source, sb)
@@ -361,7 +361,11 @@ def run_experiment(config: TrainConfig) -> RunReport:
         records.append(run_epoch(params, data, config, epoch, step_log))
         epoch_times.append(time.perf_counter() - t0)
 
-    final = evaluate_model(params, target_holdout)
+    # the last epoch already scored the holdout with the final params
+    final = evaluate_model(params, target_holdout) if not records else {
+        key: records[-1][key] for key in ("per_class_mean_accuracy", "overall_accuracy", "confusion")}
+    for record in records:
+        del record["confusion"]
     true_dist = evaluation.label_distribution(target_train.class_counts())
     last_estimate = next(
         (r["estimated_target_distribution"] for r in reversed(records)
@@ -385,9 +389,8 @@ def run_experiment(config: TrainConfig) -> RunReport:
 
     if out_dir is not None:
         report.save(out_dir / "report.json")
-        with open(out_dir / "metrics.jsonl", "w") as fh:
-            for entry in step_log:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        encode = json.JSONEncoder(sort_keys=True).encode
+        (out_dir / "metrics.jsonl").write_text("".join(encode(entry) + "\n" for entry in step_log))
         model_mod.save_checkpoint(params, out_dir / "checkpoint.json")
     return report
 

@@ -3,7 +3,9 @@ are compared against, the finite-difference gradient check and the ReLU kink
 signature it skips coordinates by.
 
 The oracles run on their own written-out backward chain: every ReLU is an
-``np.where``, every linear layer forms its input gradient, the first layer's
+``np.where`` on the pre-activation, recomputed as ``upstream @ W + b`` rather
+than read from the forward cache, every linear layer forms its input
+gradient, the first layer's
 included, and a ``scale`` is applied elementwise once per accumulation
 (``block.accumulate(scale * g)``), so a scaled gradient is bit-identical to
 ``scale`` times the unscaled one. No backward code of ``coalign.model`` is
@@ -29,9 +31,17 @@ def linear_backward(g, x, weights, bias, scale=1.0):
     return g @ weights.value.T
 
 
+def preacts(params, cache):
+    """Each layer's pre-activation, the forward's own product and sum on the
+    cached inputs of the layer."""
+    upstreams = [cache.inputs, *cache.acts[:-1]]
+    return [x @ w.value + b.value for x, (w, b) in zip(upstreams, params.layers)]
+
+
 def backward_extractor(params, cache, g, scale=1.0):
+    pre = preacts(params, cache)
     for i in reversed(range(len(params.layers))):
-        g = np.where(cache.preacts[i] > 0.0, g, 0.0)
+        g = np.where(pre[i] > 0.0, g, 0.0)
         upstream = cache.inputs if i == 0 else cache.acts[i - 1]
         g = linear_backward(g, upstream, *params.layers[i], scale)
 
@@ -109,7 +119,8 @@ def domain_alignment_loss(params, source_inputs, target_inputs, grl_lambda=1.0):
 
 def relu_signature(params, inputs):
     """Active-unit pattern of every ReLU; used to detect kink crossings."""
-    return np.concatenate([(z > 0.0).reshape(-1) for z in M.forward_full(params, inputs).preacts])
+    cache = M.forward_full(params, inputs)
+    return np.concatenate([(z > 0.0).reshape(-1) for z in preacts(params, cache)])
 
 
 def finite_difference_check(

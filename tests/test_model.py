@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,28 @@ class TestClassify:
         params = M.init_model(2, (8, 4), 4, seed=1)
         pred = M.forward_full(params, rng.normal(size=(30, 2)))
         assert np.abs(pred.probs.sum(axis=1) - 1.0).max() < 1e-6
+
+
+class TestForwardMemory:
+    """The forward keeps one array per layer: besides the cache (every
+    layer's ReLU output, the normalized embedding, logits and probabilities)
+    it holds at most 16 float64 columns per row in temporaries."""
+
+    @pytest.mark.parametrize("rows, input_dim, hidden_dims, classes",
+                             [(2048, 64, (256, 128), 10), (800, 2, (32, 16), 4)])
+    def test_peak_is_one_array_per_layer(self, rows, input_dim, hidden_dims, classes):
+        params = M.init_model(input_dim, hidden_dims, classes, temperature=0.3, seed=1)
+        x = np.random.default_rng(0).random((rows, input_dim))
+        M.forward_full(params, x)
+        tracemalloc.start()
+        try:
+            cache = M.forward_full(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.probs.shape == (rows, classes)
+        bound = (sum(hidden_dims) + hidden_dims[-1] + 2 * classes + 16) * rows * 8
+        assert peak <= bound, f"peak {peak / rows / 8:.1f} float64 columns per row"
 
 
 class TestPrototypeSemantics:

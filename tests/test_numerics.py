@@ -62,8 +62,11 @@ ANY_FLOAT = st.one_of(SPECIAL_FLOATS, st.floats(allow_nan=True, allow_infinity=T
 
 class TestReluBackward:
     @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
-           layout=st.sampled_from(["contiguous", "row slice", "every other row", "transposed"]))
-    def test_bits_match_where_for_every_layout(self, data, rows, cols, layout):
+           layout=st.sampled_from(["contiguous", "row slice", "every other row", "transposed"]),
+           by_act=st.booleans())
+    def test_bits_match_where_for_every_layout(self, data, rows, cols, layout, by_act):
+        """Masking by the pre-activation or by act = max(pre, 0), which is
+        all the forward keeps, gives the bits of selecting by pre itself."""
         pre = data.draw(arrays(np.float64, (rows, cols), elements=ANY_FLOAT))
         if layout == "transposed":
             g = data.draw(arrays(np.float64, (cols, rows), elements=ANY_FLOAT)).T
@@ -73,7 +76,7 @@ class TestReluBackward:
             g = {"contiguous": extra[:rows].copy(), "row slice": extra[:rows],
                  "every other row": extra[::2][:rows]}[layout]
         before = g.tobytes()
-        got = numerics.relu_backward(g, pre)
+        got = numerics.relu_backward(g, np.maximum(pre, 0.0) if by_act else pre)
         want = np.where(pre > 0.0, g, 0.0)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

@@ -352,7 +352,7 @@ class TestWideShapeIdentity:
         params.zero_grads()
 
         cache = M.forward_full(params, np.vstack([src_x, tgt_x]))
-        assert 0.3 < np.mean(cache.preacts[0] > 0.0) < 0.7
+        assert 0.3 < np.mean(cache.acts[0] > 0.0) < 0.7
         _, d_src = numerics.cross_entropy(cache.probs[:self.N], src_y)
         _, d_pseudo = numerics.cross_entropy(cache.probs[self.N:], pseudo, weights)
         _, d_ent = numerics.mean_entropy(cache.probs[self.N:])

@@ -378,26 +378,24 @@ def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.
     c = dataset.num_classes
     rng = np.random.default_rng(seed)
     members = [np.flatnonzero(dataset.labels == cls) for cls in range(c)]
-    orders = [m[rng.permutation(len(m))] for m in members]
-    taken = [0] * c
+    streams = [_reshuffled(m, m[rng.permutation(len(m))], rng) for m in members]
     base, rem = divmod(batch_size, c)
     class_order = rng.permutation(c)
+    fixed = [cls for cls in range(c) for _ in range(base)]
     plan = []
     for b in range(math.ceil(len(dataset) / batch_size)):
         rotating = [int(class_order[(b * rem + j) % c]) for j in range(rem)]
-        parts = []
-        for cls, need in [(cls, base) for cls in range(c)] + [(cls, 1) for cls in rotating]:
-            while need:
-                # an exhausted class reshuffles only when an item is still needed
-                if taken[cls] == len(orders[cls]):
-                    orders[cls], taken[cls] = members[cls][rng.permutation(len(members[cls]))], 0
-                part = orders[cls][taken[cls]:taken[cls] + need]
-                parts.append(part)
-                taken[cls] += len(part)
-                need -= len(part)
-        batch = np.concatenate(parts)
+        batch = np.array([next(streams[cls]) for cls in fixed + rotating], dtype=np.int64)
         plan.append(batch[rng.permutation(len(batch))])
     return plan
+
+
+def _reshuffled(members: np.ndarray, order: np.ndarray, rng: np.random.Generator):
+    """``order``, then ``members`` reshuffled by ``rng`` each time the
+    previous order runs out, drawn only when the next item is needed."""
+    while True:
+        yield from order
+        order = members[rng.permutation(len(members))]
 
 
 def natural_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.ndarray]:

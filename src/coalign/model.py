@@ -160,13 +160,10 @@ def backward_head(
     gradient from another head, added before the single extractor chain.
     """
     t = params.temperature
-    d_protos = cache.normalized.T @ d_logits
-    d_protos /= t
-    params.prototypes.accumulate(d_protos)
+    params.prototypes.accumulate(cache.normalized.T @ d_logits / t)
     if feature_d_logits is None:
         feature_d_logits = d_logits
-    d_norm = feature_d_logits @ params.prototypes.value.T
-    d_norm /= t
+    d_norm = feature_d_logits @ params.prototypes.value.T / t
     d_embed = numerics.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
     if d_embed_extra is not None:
         d_embed += d_embed_extra

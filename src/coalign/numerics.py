@@ -115,9 +115,7 @@ def normalize_rows_bwd(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.nd
     # rows with norm > NORM_EPS: d = (g - y (y.g)) / norm; others: d = g / NORM_EPS
     denom = np.where(norms > NORM_EPS, norms, NORM_EPS)
     proj = (y * g).sum(axis=1)
-    dx = y * proj[:, None]
-    np.subtract(g, dx, out=dx)
-    dx /= denom[:, None]
+    dx = (g - y * proj[:, None]) / denom[:, None]
     small = norms <= NORM_EPS
     if small.any():
         dx[small] = g[small] / NORM_EPS
@@ -141,25 +139,21 @@ def cross_entropy(
     if labels.size and unsigned.max() >= probs.shape[1]:
         bad = labels[unsigned >= probs.shape[1]][0]
         raise UsageError(f"label {bad} out of range for {probs.shape[1]} classes")
-    rows = np.arange(probs.shape[0])
-    picked = probs[rows, labels]
     if weights is None:
-        denom = max(1.0, float(probs.shape[0]))
-        loss = float(0.0 - np.log(picked).sum() / denom)
-        scale = 1.0 / denom
-        d_logits = probs * scale
+        weights = np.ones(probs.shape[0], dtype=np.float64)
     else:
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.shape[0] != probs.shape[0]:
             raise DimensionError(f"{weights.shape[0]} weights for {probs.shape[0]} logit rows")
-        denom = max(1.0, float(weights.sum()))
-        active = weights > 0.0
-        logp = np.zeros_like(picked)
-        logp[active] = np.log(picked[active])
-        loss = float(0.0 - (weights * logp).sum() / denom)
-        scale = weights / denom
-        d_logits = probs * scale[:, None]
-    d_logits[rows, labels] -= scale
+    denom = max(1.0, float(weights.sum()))
+    rows = np.arange(probs.shape[0])
+    picked = probs[rows, labels]
+    active = weights > 0.0
+    logp = np.zeros_like(picked)
+    logp[active] = np.log(picked[active])
+    loss = float(0.0 - (weights * logp).sum() / denom)
+    d_logits = probs * (weights / denom)[:, None]
+    d_logits[rows, labels] -= weights / denom
     return loss, d_logits
 
 
@@ -179,10 +173,7 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
     plogp = probs * logp
     row_h = -plogp.sum(axis=1)
     h = float(row_h.sum() / rows)
-    d_logits = logp + row_h[:, None]
-    np.multiply(probs, d_logits, out=d_logits)
-    np.negative(d_logits, out=d_logits)
-    d_logits /= rows
+    d_logits = -(probs * (logp + row_h[:, None])) / rows
     return h, d_logits
 
 

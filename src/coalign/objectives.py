@@ -58,12 +58,8 @@ def coal_objective(
     l_sc, d_src = numerics.cross_entropy(cache.probs[:n], source_labels)
     l_pseudo, d_pseudo = numerics.cross_entropy(cache.probs[n:], target_pseudo, target_weights)
     l_h, d_ent = numerics.mean_entropy(cache.probs[n:])
-    d_ent *= alpha
-    head = np.vstack([d_src, d_pseudo])
-    feature = head.copy()
-    head[n:] -= d_ent
-    feature[n:] += d_ent
-    model_mod.backward_head(params, cache, head, feature_d_logits=feature)
+    model_mod.backward_head(params, cache, np.vstack([d_src, d_pseudo - alpha * d_ent]),
+                            feature_d_logits=np.vstack([d_src, d_pseudo + alpha * d_ent]))
     return {"l_sc": l_sc, "l_target_pseudo": l_pseudo, "l_st": l_sc + l_pseudo, "l_h": l_h}
 
 

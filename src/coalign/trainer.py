@@ -183,7 +183,7 @@ def _run_epoch(
     name; a step that returns no ``l_target_pseudo`` or ``l_h`` reports
     them as 0.0. Each step's losses are appended to ``step_log`` with
     ``alpha``. The record holds the epoch mean of every step value, then
-    ``extra``, then the holdout metrics, its ``confusion`` matrix included.
+    ``extra``, then the holdout metrics.
     """
     source, target_train, holdout = data
     phase = "pretrain" if epoch < config.pretrain_epochs else "adapt"
@@ -209,6 +209,7 @@ def _run_epoch(
               "domain_discriminator_accuracy": None,
               **{key: val / steps for key, val in sums.items()}, **(extra or {}),
               **evaluate_model(params, holdout)}
+    record.pop("confusion")
     return record
 
 
@@ -361,11 +362,7 @@ def run_experiment(config: TrainConfig) -> RunReport:
         records.append(run_epoch(params, data, config, epoch, step_log))
         epoch_times.append(time.perf_counter() - t0)
 
-    # the last epoch already scored the holdout with the final params
-    final = evaluate_model(params, target_holdout) if not records else {
-        key: records[-1][key] for key in ("per_class_mean_accuracy", "overall_accuracy", "confusion")}
-    for record in records:
-        del record["confusion"]
+    final = evaluate_model(params, target_holdout)
     true_dist = evaluation.label_distribution(target_train.class_counts())
     last_estimate = next(
         (r["estimated_target_distribution"] for r in reversed(records)

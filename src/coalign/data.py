@@ -30,6 +30,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 DIRECTION_SOURCE = "source-reversed"
 DIRECTION_TARGET = "target-ranked"
+DIRECTIONS = (DIRECTION_SOURCE, DIRECTION_TARGET)
 SPLIT_PARTS = ("train", "holdout")
 
 
@@ -69,28 +70,6 @@ class LabeledDataset:
         )
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    """Declarative label-shift request: degree 0 is balanced, degree 100 is
-    the full long-tailed profile in the given direction."""
-
-    pareto_alpha: float
-    direction: str
-    degree: float
-    budget: int
-    min_per_class: int = 2
-
-    def __post_init__(self) -> None:
-        if self.direction not in (DIRECTION_SOURCE, DIRECTION_TARGET):
-            raise UsageError(
-                f"direction must be {DIRECTION_SOURCE!r} or {DIRECTION_TARGET!r}, got {self.direction!r}"
-            )
-        if not 0.0 <= self.degree <= 100.0:
-            raise UsageError(f"shift degree must be in [0, 100], got {self.degree}")
-        if self.pareto_alpha <= 0:
-            raise UsageError(f"pareto_alpha must be positive, got {self.pareto_alpha}")
-
-
 def pareto_proportions(num_classes: int, alpha: float) -> np.ndarray:
     """Ranked long-tail proportions: the density x^-(alpha+1) evaluated at
     equally spaced points on [1, 2], normalized, strictly decreasing."""
@@ -103,14 +82,18 @@ def pareto_proportions(num_classes: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def shift_proportions(num_classes: int, spec: ShiftSpec) -> np.ndarray:
-    """Per-class proportions for a spec: ranked Pareto weights are assigned
-    in descending order starting at class 0 (target-ranked) or class c-1
-    (source-reversed), then interpolated toward uniform by the degree."""
-    ranked = pareto_proportions(num_classes, spec.pareto_alpha)
-    if spec.direction == DIRECTION_SOURCE:
+def shift_proportions(num_classes: int, shift: dict) -> np.ndarray:
+    """Per-class proportions for a recipe's ``shift`` block (its rules are
+    ``_SHIFT_RULES``): ranked Pareto weights are assigned in descending
+    order starting at class 0 (target-ranked) or class c-1
+    (source-reversed), then interpolated toward uniform by the degree, 0
+    balanced and 100 the full long-tailed profile."""
+    require(shift, "shift block ", _SHIFT_KEYS, known=(*_SHIFT_KEYS, "min_per_class", "seed"),
+            **_SHIFT_RULES)
+    ranked = pareto_proportions(num_classes, shift["pareto_alpha"])
+    if shift["direction"] == DIRECTION_SOURCE:
         ranked = ranked[::-1]
-    t = spec.degree / 100.0
+    t = shift["degree"] / 100.0
     return (1.0 - t) / num_classes + t * ranked
 
 
@@ -126,29 +109,33 @@ def largest_remainder_counts(proportions: np.ndarray, budget: int) -> np.ndarray
     return counts
 
 
-def build_shift(dataset: LabeledDataset, spec: ShiftSpec, seed: int) -> LabeledDataset:
-    """Subsample a dataset to the spec's label distribution, without
-    replacement, preserving the total budget exactly."""
-    props = shift_proportions(dataset.num_classes, spec)
-    counts = largest_remainder_counts(props, spec.budget)
+def build_shift(dataset: LabeledDataset, shift: dict) -> LabeledDataset:
+    """Subsample a dataset to the label distribution of a ``shift`` block,
+    without replacement, preserving its total ``budget`` exactly; the block's
+    ``seed`` (default 0) seeds the draw, and every class must get at least
+    its ``min_per_class`` (default 2) samples."""
+    props = shift_proportions(dataset.num_classes, shift)
+    counts = largest_remainder_counts(props, shift["budget"])
+    min_per_class = shift.get("min_per_class", 2)
     available = dataset.class_counts()
     for cls, (need, have) in enumerate(zip(counts, available)):
-        if need < spec.min_per_class:
+        if need < min_per_class:
             raise ProtocolError(
-                f"class {cls} would get {need} samples, below the minimum {spec.min_per_class}"
+                f"class {cls} would get {need} samples, below the minimum {min_per_class}"
             )
         if need > have:
             raise ProtocolError(
                 f"class {cls} needs {need} samples but only {have} available (shortfall {need - have})"
             )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(shift.get("seed", 0))
     picked = []
     for cls in range(dataset.num_classes):
         members = np.flatnonzero(dataset.labels == cls)
         picked.append(rng.choice(members, size=counts[cls], replace=False))
     indices = np.concatenate(picked)
     indices = indices[rng.permutation(len(indices))]
-    tag = f"{dataset.provenance}|shift(d={spec.degree:g},a={spec.pareto_alpha:g},{spec.direction})"
+    tag = (f"{dataset.provenance}|shift(d={shift['degree']:g},a={shift['pareto_alpha']:g},"
+           f"{shift['direction']})")
     return dataset.subset(indices, provenance=tag)
 
 
@@ -273,29 +260,6 @@ def load_csv(path: str | Path) -> LabeledDataset:
     )
 
 
-def stratified_split(
-    dataset: LabeledDataset, holdout_fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded per-class split; both sides keep at least one sample per class."""
-    if not 0.0 < holdout_fraction < 1.0:
-        raise UsageError(f"holdout fraction must be in (0, 1), got {holdout_fraction}")
-    rng = np.random.default_rng(seed)
-    hold_idx, main_idx = [], []
-    for cls in range(dataset.num_classes):
-        members = np.flatnonzero(dataset.labels == cls)
-        if len(members) < 2:
-            raise ProtocolError(f"class {cls} has {len(members)} samples; cannot split")
-        take = min(len(members) - 1, max(1, int(round(holdout_fraction * len(members)))))
-        members = members[rng.permutation(len(members))]
-        hold_idx.append(members[:take])
-        main_idx.append(members[take:])
-    main = np.sort(np.concatenate(main_idx))
-    hold = np.sort(np.concatenate(hold_idx))
-    return dataset.subset(main, dataset.provenance + "|train"), dataset.subset(
-        hold, dataset.provenance + "|holdout"
-    )
-
-
 def _is_int(value) -> bool:
     """A non-boolean Python int; inputs hold these for counts, widths and seeds."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -326,6 +290,15 @@ REAL_PAIRS = (lambda v: isinstance(v, (list, tuple)) and all(REAL_PAIR[0](p) for
               "be a list of pairs of finite numbers")
 MAPPING = (lambda v: isinstance(v, dict), "be a mapping")
 OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "be a string or null")
+PERCENT = (lambda v: _is_finite_real(v) and 0 <= v <= 100, "lie in [0, 100]")
+
+# the rules of a recipe's shift block, the keys it needs and its defaults:
+# min_per_class 2 and seed 0
+_SHIFT_KEYS = ("pareto_alpha", "direction", "degree", "budget")
+_SHIFT_RULES = {"pareto_alpha": POSITIVE_REAL,
+                "direction": (lambda v: v in DIRECTIONS, f"be one of {DIRECTIONS}"),
+                "degree": PERCENT, "budget": POSITIVE_INT, "min_per_class": NONNEGATIVE_INT,
+                "seed": SEED}
 
 
 # the keys each recipe kind needs besides "kind"; any kind may also hold a
@@ -359,12 +332,21 @@ def require(section, name: str, keys=(), error: type[Exception] = UsageError, *,
 
 def take_split(dataset: LabeledDataset, split: dict) -> LabeledDataset:
     """The part of a seeded stratified split named by a recipe's ``split``
-    block: ``{"holdout_fraction": f, "seed": s, "part": "train" | "holdout"}``."""
+    block: ``{"holdout_fraction": f, "seed": s, "part": "train" | "holdout"}``.
+    Both parts keep at least one sample of every class."""
     keys = ("holdout_fraction", "part", "seed")
     require(split, "split block ", keys, known=keys, holdout_fraction=FRACTION, seed=SEED,
             part=(lambda v: v in SPLIT_PARTS, f"be one of {SPLIT_PARTS}"))
-    train, holdout = stratified_split(dataset, split["holdout_fraction"], seed=split["seed"])
-    return train if split["part"] == "train" else holdout
+    rng = np.random.default_rng(split["seed"])
+    picked = []
+    for cls in range(dataset.num_classes):
+        members = np.flatnonzero(dataset.labels == cls)
+        if len(members) < 2:
+            raise ProtocolError(f"class {cls} has {len(members)} samples; cannot split")
+        take = min(len(members) - 1, max(1, int(round(split["holdout_fraction"] * len(members)))))
+        members = members[rng.permutation(len(members))]
+        picked.append(members[:take] if split["part"] == "holdout" else members[take:])
+    return dataset.subset(np.sort(np.concatenate(picked)), f"{dataset.provenance}|{split['part']}")
 
 
 def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.ndarray]:
@@ -469,12 +451,7 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
         base = load_idx(recipe["images"], recipe["labels"])
     shift = recipe.get("shift")
     if shift:
-        require(shift, "shift block ", ("pareto_alpha", "direction", "degree", "budget"),
-                known=("pareto_alpha", "direction", "degree", "budget", "min_per_class", "seed"),
-                pareto_alpha=REAL, degree=REAL, budget=POSITIVE_INT,
-                min_per_class=NONNEGATIVE_INT, seed=SEED)
-        spec = ShiftSpec(**{key: value for key, value in shift.items() if key != "seed"})
-        base = build_shift(base, spec, seed=shift.get("seed", 0))
+        base = build_shift(base, shift)
     split = recipe.get("split")
     if split:
         base = take_split(base, split)

@@ -49,9 +49,6 @@ class ModelParams:
     def all_blocks(self) -> list[ParamBlock]:
         return list(self.arena.parts)
 
-    def zero_grads(self) -> None:
-        self.arena.zero_grad()
-
 
 @dataclass
 class ForwardCache:

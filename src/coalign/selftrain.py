@@ -12,41 +12,36 @@ from pathlib import Path
 import numpy as np
 
 from . import model as model_mod
+from .data import NONNEGATIVE_REAL, PERCENT, require
 from .errors import EstimationError, UsageError
 from .model import ModelParams
 
-
-@dataclass(frozen=True)
-class KSchedule:
-    """k(epoch) = min(k0 + epoch * k_step, k_max), in percent."""
-
-    k0: float = 5.0
-    k_step: float = 5.0
-    k_max: float = 30.0
-
-
+# a k schedule is a dict of these keys, in percent:
+# k(epoch) = min(k0 + epoch * k_step, k_max)
+K_SCHEDULE_RULES = {"k0": PERCENT, "k_step": NONNEGATIVE_REAL, "k_max": PERCENT}
 K_SCHEDULE_PRESETS = {
-    "default": KSchedule(5.0, 5.0, 30.0),
-    "fast-start": KSchedule(20.0, 5.0, 50.0),
-    "low-cap": KSchedule(5.0, 5.0, 10.0),
+    "default": {"k0": 5.0, "k_step": 5.0, "k_max": 30.0},
+    "fast-start": {"k0": 20.0, "k_step": 5.0, "k_max": 50.0},
 }
 
 
 @dataclass
 class PseudoLabelSet:
-    """Per-target-sample pseudo-label, confidence, selection mask, and the k used."""
+    """Per-target-sample pseudo-label, confidence and selection mask."""
 
     labels: np.ndarray
     confidence: np.ndarray
     mask: np.ndarray
-    k: float
     num_classes: int
 
 
-def advance_k(schedule: KSchedule, epoch: int) -> float:
+def advance_k(schedule: dict, epoch: int) -> float:
+    """The k of a k schedule (see ``K_SCHEDULE_RULES``) at an adaptation epoch."""
+    require(schedule, "k_schedule ", tuple(K_SCHEDULE_RULES), known=K_SCHEDULE_RULES,
+            **K_SCHEDULE_RULES)
     if epoch < 0:
         raise UsageError(f"epoch must be nonnegative, got {epoch}")
-    return min(schedule.k0 + epoch * schedule.k_step, schedule.k_max)
+    return min(schedule["k0"] + epoch * schedule["k_step"], schedule["k_max"])
 
 
 def assign_pseudo_labels(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +71,7 @@ def select_top_k_per_class(
         quota = math.ceil(k * len(members) / 100.0)
         order = np.lexsort((members, -confidence[members]))
         mask[members[order[:quota]]] = 1
-    return PseudoLabelSet(labels, confidence, mask, float(k), num_classes)
+    return PseudoLabelSet(labels, confidence, mask, num_classes)
 
 
 def estimate_target_distribution(pseudo: PseudoLabelSet) -> np.ndarray:

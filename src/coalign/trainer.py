@@ -20,10 +20,10 @@ from . import data as data_mod
 from . import evaluation, model as model_mod, objectives, selftrain
 from .errors import DivergenceError, UsageError
 from .model import ModelParams
-from .data import (FRACTION, MAPPING, NONNEGATIVE_INT, NONNEGATIVE_REAL, OPTIONAL_STR,
-                   POSITIVE_INT, POSITIVE_REAL, REAL, WIDTHS, require)
+from .data import (FRACTION, MAPPING, NONNEGATIVE_INT, NONNEGATIVE_REAL, OPTIONAL_STR, PERCENT,
+                   POSITIVE_INT, POSITIVE_REAL, WIDTHS, require)
 from .numerics import mean_entropy, sgd_momentum_step
-from .selftrain import K_SCHEDULE_PRESETS, KSchedule
+from .selftrain import K_SCHEDULE_PRESETS, K_SCHEDULE_RULES
 
 METHODS = ("coal", "source-only", "marginal-align")
 ABLATION_FLAGS = ("disable-pseudo-term", "disable-entropy-term")
@@ -34,9 +34,6 @@ _STREAM_SOURCE = 1
 _STREAM_TARGET = 2
 _STREAM_HOLDOUT = 3
 
-# k_schedule keys: k0 and k_max are percentages
-_PERCENT = (lambda v: REAL[0](v) and 0 <= v <= 100, "lie in [0, 100]")
-_K_SCHEDULE_RULES = {"k0": _PERCENT, "k_step": NONNEGATIVE_REAL, "k_max": _PERCENT}
 # the sections a config's data mapping may hold
 _DATA_SECTIONS = ("twin_gaussians", "shift", "source", "target")
 
@@ -53,7 +50,7 @@ class TrainConfig:
     momentum: float = 0.9
     alpha: float = 0.1
     grl_lambda: float = 1.0
-    k_schedule: KSchedule = field(default_factory=KSchedule)
+    k_schedule: str | dict = "default"
     sampler: str = "balanced"
     ablations: tuple[str, ...] = ()
     hidden_dims: tuple[int, ...] = (32, 16)
@@ -82,10 +79,9 @@ class TrainConfig:
                     f"k_schedule must be one of {sorted(K_SCHEDULE_PRESETS)} or a dict, got {ks!r}"
                 )
             ks = K_SCHEDULE_PRESETS[ks]
-        if isinstance(ks, KSchedule):
-            ks = vars(ks)
-        require(ks, "k_schedule ", known=_K_SCHEDULE_RULES, **_K_SCHEDULE_RULES)
-        self.k_schedule = KSchedule(**ks)
+        require(ks, "k_schedule ", known=K_SCHEDULE_RULES, **K_SCHEDULE_RULES)
+        # a partial dict keeps the default preset's other keys
+        self.k_schedule = {**K_SCHEDULE_PRESETS["default"], **ks}
         self.hidden_dims = tuple(self.hidden_dims)
         for flag in self.ablations:
             if flag not in ABLATION_FLAGS:
@@ -416,7 +412,7 @@ def degree_configs(config: TrainConfig, degrees: list[float]) -> list[TrainConfi
         raise UsageError("sweep requires a data section with a shift block")
     configs, names = [], []
     for degree in degrees:
-        require({"degree": degree}, "sweep ", degree=_PERCENT)
+        require({"degree": degree}, "sweep ", degree=PERCENT)
         data = json.loads(json.dumps(config.data))
         data["shift"]["degree"] = degree
         names.append(f"degree_{degree:g}")

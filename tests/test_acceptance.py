@@ -20,7 +20,6 @@ from coalign import model as M
 from coalign import objectives, selftrain, trainer
 from coalign.evaluation import compare_distributions, js_distance, per_class_mean_accuracy
 from coalign.numerics import mean_entropy
-from coalign.selftrain import KSchedule
 from conftest import FIXTURE_SEEDS, final_accuracy, fixture_config, grid_mean
 
 
@@ -53,23 +52,23 @@ def test_criterion_1_gradient_suite():
             return reference.relu_signature(params, both)
 
         def supervised():
-            params.zero_grads()
+            params.arena.zero_grad()
             return objectives.source_classification_loss(params, src_x, src_y)
 
         def entropy_plain():
-            params.zero_grads()
+            params.arena.zero_grad()
             cache = M.forward_full(params, tgt_x)
             h, d_logits = mean_entropy(cache.probs)
             M.backward_head(params, cache, d_logits)
             return h
 
         def self_training():
-            params.zero_grads()
+            params.arena.zero_grad()
             return reference.self_training_loss(params, src_x, src_y, tgt_x, pseudo, mask)[0]
 
         def adaptive(sign):
             def loss():
-                params.zero_grads()
+                params.arena.zero_grad()
                 l_st = reference.self_training_loss(params, src_x, src_y, tgt_x, pseudo, mask)[0]
                 l_h = reference.entropy_objective(params, tgt_x, alpha)
                 return l_st + sign * alpha * l_h
@@ -77,7 +76,7 @@ def test_criterion_1_gradient_suite():
 
         def stacked(sign):
             def loss():
-                params.zero_grads()
+                params.arena.zero_grad()
                 got = objectives.coal_objective(params, src_x, src_y, tgt_x, pseudo, mask, alpha)
                 return got["l_st"] + sign * alpha * got["l_h"]
             return loss
@@ -113,7 +112,7 @@ def test_criterion_2_reversal_contract():
     _, d_logits = mean_entropy(cache.probs)
     M.backward_head(params, cache, d_logits)
     naive = {b.name: b.grad.copy() for b in params.all_blocks()}
-    params.zero_grads()
+    params.arena.zero_grad()
     reference.entropy_objective(params, tgt_x, alpha)
 
     c_ok = np.array_equal(params.prototypes.grad, -alpha * naive["prototypes"])
@@ -156,7 +155,7 @@ def test_criterion_3_selection_oracle_and_schedule():
         ours = selftrain.select_top_k_per_class(labels, confidence, k, c).mask
         if not np.array_equal(ours, brute_force_select(labels, confidence, k, c)):
             mismatches += 1
-    schedule = KSchedule(5, 5, 30)
+    schedule = {"k0": 5, "k_step": 5, "k_max": 30}
     expected = [5, 10, 15, 20, 25, 30, 30, 30, 30, 30, 30]
     schedule_ok = [selftrain.advance_k(schedule, e) for e in range(11)] == expected
     report_line(3, mismatches == 0 and schedule_ok,
@@ -170,8 +169,9 @@ def test_criterion_4_shift_protocol():
     rng = np.random.default_rng(13)
     pool2 = D.LabeledDataset(
         rng.normal(size=(400, 2)), np.repeat([0, 1], 200), 2)
-    ut = D.build_shift(pool2, D.ShiftSpec(1.0, D.DIRECTION_TARGET, 100.0, 100), seed=0)
-    rs = D.build_shift(pool2, D.ShiftSpec(1.0, D.DIRECTION_SOURCE, 100.0, 100), seed=0)
+    full = {"pareto_alpha": 1.0, "degree": 100.0, "budget": 100, "seed": 0}
+    ut = D.build_shift(pool2, {**full, "direction": D.DIRECTION_TARGET})
+    rs = D.build_shift(pool2, {**full, "direction": D.DIRECTION_SOURCE})
     counts_ok = ut.class_counts().tolist() == [80, 20] and rs.class_counts().tolist() == [20, 80]
 
     js_ok = True
@@ -181,20 +181,22 @@ def test_criterion_4_shift_protocol():
         budget = int(rng.integers(60, 400))
         degree = float(rng.choice([0, 20, 40, 60, 80, 100]))
         direction = str(rng.choice([D.DIRECTION_SOURCE, D.DIRECTION_TARGET]))
-        spec = D.ShiftSpec(float(rng.uniform(0.2, 3.0)), direction, degree, budget, min_per_class=0)
-        requested = D.shift_proportions(c, spec)
+        shift = {"pareto_alpha": float(rng.uniform(0.2, 3.0)), "direction": direction,
+                 "degree": degree, "budget": budget, "min_per_class": 0, "seed": 1}
+        requested = D.shift_proportions(c, shift)
         if (np.floor(requested * budget) < 1).any():
             continue
         pool = D.LabeledDataset(
             rng.normal(size=(c * budget, 2)), np.repeat(np.arange(c), budget), c)
-        shifted = D.build_shift(pool, spec, seed=1)
+        shifted = D.build_shift(pool, shift)
         totals_ok &= len(shifted) == budget
         realized = shifted.class_counts() / budget
         bound = np.sqrt(np.log(2) * min(1.0, c / (2.0 * budget)))
         js_ok &= js_distance(realized, requested) <= bound
     for degree in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
-        spec = D.ShiftSpec(1.0, D.DIRECTION_TARGET, degree, budget=100)
-        totals_ok &= len(D.build_shift(pool2, spec, seed=2)) == 100
+        shift = {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": degree,
+                 "budget": 100, "seed": 2}
+        totals_ok &= len(D.build_shift(pool2, shift)) == 100
     report_line(4, counts_ok and js_ok and totals_ok,
                 "counts (80,20)/(20,80); realized JS within rounding bound; totals invariant")
 

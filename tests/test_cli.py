@@ -1,6 +1,9 @@
 import csv
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +363,22 @@ def test_every_package_error_keeps_its_builtin_base():
     for t in types:
         assert issubclass(t, errors.CoalignError), t
         assert issubclass(t, (ValueError, FloatingPointError)), t
+
+
+def test_benchmark_workloads_set_up(tmp_path, monkeypatch):
+    """The benchmark's gated workloads, ``wide`` and ``cli-sweep``, build
+    their ops from this tree, and ``cli-sweep``'s warm-up op passes its own
+    check; the ledger's ``wide`` runs already cover ``wide``'s warm-up."""
+    path = Path(__file__).resolve().parent.parent / "coalbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("coalbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it loads
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    built = {}
+    for name in ("wide", "cli-sweep"):
+        (tmp_path / name).mkdir()
+        built[name] = workloads.WORKLOADS[name](0, tmp_path / name)
+        assert built[name][0], name
+    _, warmup = built["cli-sweep"]
+    assert warmup.check(warmup.run()) == []

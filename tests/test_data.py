@@ -49,6 +49,10 @@ class TestParetoProportions:
             assert (np.diff(props) < 0).all()
 
 
+# the full long-tailed profile of a 100-sample shift, direction still to set
+FULL_SHIFT = {"pareto_alpha": 1.0, "degree": 100.0, "budget": 100}
+
+
 def balanced_pool(c, per_class, dim=2, seed=0):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(c * per_class, dim))
@@ -59,23 +63,24 @@ def balanced_pool(c, per_class, dim=2, seed=0):
 class TestBuildShift:
     def test_degree_zero_is_balanced(self):
         pool = balanced_pool(4, 200)
-        spec = D.ShiftSpec(1.0, D.DIRECTION_TARGET, 0.0, budget=402)
-        counts = D.build_shift(pool, spec, seed=0).class_counts()
+        shift = {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": 0.0, "budget": 402}
+        counts = D.build_shift(pool, shift).class_counts()
         assert counts.max() - counts.min() <= 1
         assert counts.sum() == 402
 
     def test_full_shift_two_class_exact_counts(self):
         pool = balanced_pool(2, 200)
-        ut = D.build_shift(pool, D.ShiftSpec(1.0, D.DIRECTION_TARGET, 100.0, 100), seed=0)
-        rs = D.build_shift(pool, D.ShiftSpec(1.0, D.DIRECTION_SOURCE, 100.0, 100), seed=0)
+        ut = D.build_shift(pool, {**FULL_SHIFT, "direction": D.DIRECTION_TARGET})
+        rs = D.build_shift(pool, {**FULL_SHIFT, "direction": D.DIRECTION_SOURCE})
         assert ut.class_counts().tolist() == [80, 20]
         assert rs.class_counts().tolist() == [20, 80]
 
     def test_budget_preserved_across_degrees(self):
         pool = balanced_pool(5, 400)
         for degree in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
-            spec = D.ShiftSpec(1.5, D.DIRECTION_SOURCE, degree, budget=777)
-            assert len(D.build_shift(pool, spec, seed=1)) == 777
+            shift = {"pareto_alpha": 1.5, "direction": D.DIRECTION_SOURCE, "degree": degree,
+                     "budget": 777, "seed": 1}
+            assert len(D.build_shift(pool, shift)) == 777
 
     def test_realized_distribution_within_rounding_bound(self):
         rng = np.random.default_rng(1)
@@ -85,12 +90,13 @@ class TestBuildShift:
             budget = int(rng.integers(50, 400))
             degree = float(rng.choice([0, 20, 40, 60, 80, 100]))
             direction = str(rng.choice([D.DIRECTION_SOURCE, D.DIRECTION_TARGET]))
-            spec = D.ShiftSpec(alpha, direction, degree, budget, min_per_class=0)
-            requested = D.shift_proportions(c, spec)
+            shift = {"pareto_alpha": alpha, "direction": direction, "degree": degree,
+                     "budget": budget, "min_per_class": 0, "seed": 2}
+            requested = D.shift_proportions(c, shift)
             if (np.floor(requested * budget) < 1).any():
                 continue  # infeasible tiny classes; rounding floor would hit 0
             pool = balanced_pool(c, budget, seed=int(rng.integers(1e6)))
-            realized = D.build_shift(pool, spec, seed=2).class_counts() / budget
+            realized = D.build_shift(pool, shift).class_counts() / budget
             # largest-remainder error: total variation at most c / (2 * budget)
             bound = np.sqrt(np.log(2) * min(1.0, c / (2.0 * budget)))
             assert evaluation.js_distance(realized, requested) <= bound
@@ -105,36 +111,38 @@ class TestBuildShift:
 
     def test_reversal_duality(self):
         for c in (2, 5, 9):
-            ut = D.shift_proportions(c, D.ShiftSpec(1.0, D.DIRECTION_TARGET, 100.0, 100))
-            rs = D.shift_proportions(c, D.ShiftSpec(1.0, D.DIRECTION_SOURCE, 100.0, 100))
+            ut = D.shift_proportions(c, {**FULL_SHIFT, "direction": D.DIRECTION_TARGET})
+            rs = D.shift_proportions(c, {**FULL_SHIFT, "direction": D.DIRECTION_SOURCE})
             assert np.allclose(ut, rs[::-1])
 
     def test_monotone_js_in_degree(self):
         previous = -1.0
         for degree in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
-            rs = D.shift_proportions(4, D.ShiftSpec(1.0, D.DIRECTION_SOURCE, degree, 100))
-            ut = D.shift_proportions(4, D.ShiftSpec(1.0, D.DIRECTION_TARGET, degree, 100))
+            shift = {**FULL_SHIFT, "degree": degree}
+            rs = D.shift_proportions(4, {**shift, "direction": D.DIRECTION_SOURCE})
+            ut = D.shift_proportions(4, {**shift, "direction": D.DIRECTION_TARGET})
             distance = evaluation.js_distance(rs, ut)
             assert distance >= previous - 1e-12
             previous = distance
 
     def test_insufficient_samples_names_class_and_shortfall(self):
         pool = balanced_pool(2, 50)
-        spec = D.ShiftSpec(1.0, D.DIRECTION_TARGET, 100.0, budget=100)
         with pytest.raises(ProtocolError, match="class 0.*shortfall 30"):
-            D.build_shift(pool, spec, seed=0)
+            D.build_shift(pool, {**FULL_SHIFT, "direction": D.DIRECTION_TARGET})
 
     def test_minimum_per_class_enforced(self):
         pool = balanced_pool(4, 500)
-        spec = D.ShiftSpec(8.0, D.DIRECTION_TARGET, 100.0, budget=40, min_per_class=2)
+        shift = {"pareto_alpha": 8.0, "direction": D.DIRECTION_TARGET, "degree": 100.0,
+                 "budget": 40, "min_per_class": 2}
         with pytest.raises(ProtocolError, match="minimum"):
-            D.build_shift(pool, spec, seed=0)
+            D.build_shift(pool, shift)
 
     def test_seeded_and_without_replacement(self):
         pool = balanced_pool(3, 100)
-        spec = D.ShiftSpec(1.0, D.DIRECTION_TARGET, 50.0, budget=120)
-        a = D.build_shift(pool, spec, seed=5)
-        b = D.build_shift(pool, spec, seed=5)
+        shift = {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": 50.0,
+                 "budget": 120, "seed": 5}
+        a = D.build_shift(pool, shift)
+        b = D.build_shift(pool, shift)
         assert np.array_equal(a.features, b.features)
 
 
@@ -394,10 +402,12 @@ TWIN_SHIFT = {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": 60
 class TestSplitAndManifest:
     def test_stratified_split(self):
         pool = balanced_pool(4, 50)
-        train, hold = D.stratified_split(pool, 0.2, seed=0)
+        split = {"holdout_fraction": 0.2, "seed": 0}
+        train = D.take_split(pool, {**split, "part": "train"})
+        hold = D.take_split(pool, {**split, "part": "holdout"})
         assert len(train) + len(hold) == len(pool)
         assert (hold.class_counts() == 10).all()
-        again_train, _ = D.stratified_split(pool, 0.2, seed=0)
+        again_train = D.take_split(pool, {**split, "part": "train"})
         assert np.array_equal(train.features, again_train.features)
 
     def test_manifest_recipe_roundtrip(self, tmp_path):
@@ -430,11 +440,10 @@ class TestSplitAndManifest:
 
         base = D.load_csv(recipe["path"]) if kind == "csv" else D.load_idx(recipe["images"],
                                                                            recipe["labels"])
-        spec = D.ShiftSpec(1.0, D.DIRECTION_TARGET, 100.0, 60)
-        shifted = D.build_shift(base, spec, seed=2)
+        shifted = D.build_shift(base, shift)
         assert np.array_equal(shifted.class_counts(),
-                              D.largest_remainder_counts(D.shift_proportions(3, spec), 60))
-        _, holdout = D.stratified_split(shifted, 0.25, seed=3)
+                              D.largest_remainder_counts(D.shift_proportions(3, shift), 60))
+        holdout = D.take_split(shifted, split)
         assert D.dataset_fingerprint(got) == D.dataset_fingerprint(holdout)
         assert got.provenance.startswith(f"{kind}:") and got.provenance.endswith("|holdout")
 
@@ -516,16 +525,16 @@ CONFIG_RULES = {
     "method": (lambda v: v in METHODS, ""),
     "sampler": (lambda v: v in ("balanced", "natural"), ""),
 }
-PERCENT = (lambda v: D.REAL[0](v) and 0 <= v <= 100, "")
-K_SCHEDULE_RULES = {"k0": PERCENT, "k_step": D.NONNEGATIVE_REAL, "k_max": PERCENT}
+K_SCHEDULE_RULES = {"k0": D.PERCENT, "k_step": D.NONNEGATIVE_REAL, "k_max": D.PERCENT}
 RECIPE_RULES = {
     **{("generator", key): rule for key, rule in (
         ("num_classes", D.POSITIVE_INT), ("per_class", D.POSITIVE_INT),
         ("noise", D.NONNEGATIVE_REAL), ("rotation_deg", D.REAL), ("radius", D.REAL),
         ("seed", D.NONNEGATIVE_INT), ("translation", D.REAL_PAIR), ("means", D.REAL_PAIRS))},
     **{("shift", key): rule for key, rule in (
-        ("pareto_alpha", D.REAL), ("degree", D.REAL), ("budget", D.POSITIVE_INT),
-        ("min_per_class", D.NONNEGATIVE_INT), ("seed", D.SEED))},
+        ("pareto_alpha", D.POSITIVE_REAL), ("degree", D.PERCENT), ("budget", D.POSITIVE_INT),
+        ("min_per_class", D.NONNEGATIVE_INT), ("seed", D.SEED),
+        ("direction", (lambda v: v in (D.DIRECTION_SOURCE, D.DIRECTION_TARGET), "")))},
     **{("split", key): rule for key, rule in (
         ("holdout_fraction", D.FRACTION), ("seed", D.SEED),
         ("part", (lambda v: v in D.SPLIT_PARTS, "")))},
@@ -566,6 +575,11 @@ class TestRulesRejectWrongTypes:
         recipe[block] = {**recipe[block], key: value}
         with pytest.raises(UsageError, match=names_field(BLOCK_NAMES[block], key, value)):
             D.materialize_dataset(recipe)
+        # the function that uses a block checks it the same way when called directly
+        use = {"shift": D.build_shift, "split": D.take_split}.get(block)
+        if use is not None:
+            with pytest.raises(UsageError, match=names_field(BLOCK_NAMES[block], key, value)):
+                use(balanced_pool(3, 60), recipe[block])
 
     @given(key=st.sampled_from(sorted(HEADER_RULES)), value=JSON_VALUES)
     def test_checkpoint_header_field(self, key, value):

@@ -84,8 +84,9 @@ class TestJsDiagnostics:
         uniform = np.full(c, 1.0 / c)
         previous = -1.0
         for degree in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
-            spec = D.ShiftSpec(pareto_alpha=1.0, direction=D.DIRECTION_TARGET, degree=degree, budget=600)
-            distance = E.js_distance(uniform, D.shift_proportions(c, spec))
+            shift = {"pareto_alpha": 1.0, "direction": D.DIRECTION_TARGET, "degree": degree,
+                     "budget": 600}
+            distance = E.js_distance(uniform, D.shift_proportions(c, shift))
             assert distance >= previous
             previous = distance
 

@@ -73,7 +73,7 @@ def test_minimax_step_directions_on_fixture():
         snapshot = [b.value.copy() for b in params.all_blocks()]
         h0 = batch_entropy()
         for lrs, sink in ((head_lrs, deltas_c), (feat_lrs, deltas_f)):
-            params.zero_grads()
+            params.arena.zero_grad()
             reference.entropy_objective(params, x, cfg.alpha)
             sgd_momentum_step(params.all_blocks(), lrs, 0.0)
             sink.append(batch_entropy() - h0)

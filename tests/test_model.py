@@ -147,7 +147,7 @@ class TestDomainDiscriminator:
         for _ in range(200):
             _, accuracy = reference.domain_alignment_loss(params, src, tgt)
             sgd_momentum_step([w, b], lrs, 0.9)
-            params.zero_grads()
+            params.arena.zero_grad()
         assert accuracy > 0.9
 
 

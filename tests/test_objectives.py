@@ -51,11 +51,11 @@ class TestSourceClassificationLoss:
         x, y = separable_batch(rng)
         params = M.init_model(2, (8, 4), 2, seed=0)
         single = objectives.source_classification_loss(params, x, y)
-        params.zero_grads()
+        params.arena.zero_grad()
         double = objectives.source_classification_loss(
             params, np.vstack([x, x]), np.concatenate([y, y])
         )
-        params.zero_grads()
+        params.arena.zero_grad()
         assert double == pytest.approx(single, abs=1e-12)
 
     def test_empty_batch(self):
@@ -72,7 +72,7 @@ class TestSelfTrainingLoss:
         params = M.init_model(2, (8, 4), 2, seed=1)
         supervised = objectives.source_classification_loss(params, x, y)
         grads = {b.name: b.grad.copy() for b in params.all_blocks()}
-        params.zero_grads()
+        params.arena.zero_grad()
         l_st, l_sc, l_pseudo = reference.self_training_loss(
             params, x, y, tgt, np.zeros(8, dtype=int), np.zeros(8)
         )
@@ -134,7 +134,7 @@ class TestEntropyObjective:
         _, d_logits = mean_entropy(cache.probs)
         M.backward_head(params, cache, d_logits)
         naive = {b.name: b.grad.copy() for b in params.all_blocks()}
-        params.zero_grads()
+        params.arena.zero_grad()
 
         reference.entropy_objective(params, tgt, alpha)
         assert np.array_equal(params.prototypes.grad, -alpha * naive["prototypes"])
@@ -180,10 +180,10 @@ class TestCombinedBackward:
         params = M.init_model(2, (8, 4), 2, seed=3)
         reference.self_training_loss(params, x, y, tgt, pseudo, mask)
         st_grads = {b.name: b.grad.copy() for b in params.all_blocks()}
-        params.zero_grads()
+        params.arena.zero_grad()
         reference.entropy_objective(params, tgt, alpha)
         h_grads = {b.name: b.grad.copy() for b in params.all_blocks()}
-        params.zero_grads()
+        params.arena.zero_grad()
 
         reference.self_training_loss(params, x, y, tgt, pseudo, mask)
         reference.entropy_objective(params, tgt, alpha)
@@ -223,7 +223,7 @@ class TestDomainAlignment:
 
 def _grads(params):
     grads = {b.name: b.grad.copy() for b in params.all_blocks()}
-    params.zero_grads()
+    params.arena.zero_grad()
     return grads
 
 
@@ -349,7 +349,7 @@ class TestWideShapeIdentity:
         pseudo, weights, alpha = rng.integers(0, 10, self.N), rng.random(self.N) < 0.5, 0.1
         objectives.coal_objective(params, src_x, src_y, tgt_x, pseudo, weights, alpha)
         got = params.arena.grad.tobytes()
-        params.zero_grads()
+        params.arena.zero_grad()
 
         cache = M.forward_full(params, np.vstack([src_x, tgt_x]))
         assert 0.3 < np.mean(cache.acts[0] > 0.0) < 0.7
@@ -365,7 +365,7 @@ class TestWideShapeIdentity:
         lam = 2.0
         objectives.marginal_align_objective(params, src_x, src_y, tgt_x, grl_lambda=lam)
         got = params.arena.grad.tobytes()
-        params.zero_grads()
+        params.arena.zero_grad()
 
         cache = M.forward_full(params, np.vstack([src_x, tgt_x]))
         _, d_src = numerics.cross_entropy(cache.probs[:self.N], src_y)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from coalign import model as M
 from coalign import selftrain
 from coalign.errors import EstimationError, UsageError
-from coalign.selftrain import K_SCHEDULE_PRESETS, KSchedule
+from coalign.selftrain import K_SCHEDULE_PRESETS
 from test_acceptance import brute_force_select
 
 
@@ -134,23 +134,23 @@ class TestEstimateTargetDistribution:
     def test_balanced_selection(self):
         pseudo = selftrain.PseudoLabelSet(
             labels=np.array([0, 0, 1, 1]), confidence=np.ones(4), mask=np.ones(4, dtype=int),
-            k=100.0, num_classes=2)
+            num_classes=2)
         assert np.array_equal(selftrain.estimate_target_distribution(pseudo), [0.5, 0.5])
 
     def test_single_class_one_hot(self):
         pseudo = selftrain.PseudoLabelSet(
             labels=np.array([2, 2, 2]), confidence=np.ones(3), mask=np.ones(3, dtype=int),
-            k=100.0, num_classes=4)
+            num_classes=4)
         assert np.array_equal(selftrain.estimate_target_distribution(pseudo), [0, 0, 1, 0])
 
     def test_hand_counted_seven_samples(self):
         labels = np.array([0, 1, 1, 2, 2, 2, 0])
         mask = np.array([1, 1, 0, 1, 1, 1, 0])
-        pseudo = selftrain.PseudoLabelSet(labels, np.ones(7), mask, 50.0, 3)
+        pseudo = selftrain.PseudoLabelSet(labels, np.ones(7), mask, 3)
         assert np.allclose(selftrain.estimate_target_distribution(pseudo), [1 / 5, 1 / 5, 3 / 5])
 
     def test_no_selection_raises(self):
-        pseudo = selftrain.PseudoLabelSet(np.array([0]), np.ones(1), np.zeros(1, dtype=int), 0.0, 1)
+        pseudo = selftrain.PseudoLabelSet(np.array([0]), np.ones(1), np.zeros(1, dtype=int), 1)
         with pytest.raises(EstimationError):
             selftrain.estimate_target_distribution(pseudo)
 
@@ -158,7 +158,7 @@ class TestEstimateTargetDistribution:
         rng = np.random.default_rng(6)
         labels = rng.integers(0, 5, 80)
         mask = (rng.random(80) > 0.3).astype(np.int64)
-        pseudo = selftrain.PseudoLabelSet(labels, rng.random(80), mask, 70.0, 5)
+        pseudo = selftrain.PseudoLabelSet(labels, rng.random(80), mask, 5)
         dist = selftrain.estimate_target_distribution(pseudo)
         assert (dist >= 0).all()
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
@@ -166,32 +166,31 @@ class TestEstimateTargetDistribution:
 
 class TestKSchedule:
     def test_default_epoch_zero(self):
-        assert selftrain.advance_k(KSchedule(), 0) == 5.0
+        assert selftrain.advance_k(K_SCHEDULE_PRESETS["default"], 0) == 5.0
 
     def test_default_epoch_four(self):
-        assert selftrain.advance_k(KSchedule(), 4) == 25.0
+        assert selftrain.advance_k(K_SCHEDULE_PRESETS["default"], 4) == 25.0
 
     def test_clamps_at_max(self):
-        assert selftrain.advance_k(KSchedule(), 100) == 30.0
+        assert selftrain.advance_k(K_SCHEDULE_PRESETS["default"], 100) == 30.0
 
     def test_presets(self):
-        assert K_SCHEDULE_PRESETS["default"] == KSchedule(5, 5, 30)
-        assert K_SCHEDULE_PRESETS["fast-start"] == KSchedule(20, 5, 50)
-        assert K_SCHEDULE_PRESETS["low-cap"] == KSchedule(5, 5, 10)
+        assert K_SCHEDULE_PRESETS["default"] == {"k0": 5, "k_step": 5, "k_max": 30}
+        assert K_SCHEDULE_PRESETS["fast-start"] == {"k0": 20, "k_step": 5, "k_max": 50}
 
     def test_nondecreasing(self):
-        ks = [selftrain.advance_k(KSchedule(), e) for e in range(40)]
+        ks = [selftrain.advance_k(K_SCHEDULE_PRESETS["default"], e) for e in range(40)]
         assert all(b >= a for a, b in zip(ks, ks[1:]))
 
     def test_negative_epoch(self):
         with pytest.raises(UsageError, match="epoch must be nonnegative, got -1"):
-            selftrain.advance_k(KSchedule(), -1)
+            selftrain.advance_k(K_SCHEDULE_PRESETS["default"], -1)
 
 
 def test_pseudo_csv_dump(tmp_path):
     pseudo = selftrain.PseudoLabelSet(
         labels=np.array([1, 0]), confidence=np.array([0.75, 0.5]),
-        mask=np.array([1, 0]), k=10.0, num_classes=2)
+        mask=np.array([1, 0]), num_classes=2)
     path = tmp_path / "pseudo.csv"
     selftrain.write_pseudo_csv(pseudo, path)
     lines = path.read_text().strip().splitlines()

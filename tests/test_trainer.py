@@ -13,7 +13,6 @@ from coalign import data as D
 from coalign import model as M
 from coalign import cli, errors, evaluation, trainer
 from coalign.errors import DivergenceError, UsageError
-from coalign.selftrain import KSchedule
 from coalign.trainer import TrainConfig, run_experiment
 from conftest import fixture_config
 
@@ -202,7 +201,10 @@ class TestTrainConfig:
 
     def test_schedule_preset_resolution(self):
         cfg = TrainConfig(k_schedule="fast-start")
-        assert cfg.k_schedule == KSchedule(20, 5, 50)
+        assert cfg.k_schedule == {"k0": 20.0, "k_step": 5.0, "k_max": 50.0}
+        # a partial dict keeps the default preset's other keys
+        assert TrainConfig(k_schedule={"k0": 20.0}).k_schedule == {"k0": 20.0, "k_step": 5.0,
+                                                                   "k_max": 30.0}
 
     def test_file_roundtrip(self, tmp_path):
         cfg = tiny_twin_config("coal", seed=4, alpha=0.25)

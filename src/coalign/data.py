@@ -73,10 +73,8 @@ class LabeledDataset:
 def pareto_proportions(num_classes: int, alpha: float) -> np.ndarray:
     """Ranked long-tail proportions: the density x^-(alpha+1) evaluated at
     equally spaced points on [1, 2], normalized, strictly decreasing."""
-    if num_classes < 2:
-        raise UsageError(f"need at least 2 classes, got {num_classes}")
-    if alpha <= 0:
-        raise UsageError(f"alpha must be positive, got {alpha}")
+    require({"num_classes": num_classes, "alpha": alpha}, "", alpha=POSITIVE_REAL,
+            num_classes=(lambda v: _is_int(v) and v >= 2, "be an integer of at least 2"))
     x = 1.0 + np.arange(num_classes) / (num_classes - 1)
     weights = x ** -(alpha + 1.0)
     return weights / weights.sum()
@@ -84,12 +82,12 @@ def pareto_proportions(num_classes: int, alpha: float) -> np.ndarray:
 
 def shift_proportions(num_classes: int, shift: dict) -> np.ndarray:
     """Per-class proportions for a recipe's ``shift`` block (its rules are
-    ``_SHIFT_RULES``): ranked Pareto weights are assigned in descending
+    ``SHIFT_RULES``): ranked Pareto weights are assigned in descending
     order starting at class 0 (target-ranked) or class c-1
     (source-reversed), then interpolated toward uniform by the degree, 0
     balanced and 100 the full long-tailed profile."""
     require(shift, "shift block ", _SHIFT_KEYS, known=(*_SHIFT_KEYS, "min_per_class", "seed"),
-            **_SHIFT_RULES)
+            **SHIFT_RULES)
     ranked = pareto_proportions(num_classes, shift["pareto_alpha"])
     if shift["direction"] == DIRECTION_SOURCE:
         ranked = ranked[::-1]
@@ -295,10 +293,10 @@ PERCENT = (lambda v: _is_finite_real(v) and 0 <= v <= 100, "lie in [0, 100]")
 # the rules of a recipe's shift block, the keys it needs and its defaults:
 # min_per_class 2 and seed 0
 _SHIFT_KEYS = ("pareto_alpha", "direction", "degree", "budget")
-_SHIFT_RULES = {"pareto_alpha": POSITIVE_REAL,
-                "direction": (lambda v: v in DIRECTIONS, f"be one of {DIRECTIONS}"),
-                "degree": PERCENT, "budget": POSITIVE_INT, "min_per_class": NONNEGATIVE_INT,
-                "seed": SEED}
+SHIFT_RULES = {"pareto_alpha": POSITIVE_REAL,
+               "direction": (lambda v: v in DIRECTIONS, f"be one of {DIRECTIONS}"),
+               "degree": PERCENT, "budget": POSITIVE_INT, "min_per_class": NONNEGATIVE_INT,
+               "seed": SEED}
 
 
 # the keys each recipe kind needs besides "kind"; any kind may also hold a

@@ -21,6 +21,10 @@ from .errors import CheckpointError, DimensionError
 from .numerics import ParamBlock
 
 CHECKPOINT_VERSION = 1
+# predict runs forward_full on blocks of this many rows; the last block takes
+# the remainder, so a block holds fewer only when the whole input does.
+# Shorter blocks change the last bits of some logits products.
+PREDICT_BLOCK_ROWS = 1024
 # the checkpoint header: every key is required
 _HEADER_RULES = {
     "temperature": data_mod.POSITIVE_REAL, "seed": data_mod.NONNEGATIVE_INT,
@@ -129,6 +133,13 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     return ForwardCache(x, acts, normalized, norms, logits, probs)
 
 
+def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """``forward_full(params, inputs).probs``, byte for byte, with at most
+    one block's cache (under 2 * PREDICT_BLOCK_ROWS rows) alive at a time."""
+    cuts = range(PREDICT_BLOCK_ROWS, len(inputs) - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS)
+    return np.concatenate([forward_full(params, block).probs for block in np.split(inputs, cuts)])
+
+
 def backward_extractor(params: ModelParams, cache: ForwardCache, d_embed: np.ndarray) -> None:
     """Chain an embedding gradient back through the extractor."""
     g = d_embed
@@ -160,7 +171,8 @@ def backward_head(
     params.prototypes.accumulate(cache.normalized.T @ d_logits / t)
     if feature_d_logits is None:
         feature_d_logits = d_logits
-    d_norm = feature_d_logits @ params.prototypes.value.T / t
+    d_norm = feature_d_logits @ params.prototypes.value.T
+    d_norm /= t
     d_embed = numerics.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
     if d_embed_extra is not None:
         d_embed += d_embed_extra

@@ -115,7 +115,9 @@ def normalize_rows_bwd(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.nd
     # rows with norm > NORM_EPS: d = (g - y (y.g)) / norm; others: d = g / NORM_EPS
     denom = np.where(norms > NORM_EPS, norms, NORM_EPS)
     proj = (y * g).sum(axis=1)
-    dx = (g - y * proj[:, None]) / denom[:, None]
+    dx = y * proj[:, None]
+    np.subtract(g, dx, out=dx)
+    dx /= denom[:, None]
     small = norms <= NORM_EPS
     if small.any():
         dx[small] = g[small] / NORM_EPS

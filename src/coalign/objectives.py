@@ -96,6 +96,7 @@ def marginal_align_objective(
     l_dom, d_dom = numerics.cross_entropy(numerics.softmax(dom_logits), domains)
     numerics.linear_backward(d_dom, cache.embeddings, w, b)
     d_embed = d_dom @ w.value.T
+    d_embed *= -grl_lambda
     accuracy = float((dom_logits.argmax(axis=1) == domains).mean())
-    model_mod.backward_head(params, cache, d_logits, d_embed_extra=-grl_lambda * d_embed)
+    model_mod.backward_head(params, cache, d_logits, d_embed_extra=d_embed)
     return {"l_sc": l_sc, "l_st": l_sc, "l_domain": l_dom, "domain_discriminator_accuracy": accuracy}

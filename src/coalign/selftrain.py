@@ -46,7 +46,7 @@ def advance_k(schedule: dict, epoch: int) -> float:
 
 def assign_pseudo_labels(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """argmax class and its probability per row; ties go to the lowest class index."""
-    probs = model_mod.forward_full(params, features).probs
+    probs = model_mod.predict(params, features)
     labels = probs.argmax(axis=1).astype(np.int64)
     confidence = probs[np.arange(len(labels)), labels]
     return labels, confidence

@@ -143,7 +143,7 @@ def _batch_plan(dataset, config: TrainConfig, stream: int, global_epoch: int, sa
 
 
 def evaluate_model(params: ModelParams, dataset: data_mod.LabeledDataset) -> dict:
-    probs = model_mod.forward_full(params, dataset.features).probs
+    probs = model_mod.predict(params, dataset.features)
     cm = evaluation.confusion_matrix(dataset.labels, probs.argmax(axis=1), dataset.num_classes)
     return {
         "per_class_mean_accuracy": evaluation.per_class_mean_accuracy(cm),
@@ -296,7 +296,9 @@ def resolve_datasets(config: TrainConfig) -> tuple[tuple, dict[str, dict]]:
         src_recipe = {"kind": "twin-gaussians", "domain": "source", "generator": gen}
         tgt_recipe = {"kind": "twin-gaussians", "domain": "target", "generator": gen}
         if shift:
-            require(shift, "config data shift ", seed=NONNEGATIVE_INT)
+            # the run sets each side's direction
+            require(shift, "config data shift ", seed=NONNEGATIVE_INT,
+                    known=[key for key in data_mod.SHIFT_RULES if key != "direction"])
             shift_seed = shift.get("seed", 0)
             src_recipe["shift"] = {**shift, "direction": data_mod.DIRECTION_SOURCE, "seed": shift_seed}
             tgt_recipe["shift"] = {**shift, "direction": data_mod.DIRECTION_TARGET, "seed": shift_seed + 1}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coalign import data as D
@@ -566,6 +566,8 @@ class TestRulesRejectWrongTypes:
             TrainConfig(k_schedule={key: value})
 
     @given(field=st.sampled_from(sorted(RECIPE_RULES)), value=JSON_VALUES)
+    @example(field=("shift", "pareto_alpha"), value=float("nan"))
+    @example(field=("generator", "num_classes"), value="4")
     def test_recipe_block_field(self, field, value):
         assume(not RECIPE_RULES[field][0](value))
         block, key = field
@@ -580,6 +582,12 @@ class TestRulesRejectWrongTypes:
         if use is not None:
             with pytest.raises(UsageError, match=names_field(BLOCK_NAMES[block], key, value)):
                 use(balanced_pool(3, 60), recipe[block])
+        # and pareto_proportions checks the class count and the alpha it is given
+        args = {("generator", "num_classes"): ("num_classes", (value, 1.0)),
+                ("shift", "pareto_alpha"): ("alpha", (3, value))}.get(field)
+        if args is not None:
+            with pytest.raises(UsageError, match=names_field("", args[0], value)):
+                D.pareto_proportions(*args[1])
 
     @given(key=st.sampled_from(sorted(HEADER_RULES)), value=JSON_VALUES)
     def test_checkpoint_header_field(self, key, value):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 from coalign import model as M
-from coalign import objectives, trainer
+from coalign import objectives, selftrain, trainer
 from coalign.errors import CheckpointError, DimensionError, UsageError
 from coalign.numerics import sgd_momentum_step
 
@@ -92,6 +92,18 @@ class TestClassify:
         pred = M.forward_full(params, rng.normal(size=(30, 2)))
         assert np.abs(pred.probs.sum(axis=1) - 1.0).max() < 1e-6
 
+    @pytest.mark.parametrize("shape", [(64, (256, 128), 10), (2, (32, 16), 4)])
+    @pytest.mark.parametrize("rows", [1, 2, 781, 1023, 1024, 1025, 2047, 2048, 2049, 2561, 3000,
+                                      5000])
+    def test_predict_is_forward_full_byte_for_byte(self, shape, rows):
+        """Blocks of PREDICT_BLOCK_ROWS leave the logits products' bits as
+        they are over the whole input; at the wide shape 512-row blocks do not."""
+        params = M.init_model(*shape, temperature=0.3, seed=1)
+        rng = np.random.default_rng(rows)
+        params.arena.value[...] += 0.05 * rng.standard_normal(params.arena.value.shape)
+        x = rng.random((rows, shape[0]))
+        assert M.predict(params, x).tobytes() == M.forward_full(params, x).probs.tobytes()
+
 
 class TestForwardMemory:
     """The forward keeps one array per layer: besides the cache (every
@@ -111,8 +123,32 @@ class TestForwardMemory:
         finally:
             tracemalloc.stop()
         assert cache.probs.shape == (rows, classes)
-        bound = (sum(hidden_dims) + hidden_dims[-1] + 2 * classes + 16) * rows * 8
-        assert peak <= bound, f"peak {peak / rows / 8:.1f} float64 columns per row"
+        assert peak <= self.columns(hidden_dims, classes) * rows * 8, \
+            f"peak {peak / rows / 8:.1f} float64 columns per row"
+
+    @staticmethod
+    def columns(hidden_dims, classes):
+        """The float64 columns per row that a forward may hold at its peak."""
+        return sum(hidden_dims) + hidden_dims[-1] + 2 * classes + 16
+
+    def test_pseudo_label_pass_holds_one_block(self):
+        """Pseudo-labelling the wide target set holds one block's forward (at
+        most 2 * PREDICT_BLOCK_ROWS - 1 rows) plus its outputs: the block and
+        joined probabilities, labels, confidences and the row index."""
+        rows, hidden_dims, classes = 2561, (256, 128), 10
+        params = M.init_model(64, hidden_dims, classes, temperature=0.3, seed=1)
+        x = np.random.default_rng(0).random((rows, 64))
+        selftrain.assign_pseudo_labels(params, x)
+        tracemalloc.start()
+        try:
+            labels, _ = selftrain.assign_pseudo_labels(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (rows,)
+        block_rows = 2 * M.PREDICT_BLOCK_ROWS - 1
+        bound = (self.columns(hidden_dims, classes) * block_rows + (2 * classes + 3) * rows) * 8
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 class TestPrototypeSemantics:

@@ -472,6 +472,10 @@ class TestResolveDatasets:
         assert source.class_counts()[0] < source.class_counts()[1]
         total_target = tgt_train.class_counts() + tgt_hold.class_counts()
         assert total_target[0] > total_target[1]
+        # so a config's shift block may not set one
+        cfg.data["shift"]["direction"] = "bogus"
+        with pytest.raises(UsageError, match=r"^config data shift has unknown keys \['direction'\]$"):
+            trainer.resolve_datasets(cfg)
 
     def test_class_mismatch_names_both_sides(self, tmp_path, file_recipes):
         """A CSV target without the source's top class fails naming each side's shape."""

@@ -154,9 +154,9 @@ def generate_twin_domains(
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
         means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
+        if np.shape(means) != (num_classes, 2):
+            raise UsageError(f"twin-gaussians generator means must hold {num_classes} pairs, got {means!r}")
         means = np.asarray(means, dtype=np.float64)
-        if means.shape != (num_classes, 2):
-            raise UsageError(f"means must be ({num_classes}, 2), got {means.shape}")
     theta = math.radians(rotation_deg)
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     shift = np.asarray(translation, dtype=np.float64)

@@ -64,7 +64,6 @@ class ForwardCache:
     acts: list[np.ndarray]
     normalized: np.ndarray
     norms: np.ndarray
-    logits: np.ndarray
     probs: np.ndarray
 
     @property
@@ -130,7 +129,7 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     logits = normalized @ params.prototypes.value
     logits /= params.temperature
     probs = numerics.softmax(logits)
-    return ForwardCache(x, acts, normalized, norms, logits, probs)
+    return ForwardCache(x, acts, normalized, norms, probs)
 
 
 def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -152,31 +151,16 @@ def backward_extractor(params: ModelParams, cache: ForwardCache, d_embed: np.nda
             g = g @ w.value.T
 
 
-def backward_head(
-    params: ModelParams,
-    cache: ForwardCache,
-    d_logits: np.ndarray,
-    *,
-    feature_d_logits: np.ndarray | None = None,
-    d_embed_extra: np.ndarray | None = None,
-) -> None:
-    """Backward from cosine-head logits into prototypes and the extractor.
-
-    The prototypes take ``d_logits``; the extractor takes ``feature_d_logits``
-    when given (so one pass can route a term with opposite signs to the two
-    sides) and otherwise ``d_logits``. ``d_embed_extra`` is an embedding
-    gradient from another head, added before the single extractor chain.
-    """
+def backward_head(params: ModelParams, cache: ForwardCache, d_logits: np.ndarray,
+                  feature_d_logits: np.ndarray) -> np.ndarray:
+    """Accumulate the prototypes' gradient of ``d_logits`` and return the embedding
+    gradient of ``feature_d_logits`` for :func:`backward_extractor`; two different
+    gradients route one term with opposite signs to the two sides."""
     t = params.temperature
     params.prototypes.accumulate(cache.normalized.T @ d_logits / t)
-    if feature_d_logits is None:
-        feature_d_logits = d_logits
     d_norm = feature_d_logits @ params.prototypes.value.T
     d_norm /= t
-    d_embed = numerics.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
-    if d_embed_extra is not None:
-        d_embed += d_embed_extra
-    backward_extractor(params, cache, d_embed)
+    return numerics.normalize_rows_bwd(d_norm, cache.normalized, cache.norms)
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

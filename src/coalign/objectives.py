@@ -21,7 +21,8 @@ def source_classification_loss(params: ModelParams, inputs: np.ndarray, labels: 
         raise UsageError("source batch is empty")
     cache = model_mod.forward_full(params, inputs)
     loss, d_logits = numerics.cross_entropy(cache.probs, labels)
-    model_mod.backward_head(params, cache, d_logits)
+    d_embed = model_mod.backward_head(params, cache, d_logits, d_logits)
+    model_mod.backward_extractor(params, cache, d_embed)
     return loss
 
 
@@ -58,8 +59,9 @@ def coal_objective(
     l_sc, d_src = numerics.cross_entropy(cache.probs[:n], source_labels)
     l_pseudo, d_pseudo = numerics.cross_entropy(cache.probs[n:], target_pseudo, target_weights)
     l_h, d_ent = numerics.mean_entropy(cache.probs[n:])
-    model_mod.backward_head(params, cache, np.vstack([d_src, d_pseudo - alpha * d_ent]),
-                            feature_d_logits=np.vstack([d_src, d_pseudo + alpha * d_ent]))
+    d_embed = model_mod.backward_head(params, cache, np.vstack([d_src, d_pseudo - alpha * d_ent]),
+                                      np.vstack([d_src, d_pseudo + alpha * d_ent]))
+    model_mod.backward_extractor(params, cache, d_embed)
     return {"l_sc": l_sc, "l_target_pseudo": l_pseudo, "l_st": l_sc + l_pseudo, "l_h": l_h}
 
 
@@ -87,7 +89,7 @@ def marginal_align_objective(
     n = len(source_inputs)
     cache = model_mod.forward_full(params, np.vstack([source_inputs, target_inputs]))
     l_sc, d_src = numerics.cross_entropy(cache.probs[:n], source_labels)
-    d_logits = np.zeros_like(cache.logits)
+    d_logits = np.zeros_like(cache.probs)
     d_logits[:n] = d_src
     domains = np.zeros(len(cache.embeddings), dtype=np.int64)
     domains[n:] = 1
@@ -95,8 +97,10 @@ def marginal_align_objective(
     dom_logits = numerics.linear_forward(cache.embeddings, w, b)
     l_dom, d_dom = numerics.cross_entropy(numerics.softmax(dom_logits), domains)
     numerics.linear_backward(d_dom, cache.embeddings, w, b)
-    d_embed = d_dom @ w.value.T
-    d_embed *= -grl_lambda
+    d_domain = d_dom @ w.value.T
+    d_domain *= -grl_lambda
     accuracy = float((dom_logits.argmax(axis=1) == domains).mean())
-    model_mod.backward_head(params, cache, d_logits, d_embed_extra=d_embed)
+    d_embed = model_mod.backward_head(params, cache, d_logits, d_logits)
+    d_embed += d_domain
+    model_mod.backward_extractor(params, cache, d_embed)
     return {"l_sc": l_sc, "l_st": l_sc, "l_domain": l_dom, "domain_discriminator_accuracy": accuracy}

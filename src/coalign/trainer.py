@@ -69,25 +69,21 @@ class TrainConfig:
                 lr_backbone=NONNEGATIVE_REAL, alpha=NONNEGATIVE_REAL, grl_lambda=NONNEGATIVE_REAL,
                 momentum=(lambda v: NONNEGATIVE_REAL[0](v) and v < 1, "lie in [0, 1)"),
                 temperature=POSITIVE_REAL, holdout_fraction=FRACTION, hidden_dims=WIDTHS,
-                ablations=(lambda v: isinstance(v, (list, tuple)), "be a list of flags"),
+                # tuples are searched before set() hashes: a list entry cannot be hashed
+                ablations=(lambda v: isinstance(v, (list, tuple))
+                           and all(f in ABLATION_FLAGS for f in v) and len(set(v)) == len(v),
+                           f"be a list of distinct flags from {ABLATION_FLAGS}"),
+                k_schedule=(lambda v: isinstance(v, dict) or v in tuple(K_SCHEDULE_PRESETS),
+                            f"be one of {sorted(K_SCHEDULE_PRESETS)} or a dict"),
                 dump_pseudo=(lambda v: isinstance(v, bool), "be true or false"),
                 data=MAPPING, out_dir=OPTIONAL_STR, task=OPTIONAL_STR)
         ks = self.k_schedule
         if isinstance(ks, str):
-            if ks not in K_SCHEDULE_PRESETS:
-                raise UsageError(
-                    f"k_schedule must be one of {sorted(K_SCHEDULE_PRESETS)} or a dict, got {ks!r}"
-                )
             ks = K_SCHEDULE_PRESETS[ks]
         require(ks, "k_schedule ", known=K_SCHEDULE_RULES, **K_SCHEDULE_RULES)
         # a partial dict keeps the default preset's other keys
         self.k_schedule = {**K_SCHEDULE_PRESETS["default"], **ks}
         self.hidden_dims = tuple(self.hidden_dims)
-        for flag in self.ablations:
-            if flag not in ABLATION_FLAGS:
-                raise UsageError(f"unknown ablation flag {flag!r}")
-            if self.ablations.count(flag) > 1:
-                raise UsageError(f"ablations repeat flag {flag!r}")
         # one run, one spelling: flags are kept in ABLATION_FLAGS order
         self.ablations = tuple(f for f in ABLATION_FLAGS if f in self.ablations)
         if self.ablations and self.method != "coal":
@@ -168,7 +164,6 @@ def _run_epoch(
     *,
     paired: bool = False,
     alpha: float = 0.0,
-    extra: dict | None = None,
 ) -> dict:
     """The epoch loop of every method at global epoch ``epoch``, over the
     run's ``data`` (source, target_train, target_holdout).
@@ -179,7 +174,7 @@ def _run_epoch(
     name; a step that returns no ``l_target_pseudo`` or ``l_h`` reports
     them as 0.0. Each step's losses are appended to ``step_log`` with
     ``alpha``. The record holds the epoch mean of every step value, then
-    ``extra``, then the holdout metrics.
+    the holdout metrics.
     """
     source, target_train, holdout = data
     phase = "pretrain" if epoch < config.pretrain_epochs else "adapt"
@@ -203,8 +198,7 @@ def _run_epoch(
     record = {"epoch": epoch, "phase": phase, "k": None,
               "estimated_target_distribution": None, "masked_pseudo_accuracy": None,
               "domain_discriminator_accuracy": None,
-              **{key: val / steps for key, val in sums.items()}, **(extra or {}),
-              **evaluate_model(params, holdout)}
+              **{key: val / steps for key, val in sums.items()}, **evaluate_model(params, holdout)}
     record.pop("confusion")
     return record
 
@@ -261,8 +255,8 @@ def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch:
         return objectives.coal_objective(params, source.features[sb], source.labels[sb], tgt_x,
                                          pseudo.labels[tb], weights[tb], alpha)
 
-    return _run_epoch(params, config, epoch, step, data, step_log,
-                      paired=True, alpha=config.alpha, extra=extra)
+    return {**_run_epoch(params, config, epoch, step, data, step_log,
+                         paired=True, alpha=config.alpha), **extra}
 
 
 def run_marginal_align_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
@@ -286,10 +280,8 @@ def resolve_datasets(config: TrainConfig) -> tuple[tuple, dict[str, dict]]:
     Each target part is its recipe's split of the one materialized target,
     so ``materialize_dataset`` rebuilds every part from its recipe."""
     section = config.data
-    require(section, "config data section ", known=_DATA_SECTIONS)
-    for name in _DATA_SECTIONS:
-        if name in section and not isinstance(section[name], dict):
-            raise UsageError(f"config data section {name!r} must be a mapping, got {section[name]!r}")
+    require(section, "config data section ", known=_DATA_SECTIONS,
+            **dict.fromkeys(_DATA_SECTIONS, MAPPING))
     if "twin_gaussians" in section:
         gen = dict(section["twin_gaussians"])
         shift = section.get("shift")

@@ -59,7 +59,7 @@ def test_criterion_1_gradient_suite():
             params.arena.zero_grad()
             cache = M.forward_full(params, tgt_x)
             h, d_logits = mean_entropy(cache.probs)
-            M.backward_head(params, cache, d_logits)
+            M.backward_extractor(params, cache, M.backward_head(params, cache, d_logits, d_logits))
             return h
 
         def self_training():
@@ -110,7 +110,7 @@ def test_criterion_2_reversal_contract():
 
     cache = M.forward_full(params, tgt_x)
     _, d_logits = mean_entropy(cache.probs)
-    M.backward_head(params, cache, d_logits)
+    M.backward_extractor(params, cache, M.backward_head(params, cache, d_logits, d_logits))
     naive = {b.name: b.grad.copy() for b in params.all_blocks()}
     params.arena.zero_grad()
     reference.entropy_objective(params, tgt_x, alpha)

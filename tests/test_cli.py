@@ -305,6 +305,10 @@ class TestSweepAndAblate:
         table = capsys.readouterr().out
         assert "disable-pseudo-term" in table
         assert (out / "ablation_table.md").exists()
+        config = tiny_config_doc(tmp_path, method="marginal-align")
+        code = run_cli("ablate", "--config", str(config), "--out-dir", str(tmp_path / "other"))
+        assert_fails_with(code, capsys, "ablation study requires method=coal$")
+        assert not (tmp_path / "other").exists()
 
     @pytest.mark.parametrize("degrees, shown", [("0,150", "150.0"), ("0,nan", "nan"),
                                                 ("100,-5", "-5.0")])

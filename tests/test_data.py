@@ -28,7 +28,8 @@ from coalign.numerics import (
     linear_forward,
     sgd_momentum_step,
 )
-from coalign.trainer import METHODS, TrainConfig
+from coalign.selftrain import K_SCHEDULE_PRESETS
+from coalign.trainer import ABLATION_FLAGS, METHODS, TrainConfig
 
 
 class TestParetoProportions:
@@ -181,6 +182,14 @@ class TestTwinDomains:
         assert (src.class_counts() == 40).all()
         assert (tgt.class_counts() == 40).all()
 
+    def test_means_count_error_names_the_block(self):
+        means = [[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]]
+        recipe = {"kind": "twin-gaussians", "domain": "source",
+                  "generator": {"num_classes": 4, "per_class": 5, "noise": 0.1, "means": means}}
+        with pytest.raises(UsageError, match=r"^twin-gaussians generator means must .+, got "
+                                             + re.escape(repr(means)) + "$"):
+            D.materialize_dataset(recipe)
+
 
 def write_idx_fixture(tmp_path):
     """Two 28x28 images made by hand, labels 3 and 7."""
@@ -208,12 +217,14 @@ class TestIdx:
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
 
     def test_wrong_magic(self, tmp_path):
-        images, labels, _ = write_idx_fixture(tmp_path)
-        raw = bytearray(images.read_bytes())
-        raw[3] = 0x99
-        images.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
-            D.load_idx(images, labels)
+        for corrupt in ("images", "labels"):
+            images, labels, _ = write_idx_fixture(tmp_path)
+            path = images if corrupt == "images" else labels
+            raw = bytearray(path.read_bytes())
+            raw[3] = 0x99
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: bad magic"):
+                D.load_idx(images, labels)
 
     def test_count_mismatch(self, tmp_path):
         images, labels, _ = write_idx_fixture(tmp_path)
@@ -266,6 +277,16 @@ class TestCsv:
         assert ds.num_classes == 3
         assert np.array_equal(ds.features, [[0.5, -1.25], [1.5, 2.0]])
         assert ds.labels.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_file_is_named(self, tmp_path, kind):
+        path = tmp_path / "data.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"x0,label\n\xff\xfe,0\n")
+        with pytest.raises(FormatError, match=f"^cannot read {re.escape(str(path))}: "):
+            D.load_csv(path)
 
     def test_non_integer_labels(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -409,6 +430,10 @@ class TestSplitAndManifest:
         assert (hold.class_counts() == 10).all()
         again_train = D.take_split(pool, {**split, "part": "train"})
         assert np.array_equal(train.features, again_train.features)
+        # both parts keep every class, so a class of one sample cannot be split
+        lone = pool.subset(np.r_[0:51, 100:200])
+        with pytest.raises(ProtocolError, match="^class 1 has 1 samples; cannot split$"):
+            D.take_split(lone, {**split, "part": "train"})
 
     def test_manifest_recipe_roundtrip(self, tmp_path):
         import json
@@ -520,7 +545,9 @@ CONFIG_RULES = {
     "holdout_fraction": D.FRACTION, "hidden_dims": D.WIDTHS, "data": D.MAPPING,
     "out_dir": D.OPTIONAL_STR, "task": D.OPTIONAL_STR,
     "momentum": (lambda v: D.NONNEGATIVE_REAL[0](v) and v < 1, ""),
-    "ablations": (lambda v: isinstance(v, (list, tuple)), ""),
+    "ablations": (lambda v: isinstance(v, (list, tuple)) and all(f in ABLATION_FLAGS for f in v)
+                  and len(set(v)) == len(v), ""),
+    "k_schedule": (lambda v: isinstance(v, dict) or v in tuple(K_SCHEDULE_PRESETS), ""),
     "dump_pseudo": (lambda v: isinstance(v, bool), ""),
     "method": (lambda v: v in METHODS, ""),
     "sampler": (lambda v: v in ("balanced", "natural"), ""),

@@ -234,6 +234,11 @@ class TestRenderTable:
         bad = {"config": {"method": "x"}, "metrics": {"final": {"something_else": 1.0}}}
         with pytest.raises(TableError):
             E.render_table([good, bad], "markdown")
+        # every report has the field the table reads, but the final keys differ
+        other = fake_report("coal", 0.0, 2, 0.8)
+        other["metrics"]["final"]["something_else"] = 1.0
+        with pytest.raises(TableError, match="^reports have mismatched final-metric schemas"):
+            E.render_table([good, other], "markdown")
 
     def test_empty_reports(self):
         with pytest.raises(TableError):

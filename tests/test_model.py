@@ -83,7 +83,7 @@ class TestClassify:
         rng = np.random.default_rng(1)
         params = M.init_model(2, (8, 4), 5, seed=3)
         cache = M.forward_full(params, rng.normal(size=(20, 2)))
-        shifted = cache.logits + 3.7
+        shifted = cache.normalized @ params.prototypes.value / params.temperature + 3.7
         assert np.array_equal(cache.probs.argmax(axis=1), shifted.argmax(axis=1))
 
     def test_probability_rows_sum_to_one(self):
@@ -329,8 +329,12 @@ class TestCheckpoint:
         (lambda doc: doc["blocks"]["layer0.weight"].update(values="abc"), "layer0.weight"),
         (lambda doc: doc["blocks"].update({"layer1.weight": doc["blocks"]["layer0.weight"]}),
          "layer1.weight"),
+        # the same number of values, so only the shape check catches it
+        (lambda doc: doc["blocks"]["layer0.weight"].update(shape=[4, 2]),
+         r"layer0.weight' shape \[4, 2\] != model shape \(2, 4\)"),
     ], ids=["negative temperature", "text temperature", "text hidden_dims",
-            "negative input_dim", "negative seed", "list blocks", "text values", "extra block"])
+            "negative input_dim", "negative seed", "list blocks", "text values", "extra block",
+            "transposed shape"])
     def test_bad_header_or_block_is_named(self, tmp_path, edit, named):
         path = self._edited(tmp_path, edit)
         with pytest.raises(CheckpointError, match=named):

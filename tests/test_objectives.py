@@ -132,7 +132,7 @@ class TestEntropyObjective:
 
         cache = M.forward_full(params, tgt)
         _, d_logits = mean_entropy(cache.probs)
-        M.backward_head(params, cache, d_logits)
+        M.backward_extractor(params, cache, M.backward_head(params, cache, d_logits, d_logits))
         naive = {b.name: b.grad.copy() for b in params.all_blocks()}
         params.arena.zero_grad()
 
@@ -369,7 +369,7 @@ class TestWideShapeIdentity:
 
         cache = M.forward_full(params, np.vstack([src_x, tgt_x]))
         _, d_src = numerics.cross_entropy(cache.probs[:self.N], src_y)
-        d_logits = np.zeros_like(cache.logits)
+        d_logits = np.zeros_like(cache.probs)
         d_logits[:self.N] = d_src
         domains = np.repeat([0, 1], self.N)
         w, b = params.domain_head

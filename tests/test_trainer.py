@@ -125,9 +125,12 @@ class TestTrainConfig:
         ({"data": "twin_gaussians"}, "^data"),
         ({"out_dir": 5}, "^out_dir"),
         ({"task": 5}, "^task"),
-        ({"data": {"twin_gaussians": 5}}, "'twin_gaussians'"),
-        ({"data": {"twin_gaussians": {"num_classes": 2}, "shift": 5}}, "'shift'"),
-        ({"data": {"source": [], "target": {"kind": "csv"}}}, "'source'"),
+        ({"data": {"twin_gaussians": 5}},
+         "^config data section twin_gaussians must be a mapping, got 5$"),
+        ({"data": {"twin_gaussians": {"num_classes": 2}, "shift": 5}},
+         "^config data section shift must be a mapping, got 5$"),
+        ({"data": {"source": [], "target": {"kind": "csv"}}},
+         r"^config data section source must be a mapping, got \[\]$"),
         ({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
                    "shfit": {"pareto_alpha": 1.0, "degree": 100.0, "budget": 200}}}, "shfit"),
         *[({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
@@ -139,7 +142,8 @@ class TestTrainConfig:
                               "split": {"holdout_fraction": 0.5, "seed": 1, "part": "train"}}}},
          "^config data target recipe must not hold a split block"),
         ({"ablations": ["disable-pseudo-term", "disable-pseudo-term"]},
-         "^ablations repeat flag 'disable-pseudo-term'$"),
+         r"^ablations must be a list of distinct flags from .+, "
+         r"got \['disable-pseudo-term', 'disable-pseudo-term'\]$"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         # a data section of the wrong type is caught where the datasets are
@@ -412,6 +416,9 @@ class TestRunExperiment:
         configs = trainer.degree_configs(cfg, [0.0, 12.5, 100]) + trainer.ablation_configs(cfg)
         names = ("degree_0", "degree_12.5", "degree_100", "full", *trainer.ABLATION_FLAGS)
         assert [c.out_dir for c in configs] == [str(tmp_path / name) for name in names]
+        with pytest.raises(UsageError, match="^two runs would write to out_dir .*degree_0'$"):
+            trainer.run_experiments([configs[0], configs[0]])
+        assert not (tmp_path / "degree_0").exists()
 
     @pytest.mark.parametrize("shift", [None, 5])
     def test_sweep_needs_a_shift_block(self, shift):

@@ -97,6 +97,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if dataset.num_classes != params.num_classes:
         raise ConsistencyError(f"{args.checkpoint} predicts {params.num_classes} classes but "
                                f"{args.data} holds {dataset.num_classes}")
+    if dataset.features.shape[1] != params.input_dim:
+        raise ConsistencyError(f"{args.checkpoint} takes {params.input_dim} features but "
+                               f"{args.data} holds {dataset.features.shape[1]}")
     cache = model_mod.forward_full(params, dataset.features)
     predicted = cache.probs.argmax(axis=1)
     cm = evaluation.confusion_matrix(dataset.labels, predicted, dataset.num_classes)

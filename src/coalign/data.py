@@ -137,7 +137,8 @@ def build_shift(dataset: LabeledDataset, shift: dict) -> LabeledDataset:
     return dataset.subset(indices, provenance=tag)
 
 
-def generate_twin_domains(
+def generate_twin_domain(
+    domain: str,
     num_classes: int,
     per_class: int,
     noise: float,
@@ -146,10 +147,10 @@ def generate_twin_domains(
     radius: float = 2.0,
     means: np.ndarray | None = None,
     seed: int = 0,
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Two balanced 2-D domains sharing class blobs, with the target's
-    class-conditional densities rotated and translated relative to the source.
-    """
+) -> LabeledDataset:
+    """The ``"source"`` or ``"target"`` one of two balanced 2-D domains sharing
+    class blobs, each drawn from its own stream; the target's class-conditional
+    densities are rotated and translated relative to the source."""
     if means is None:
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
         means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -157,24 +158,20 @@ def generate_twin_domains(
         if np.shape(means) != (num_classes, 2):
             raise UsageError(f"twin-gaussians generator means must hold {num_classes} pairs, got {means!r}")
         means = np.asarray(means, dtype=np.float64)
-    theta = math.radians(rotation_deg)
-    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    shift = np.asarray(translation, dtype=np.float64)
-
-    def sample_domain(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        feats = np.vstack(
-            [means[c] + noise * rng.standard_normal((per_class, 2)) for c in range(num_classes)]
-        )
-        labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-        perm = rng.permutation(len(labels))
-        return feats[perm], labels[perm]
-
-    src_x, src_y = sample_domain(np.random.default_rng([seed, 0]))
-    tgt_x, tgt_y = sample_domain(np.random.default_rng([seed, 1]))
-    tgt_x = tgt_x @ rot.T + shift
-    source = LabeledDataset(src_x, src_y, num_classes, provenance=f"twin(seed={seed},src)")
-    target = LabeledDataset(tgt_x, tgt_y, num_classes, provenance=f"twin(seed={seed},tgt)")
-    return source, target
+    target = domain == "target"
+    rng = np.random.default_rng([seed, int(target)])
+    feats = np.vstack(
+        [means[c] + noise * rng.standard_normal((per_class, 2)) for c in range(num_classes)]
+    )
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    perm = rng.permutation(len(labels))
+    feats, labels = feats[perm], labels[perm]
+    if target:
+        theta = math.radians(rotation_deg)
+        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        feats = feats @ rot.T + np.asarray(translation, dtype=np.float64)
+    return LabeledDataset(feats, labels, num_classes,
+                          provenance=f"twin(seed={seed},{'tgt' if target else 'src'})")
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset:
@@ -210,9 +207,19 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
 def write_idx(
     dataset: LabeledDataset, images_path: str | Path, labels_path: str | Path, rows: int, cols: int
 ) -> None:
-    """Inverse of load_idx for fixtures: [0,1] features back to pixel bytes."""
+    """Inverse of load_idx for fixtures: [0,1] features back to pixel bytes.
+    A feature outside [0, 1] or not finite, or a label above 255, fails
+    naming its row instead of wrapping into a byte."""
     if rows * cols != dataset.features.shape[1]:
         raise UsageError(f"{rows}x{cols} grid does not match {dataset.features.shape[1]} features")
+    bad = np.argwhere(~((dataset.features >= 0.0) & (dataset.features <= 1.0)))
+    if bad.size:
+        row, col = bad[0]
+        raise UsageError(f"row {row}, column {col} holds feature {float(dataset.features[row, col])}; "
+                         "an IDX pixel holds a finite feature in [0, 1]")
+    over = np.flatnonzero(dataset.labels > 255)
+    if over.size:
+        raise UsageError(f"row {over[0]} holds label {dataset.labels[over[0]]}; an IDX label is at most 255")
     scaled = dataset.features * 255.0
     pixels = np.rint(scaled, out=scaled).astype(np.uint8)
     with open(images_path, "wb") as fh:
@@ -441,8 +448,7 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
                 num_classes=POSITIVE_INT, per_class=POSITIVE_INT, noise=NONNEGATIVE_REAL,
                 rotation_deg=REAL, translation=REAL_PAIR, radius=REAL, means=REAL_PAIRS,
                 seed=NONNEGATIVE_INT)
-        source, target = generate_twin_domains(**gen)
-        base = source if recipe["domain"] == "source" else target
+        base = generate_twin_domain(recipe["domain"], **gen)
     elif kind == "csv":
         base = load_csv(recipe["path"])
     else:

@@ -26,10 +26,6 @@ class UsageError(CoalignError, ValueError):
     """An operation was called with arguments it cannot meaningfully process."""
 
 
-class EstimationError(CoalignError, ValueError):
-    """A distribution estimate was requested from an empty selection."""
-
-
 class ProtocolError(CoalignError, ValueError):
     """A label-shift spec cannot be realized on the given dataset."""
 

@@ -150,12 +150,11 @@ def cross_entropy(
     denom = max(1.0, float(weights.sum()))
     rows = np.arange(probs.shape[0])
     picked = probs[rows, labels]
-    active = weights > 0.0
-    logp = np.zeros_like(picked)
-    logp[active] = np.log(picked[active])
+    logp = np.log(picked, out=np.zeros_like(picked), where=weights > 0.0)
     loss = float(0.0 - (weights * logp).sum() / denom)
-    d_logits = probs * (weights / denom)[:, None]
-    d_logits[rows, labels] -= weights / denom
+    scale = weights / denom
+    d_logits = probs * scale[:, None]
+    d_logits[rows, labels] -= scale
     return loss, d_logits
 
 
@@ -171,7 +170,7 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
         worst = int(np.abs(sums - 1.0).argmax())
         raise NormalizationError(f"row {worst} sums to {sums[worst]:.6f}, expected 1")
     rows = probs.shape[0]
-    logp = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    logp = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
     plogp = probs * logp
     row_h = -plogp.sum(axis=1)
     h = float(row_h.sum() / rows)

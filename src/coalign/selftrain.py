@@ -13,7 +13,7 @@ import numpy as np
 
 from . import model as model_mod
 from .data import NONNEGATIVE_REAL, PERCENT, require
-from .errors import EstimationError, UsageError
+from .errors import UsageError
 from .model import ModelParams
 
 # a k schedule is a dict of these keys, in percent:
@@ -32,7 +32,6 @@ class PseudoLabelSet:
     labels: np.ndarray
     confidence: np.ndarray
     mask: np.ndarray
-    num_classes: int
 
 
 def advance_k(schedule: dict, epoch: int) -> float:
@@ -71,16 +70,7 @@ def select_top_k_per_class(
         quota = math.ceil(k * len(members) / 100.0)
         order = np.lexsort((members, -confidence[members]))
         mask[members[order[:quota]]] = 1
-    return PseudoLabelSet(labels, confidence, mask, num_classes)
-
-
-def estimate_target_distribution(pseudo: PseudoLabelSet) -> np.ndarray:
-    """Class proportions among the masked samples."""
-    selected = pseudo.labels[pseudo.mask == 1]
-    if selected.size == 0:
-        raise EstimationError("no samples selected; cannot estimate the label distribution")
-    counts = np.bincount(selected, minlength=pseudo.num_classes).astype(np.float64)
-    return counts / counts.sum()
+    return PseudoLabelSet(labels, confidence, mask)
 
 
 def write_pseudo_csv(pseudo: PseudoLabelSet, path: str | Path) -> None:

@@ -229,7 +229,8 @@ def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch:
     selected = pseudo.mask == 1
     extra = {"k": k, "alpha": config.alpha}
     if selected.any():
-        extra["estimated_target_distribution"] = selftrain.estimate_target_distribution(pseudo).tolist()
+        extra["estimated_target_distribution"] = evaluation.label_distribution(
+            np.bincount(pseudo.labels[selected], minlength=target_train.num_classes)).tolist()
         extra["masked_pseudo_accuracy"] = float(
             (pseudo.labels[selected] == target_train.labels[selected]).mean()
         )
@@ -354,18 +355,12 @@ def run_experiment(config: TrainConfig) -> RunReport:
 
     final = evaluate_model(params, target_holdout)
     true_dist = evaluation.label_distribution(target_train.class_counts())
-    last_estimate = next(
-        (r["estimated_target_distribution"] for r in reversed(records)
-         if r.get("estimated_target_distribution") is not None),
-        None,
-    )
-    if last_estimate is not None:
-        comparison = evaluation.compare_distributions(np.asarray(last_estimate), true_dist)
-        final["estimated_vs_true_js_distance"] = comparison["js_distance"]
-        final["estimated_vs_true_l1"] = comparison["l1"]
-    else:
-        final["estimated_vs_true_js_distance"] = None
-        final["estimated_vs_true_l1"] = None
+    estimates = [r["estimated_target_distribution"] for r in records
+                 if r["estimated_target_distribution"] is not None]
+    comparison = (evaluation.compare_distributions(estimates[-1], true_dist)
+                  if estimates else {"js_distance": None, "l1": None})
+    final["estimated_vs_true_js_distance"] = comparison["js_distance"]
+    final["estimated_vs_true_l1"] = comparison["l1"]
     metrics = {
         "true_target_distribution": true_dist.tolist(),
         "epochs": records,

@@ -232,18 +232,29 @@ class TestEval:
         assert_fails_with(code, capsys, "broken_manifest.json")
 
 
-    @pytest.mark.parametrize("model_classes, data_classes", [(3, 2), (2, 3)])
-    def test_class_count_mismatch_raises(self, tmp_path, capsys, model_classes, data_classes):
+    @pytest.mark.parametrize("model_classes, data_classes, data_width",
+                             [(3, 2, 2), (2, 3, 2), (2, 2, 3)], ids=["3-2", "2-3", "width"])
+    def test_class_count_mismatch_raises(self, tmp_path, capsys, model_classes, data_classes,
+                                         data_width):
         config = tiny_config_doc(tmp_path, data={"twin_gaussians": {
             "num_classes": model_classes, "per_class": 60, "noise": 0.4, "seed": 3}})
         run_dir = tmp_path / "run"
         run_cli("train", "--config", str(config), "--out-dir", str(run_dir))
         split = tmp_path / "split"
-        gen_shift(tmp_path, {"kind": "twin-gaussians", "domain": "source", "generator": {
-            "num_classes": data_classes, "per_class": 50, "noise": 0.6, "seed": 3}})
+        if data_width == 2:
+            gen_shift(tmp_path, {"kind": "twin-gaussians", "domain": "source", "generator": {
+                "num_classes": data_classes, "per_class": 50, "noise": 0.6, "seed": 3}})
+            message = f"predicts {model_classes} classes but .* holds {data_classes}"
+        else:
+            rows = tmp_path / "rows.csv"
+            rows.write_text("a,b,c,label\n" + "".join(
+                f"{i / 40},{i % 3},0.5,{i % data_classes}\n" for i in range(40)))
+            gen_shift(tmp_path, {"kind": "csv", "path": str(rows)})
+            message = (f"^coalign: error: {re.escape(str(run_dir / 'checkpoint.json'))} takes 2 "
+                       f"features but {re.escape(str(split / 'manifest.json'))} holds 3$")
         code = run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                        "--data", str(split / "manifest.json"), "--out-dir", str(tmp_path / "eval"))
-        assert_fails_with(code, capsys, f"predicts {model_classes} classes but .* holds {data_classes}")
+        assert_fails_with(code, capsys, message)
         assert not (tmp_path / "eval").exists()
 
 
@@ -363,7 +374,7 @@ class TestSweepAndAblate:
 def test_every_package_error_keeps_its_builtin_base():
     types = [t for t in vars(errors).values()
              if isinstance(t, type) and issubclass(t, Exception) and t is not errors.CoalignError]
-    assert len(types) == 13
+    assert len(types) == 12
     for t in types:
         assert issubclass(t, errors.CoalignError), t
         assert issubclass(t, (ValueError, FloatingPointError)), t

@@ -149,14 +149,16 @@ class TestBuildShift:
 
 class TestTwinDomains:
     def test_no_shift_matches_distribution(self):
-        src, tgt = D.generate_twin_domains(3, 400, 0.5, rotation_deg=0.0, seed=2)
+        src, tgt = (D.generate_twin_domain(domain, 3, 400, 0.5, rotation_deg=0.0, seed=2)
+                    for domain in ("source", "target"))
         for cls in range(3):
             sm = src.features[src.labels == cls].mean(axis=0)
             tm = tgt.features[tgt.labels == cls].mean(axis=0)
             assert np.abs(sm - tm).max() < 0.1
 
     def test_rotation_hurts_linear_probe(self):
-        src, tgt = D.generate_twin_domains(4, 300, 0.5, rotation_deg=30.0, seed=5)
+        src, tgt = (D.generate_twin_domain(domain, 4, 300, 0.5, rotation_deg=30.0, seed=5)
+                    for domain in ("source", "target"))
         w = ParamBlock("w", np.zeros((2, 4)))
         b = ParamBlock("b", np.zeros((1, 4)))
         lrs = {"w": 0.1, "b": 0.1}
@@ -171,14 +173,15 @@ class TestTwinDomains:
         assert accuracy(src) - accuracy(tgt) >= 0.05
 
     def test_reproducible(self):
-        a = D.generate_twin_domains(4, 50, 0.3, rotation_deg=15.0, translation=(0.5, -0.5), seed=9)
-        b = D.generate_twin_domains(4, 50, 0.3, rotation_deg=15.0, translation=(0.5, -0.5), seed=9)
-        for da, db in zip(a, b):
+        for domain in ("source", "target"):
+            da, db = (D.generate_twin_domain(domain, 4, 50, 0.3, rotation_deg=15.0,
+                                             translation=(0.5, -0.5), seed=9) for _ in range(2))
             assert np.array_equal(da.features, db.features)
             assert np.array_equal(da.labels, db.labels)
 
     def test_balanced_before_shift(self):
-        src, tgt = D.generate_twin_domains(5, 40, 0.3, seed=0)
+        src, tgt = (D.generate_twin_domain(domain, 5, 40, 0.3, seed=0)
+                    for domain in ("source", "target"))
         assert (src.class_counts() == 40).all()
         assert (tgt.class_counts() == 40).all()
 
@@ -249,6 +252,16 @@ class TestIdx:
         D.write_idx(ds, out_images, out_labels, 28, 28)
         assert out_images.read_bytes() == images.read_bytes()
         assert out_labels.read_bytes() == labels.read_bytes()
+        # a value no byte holds fails naming its row instead of wrapping
+        for feature, label, message in ((1.2, 7, "row 1, column 5 holds feature 1.2;"),
+                                        (-0.1, 7, "row 1, column 5 holds feature -0.1;"),
+                                        (np.nan, 7, "row 1, column 5 holds feature nan;"),
+                                        (0.5, 300, "row 1 holds label 300;")):
+            features = ds.features.copy()
+            features[1, 5] = feature
+            bad = D.LabeledDataset(features, [3, label], label + 1)
+            with pytest.raises(UsageError, match=f"^{re.escape(message)}"):
+                D.write_idx(bad, out_images, out_labels, 28, 28)
 
     @settings(max_examples=25)
     @given(count=st.integers(1, 5), rows=st.integers(1, 3), cols=st.integers(1, 3),

@@ -64,6 +64,31 @@ class TestPerClassMeanAccuracy:
             assert E.per_class_mean_accuracy(cm) == pytest.approx(E.overall_accuracy(cm), abs=1e-12)
 
 
+def random_selection(seed):
+    """80 pseudo-labels over 5 classes and a mask keeping about 70% of them."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 5, 80), (rng.random(80) > 0.3).astype(np.int64)
+
+
+@pytest.mark.parametrize("labels, mask, num_classes, expected", [
+    ([0, 0, 1, 1], [1, 1, 1, 1], 2, [0.5, 0.5]),
+    ([2, 2, 2], [1, 1, 1], 4, [0.0, 0.0, 1.0, 0.0]),
+    ([0, 1, 1, 2, 2, 2, 0], [1, 1, 0, 1, 1, 1, 0], 3, [1 / 5, 1 / 5, 3 / 5]),
+    (*random_selection(6), 5, None),
+], ids=["balanced", "one-hot", "seven-rows", "random"])
+def test_label_distribution_of_selected_pseudo_labels(labels, mask, num_classes, expected):
+    """The per-epoch estimate's form: the class shares of the selected
+    pseudo-labels, a valid distribution that scales back to the counts."""
+    selected = np.asarray(labels)[np.asarray(mask) == 1]
+    counts = np.bincount(selected, minlength=num_classes)
+    dist = E.label_distribution(counts)
+    assert dist.shape == (num_classes,) and (dist >= 0).all()
+    assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(dist * selected.size, counts)
+    if expected is not None:
+        assert np.array_equal(dist, expected)
+
+
 class TestJsDiagnostics:
     def test_identical_distributions(self):
         p = np.array([0.3, 0.7])

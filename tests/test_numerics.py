@@ -185,6 +185,57 @@ class TestMeanEntropy:
         assert np.abs(grad.sum(axis=1)).max() < 1e-12
 
 
+def written_out_cross_entropy(probs, labels, weights):
+    """cross_entropy's loss and gradient as a boolean gather and scatter."""
+    denom = max(1.0, float(weights.sum()))
+    rows = np.arange(probs.shape[0])
+    picked = probs[rows, labels]
+    active = weights > 0.0
+    logp = np.zeros_like(picked)
+    logp[active] = np.log(picked[active])
+    d_logits = probs * (weights / denom)[:, None]
+    d_logits[rows, labels] -= weights / denom
+    return float(0.0 - (weights * logp).sum() / denom), d_logits
+
+
+def written_out_mean_entropy(probs):
+    """mean_entropy's value and gradient with the log taken under a nested where."""
+    probs = np.ascontiguousarray(probs)
+    logp = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    row_h = -(probs * logp).sum(axis=1)
+    return float(row_h.sum() / probs.shape[0]), -(probs * (logp + row_h[:, None])) / probs.shape[0]
+
+
+# probability entries: zeros and subnormals mixed with arbitrary shares
+PROB_ENTRY = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+                       st.floats(0.0, 1.0))
+
+
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
+       layout=st.sampled_from(["contiguous", "reversed rows", "reversed columns", "transposed"]))
+def test_losses_take_the_log_only_where_it_is_read(data, rows, cols, layout):
+    """A log under ``where=`` gives the bits of the written-out forms, for
+    zero and subnormal probabilities, zero weights and every layout."""
+    raw = data.draw(arrays(np.float64, (rows, cols), elements=PROB_ENTRY))
+    raw[:, 0] += 1.0
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    probs = {"contiguous": probs, "reversed rows": probs[::-1].copy()[::-1],
+             "reversed columns": probs[:, ::-1].copy()[:, ::-1],
+             "transposed": np.asfortranarray(probs)}[layout]
+    labels = data.draw(arrays(np.int64, rows, elements=st.integers(0, cols - 1)))
+    weights = data.draw(arrays(np.float64, rows, elements=st.sampled_from([0.0, 0.5, 1.0, 3.0])))
+    for weighted in (weights, None):
+        with np.errstate(divide="ignore"):
+            got = numerics.cross_entropy(probs, labels, weighted)
+            want = written_out_cross_entropy(
+                probs, labels, np.ones(rows) if weighted is None else weighted)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    got, want = numerics.mean_entropy(probs), written_out_mean_entropy(probs)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestSgdMomentum:
     def test_first_step(self):
         b = block("w", [[0.0]])

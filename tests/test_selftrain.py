@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coalign import model as M
 from coalign import selftrain
-from coalign.errors import EstimationError, UsageError
+from coalign.errors import UsageError
 from coalign.selftrain import K_SCHEDULE_PRESETS
 from test_acceptance import brute_force_select
 
@@ -130,40 +130,6 @@ class TestSelectTopKPerClass:
         assert out.mask[labels == 0].sum() == 3
 
 
-class TestEstimateTargetDistribution:
-    def test_balanced_selection(self):
-        pseudo = selftrain.PseudoLabelSet(
-            labels=np.array([0, 0, 1, 1]), confidence=np.ones(4), mask=np.ones(4, dtype=int),
-            num_classes=2)
-        assert np.array_equal(selftrain.estimate_target_distribution(pseudo), [0.5, 0.5])
-
-    def test_single_class_one_hot(self):
-        pseudo = selftrain.PseudoLabelSet(
-            labels=np.array([2, 2, 2]), confidence=np.ones(3), mask=np.ones(3, dtype=int),
-            num_classes=4)
-        assert np.array_equal(selftrain.estimate_target_distribution(pseudo), [0, 0, 1, 0])
-
-    def test_hand_counted_seven_samples(self):
-        labels = np.array([0, 1, 1, 2, 2, 2, 0])
-        mask = np.array([1, 1, 0, 1, 1, 1, 0])
-        pseudo = selftrain.PseudoLabelSet(labels, np.ones(7), mask, 3)
-        assert np.allclose(selftrain.estimate_target_distribution(pseudo), [1 / 5, 1 / 5, 3 / 5])
-
-    def test_no_selection_raises(self):
-        pseudo = selftrain.PseudoLabelSet(np.array([0]), np.ones(1), np.zeros(1, dtype=int), 1)
-        with pytest.raises(EstimationError):
-            selftrain.estimate_target_distribution(pseudo)
-
-    def test_output_is_valid_distribution(self):
-        rng = np.random.default_rng(6)
-        labels = rng.integers(0, 5, 80)
-        mask = (rng.random(80) > 0.3).astype(np.int64)
-        pseudo = selftrain.PseudoLabelSet(labels, rng.random(80), mask, 5)
-        dist = selftrain.estimate_target_distribution(pseudo)
-        assert (dist >= 0).all()
-        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
-
-
 class TestKSchedule:
     def test_default_epoch_zero(self):
         assert selftrain.advance_k(K_SCHEDULE_PRESETS["default"], 0) == 5.0
@@ -190,7 +156,7 @@ class TestKSchedule:
 def test_pseudo_csv_dump(tmp_path):
     pseudo = selftrain.PseudoLabelSet(
         labels=np.array([1, 0]), confidence=np.array([0.75, 0.5]),
-        mask=np.array([1, 0]), num_classes=2)
+        mask=np.array([1, 0]))
     path = tmp_path / "pseudo.csv"
     selftrain.write_pseudo_csv(pseudo, path)
     lines = path.read_text().strip().splitlines()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import model as M
-from coalign import cli, errors, evaluation, trainer
+from coalign import cli, errors, evaluation, selftrain, trainer
 from coalign.errors import DivergenceError, UsageError
 from coalign.trainer import TrainConfig, run_experiment
 from conftest import fixture_config
@@ -335,6 +335,18 @@ class TestCoalEpoch:
         trainer.run_coal_epoch(params, data, cfg, cfg.pretrain_epochs, log)
         for entry in log:
             assert abs(entry["l_st"] - (entry["l_sc"] + entry["l_target_pseudo"])) < 1e-9
+
+    def test_estimate_is_the_hand_counted_shares_of_the_selection(self):
+        """The epoch's estimate is the class shares among the pseudo-labels
+        selected from the pretrained model, exactly."""
+        cfg = tiny_twin_config("coal")
+        params, data = pretrained(cfg)
+        labels, confidence = selftrain.assign_pseudo_labels(params, data[1].features)
+        k = selftrain.advance_k(cfg.k_schedule, 0)
+        chosen = labels[selftrain.select_top_k_per_class(labels, confidence, k, 2).mask == 1]
+        record = trainer.run_coal_epoch(params, data, cfg, cfg.pretrain_epochs, [])
+        shares = [sum(1 for label in chosen.tolist() if label == c) / len(chosen) for c in (0, 1)]
+        assert record["estimated_target_distribution"] == shares
 
     def test_zero_k_schedule_warns_and_proceeds(self):
         cfg = tiny_twin_config("coal", k_schedule={"k0": 0, "k_step": 0, "k_max": 0})

@@ -358,6 +358,7 @@ def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.
     """One epoch of class-balanced batches: floor(B/c) draws per class, the
     remainder rotating round-robin over a per-epoch class order; exhausted
     classes reshuffle and recycle, oversampling minorities."""
+    require({"batch_size": batch_size}, "", batch_size=POSITIVE_INT)
     counts = dataset.class_counts()
     empty = np.flatnonzero(counts == 0)
     if empty.size:
@@ -387,6 +388,7 @@ def _reshuffled(members: np.ndarray, order: np.ndarray, rng: np.random.Generator
 
 def natural_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.ndarray]:
     """Plain shuffled batching; every index appears exactly once."""
+    require({"batch_size": batch_size}, "", batch_size=POSITIVE_INT)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]

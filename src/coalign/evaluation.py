@@ -49,6 +49,8 @@ def overall_accuracy(cm: np.ndarray) -> float:
 def label_distribution(counts: np.ndarray) -> np.ndarray:
     """Normalize nonnegative class counts into proportions."""
     counts = np.asarray(counts, dtype=np.float64)
+    if not (np.isfinite(counts) & (counts >= 0.0)).all():
+        raise UsageError(f"counts must be finite and nonnegative, got {counts.tolist()}")
     total = counts.sum()
     if total <= 0:
         raise UsageError("cannot normalize an all-zero count vector")

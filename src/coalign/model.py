@@ -85,7 +85,8 @@ def init_model(
     each column is a unit prototype from the first step. The domain head
     starts at zero, which makes an untrained discriminator output exactly 0.5.
     """
-    data_mod.require({"temperature": temperature}, "", temperature=data_mod.POSITIVE_REAL)
+    data_mod.require({"input_dim": input_dim, "hidden_dims": hidden_dims, "num_classes": num_classes,
+                      "temperature": temperature, "seed": seed}, "", **_HEADER_RULES)
     rng = np.random.default_rng([seed, 0])
     values = {}
     fan_in = input_dim

@@ -165,6 +165,8 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
     row r is -p (log p + H_r) / rows.
     """
     probs = np.ascontiguousarray(probs, dtype=np.float64)
+    if len(probs) == 0:
+        raise UsageError(f"probs must hold at least one row, got shape {probs.shape}")
     sums = probs.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-4:
         worst = int(np.abs(sums - 1.0).argmax())

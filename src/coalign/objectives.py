@@ -14,16 +14,18 @@ from .errors import UsageError
 from .model import ModelParams
 
 
-def source_classification_loss(params: ModelParams, inputs: np.ndarray, labels: np.ndarray) -> float:
+def source_classification_loss(params: ModelParams, inputs: np.ndarray,
+                               labels: np.ndarray) -> dict[str, float]:
     """Mean cross-entropy of the cosine head on labeled rows; accumulates
-    gradients into the prototypes and the extractor."""
+    gradients into the prototypes and the extractor. Returns the loss as
+    ``l_sc`` and as ``l_st`` (no self-training) by name."""
     if len(inputs) == 0:
         raise UsageError("source batch is empty")
     cache = model_mod.forward_full(params, inputs)
     loss, d_logits = numerics.cross_entropy(cache.probs, labels)
     d_embed = model_mod.backward_head(params, cache, d_logits, d_logits)
     model_mod.backward_extractor(params, cache, d_embed)
-    return loss
+    return {"l_sc": loss, "l_st": loss}
 
 
 def coal_objective(

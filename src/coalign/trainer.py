@@ -10,7 +10,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -22,7 +21,7 @@ from .errors import DivergenceError, UsageError
 from .model import ModelParams
 from .data import (FRACTION, MAPPING, NONNEGATIVE_INT, NONNEGATIVE_REAL, OPTIONAL_STR, PERCENT,
                    POSITIVE_INT, POSITIVE_REAL, WIDTHS, require)
-from .numerics import mean_entropy, sgd_momentum_step
+from .numerics import sgd_momentum_step
 from .selftrain import K_SCHEDULE_PRESETS, K_SCHEDULE_RULES
 
 METHODS = ("coal", "source-only", "marginal-align")
@@ -203,17 +202,16 @@ def _run_epoch(
     return record
 
 
-def _source_step(params: ModelParams, source: data_mod.LabeledDataset, batch: np.ndarray) -> dict:
-    """The supervised step of source-only training."""
-    l_sc = objectives.source_classification_loss(params, source.features[batch], source.labels[batch])
-    return {"l_sc": l_sc, "l_st": l_sc}
-
-
 def pretrain(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
              step_log: list) -> dict:
     """One epoch of supervised training on source batches only; the
     source-only baseline also runs it after pretraining."""
-    return _run_epoch(params, config, epoch, partial(_source_step, params, data[0]), data, step_log)
+    source = data[0]
+
+    def step(sb: np.ndarray) -> dict:
+        return objectives.source_classification_loss(params, source.features[sb], source.labels[sb])
+
+    return _run_epoch(params, config, epoch, step, data, step_log)
 
 
 def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
@@ -239,22 +237,15 @@ def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch:
     if config.dump_pseudo:
         selftrain.write_pseudo_csv(pseudo, Path(config.out_dir) / f"pseudo_epoch_{adapt_epoch:03d}.csv")
 
-    # an ablated term stays in the objective with a zero weight or a zero alpha
-    ablated = set(config.ablations)
-    weights = pseudo.mask * float("disable-pseudo-term" not in ablated)
-    alpha = 0.0 if "disable-entropy-term" in ablated else config.alpha
-    both_ablated = ablated == set(ABLATION_FLAGS)
+    # an ablated term stays in the objective as a zero weight or a zero alpha;
+    # with both, every target row's gradient is +0.0 and the run trains as source-only
+    weights = pseudo.mask * float("disable-pseudo-term" not in config.ablations)
+    alpha = 0.0 if "disable-entropy-term" in config.ablations else config.alpha
 
     def step(sb: np.ndarray, tb: np.ndarray) -> dict:
-        tgt_x = target_train.features[tb]
-        if both_ablated:
-            # the source-only step itself, so a double ablation stays
-            # bit-identical to source-only; the entropy is only reported
-            values = _source_step(params, source, sb)
-            values["l_h"], _ = mean_entropy(model_mod.forward_full(params, tgt_x).probs)
-            return values
-        return objectives.coal_objective(params, source.features[sb], source.labels[sb], tgt_x,
-                                         pseudo.labels[tb], weights[tb], alpha)
+        return objectives.coal_objective(params, source.features[sb], source.labels[sb],
+                                         target_train.features[tb], pseudo.labels[tb], weights[tb],
+                                         alpha)
 
     return {**_run_epoch(params, config, epoch, step, data, step_log,
                          paired=True, alpha=config.alpha), **extra}

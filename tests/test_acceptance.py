@@ -53,7 +53,7 @@ def test_criterion_1_gradient_suite():
 
         def supervised():
             params.arena.zero_grad()
-            return objectives.source_classification_loss(params, src_x, src_y)
+            return objectives.source_classification_loss(params, src_x, src_y)["l_sc"]
 
         def entropy_plain():
             params.arena.zero_grad()

@@ -1,8 +1,10 @@
 import csv
 import importlib.util
+import inspect
 import json
 import re
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -397,3 +399,44 @@ def test_benchmark_workloads_set_up(tmp_path, monkeypatch):
         assert built[name][0], name
     _, warmup = built["cli-sweep"]
     assert warmup.check(warmup.run()) == []
+
+
+def test_benchmark_hooks_find_their_functions(monkeypatch):
+    """The benchmark finds what it measures by name: every span name that
+    ``coalbench/layers.py::layer_metrics`` reads and every ``HOOKS`` key is
+    a public function its ``coalign`` module defines, which is what the
+    tracer wraps. A renamed or deleted one would read 0 without an error."""
+    path = Path(__file__).resolve().parent.parent / "coalbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("coalbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    # layers.py imports its summary type from the harness's tracing module
+    monkeypatch.setitem(sys.modules, "tracing", types.SimpleNamespace(SpanSummary=None))
+    spec.loader.exec_module(layers)
+    asked, prefixes = set(layers.HOOKS), set()
+
+    class Summary:
+        counters = {}
+
+        def calls(self, *names):
+            asked.update(names)
+            return 0
+
+        self_s = busy_s = calls
+
+        def prefixed(self, prefix):
+            prefixes.add(prefix)
+            return []
+
+    layers.layer_metrics(Summary(), bytes_written=0, hash_mismatch=0, overhead_frac=0.0)
+    # the kernels.* rows have named no module since the kernels were folded into numerics
+    names = sorted(name for name in asked if not name.startswith("kernels."))
+    assert prefixes == {"kernels.", "objectives.", "evaluation."}
+    for prefix in prefixes - {"kernels."}:
+        importlib.import_module(f"coalign.{prefix[:-1]}")
+
+    def defined(module, func):
+        found = getattr(importlib.import_module(f"coalign.{module}"), func, None)
+        return inspect.isfunction(found) and found.__module__ == f"coalign.{module}"
+
+    missing = [name for name in names if not defined(*name.split("."))]
+    assert names and missing == []

@@ -262,6 +262,8 @@ class TestIdx:
             bad = D.LabeledDataset(features, [3, label], label + 1)
             with pytest.raises(UsageError, match=f"^{re.escape(message)}"):
                 D.write_idx(bad, out_images, out_labels, 28, 28)
+        with pytest.raises(UsageError, match="^27x28 grid does not match 784 features$"):
+            D.write_idx(ds, out_images, out_labels, 27, 28)
 
     @settings(max_examples=25)
     @given(count=st.integers(1, 5), rows=st.integers(1, 3), cols=st.integers(1, 3),
@@ -362,6 +364,23 @@ class TestCsv:
                     continue
                 assert ds.features.shape[1] == features
                 assert len(ds) <= count
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros(4), [0, 1, 0, 1], r"^features must be 2-D, got shape \(4,\)$"),
+    (np.zeros((4, 2)), [0, 1, 0], "^3 labels for 4 feature rows$"),
+    (np.zeros((4, 2)), [0, 1, 2, 1], r"^labels outside \[0, 2\)$"),
+], ids=["features-1d", "label-count", "label-range"])
+def test_bad_dataset_names_the_field(features, labels, message):
+    with pytest.raises(UsageError, match=message):
+        D.LabeledDataset(features, labels, 2)
+
+
+@pytest.mark.parametrize("sampler", [D.balanced_batches, D.natural_batches])
+@pytest.mark.parametrize("batch_size", [0, -4])
+def test_bad_batch_size_is_named(sampler, batch_size):
+    with pytest.raises(UsageError, match=f"^batch_size must be a positive integer, got {batch_size}$"):
+        sampler(balanced_pool(2, 10), batch_size, seed=0)
 
 
 class TestBalancedBatches:

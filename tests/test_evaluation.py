@@ -21,6 +21,7 @@ class TestConfusionMatrix:
     @pytest.mark.parametrize("true, pred, message", [
         ([0, 1], [0, -1], "^predicted label -1 out of range for 2 classes$"),
         ([0, 2], [0, 1], "^true label 2 out of range for 2 classes$"),
+        ([0, 1], [0, 1, 1], r"^\(2,\) true labels vs \(3,\) predictions$"),
     ])
     def test_out_of_range_label_names_its_side(self, true, pred, message):
         with pytest.raises(UsageError, match=message):
@@ -89,6 +90,17 @@ def test_label_distribution_of_selected_pseudo_labels(labels, mask, num_classes,
         assert np.array_equal(dist, expected)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ([-1, 2], r"^counts must be finite and nonnegative, got \[-1.0, 2.0\]$"),
+    ([np.nan, 2], r"^counts must be finite and nonnegative, got \[nan, 2.0\]$"),
+    ([np.inf, 2], r"^counts must be finite and nonnegative, got \[inf, 2.0\]$"),
+    ([0, 0], "^cannot normalize an all-zero count vector$"),
+], ids=["negative", "nan", "inf", "all-zero"])
+def test_label_distribution_rejects_bad_counts(counts, message):
+    with pytest.raises(UsageError, match=message):
+        E.label_distribution(counts)
+
+
 class TestJsDiagnostics:
     def test_identical_distributions(self):
         p = np.array([0.3, 0.7])
@@ -114,6 +126,12 @@ class TestJsDiagnostics:
             distance = E.js_distance(uniform, D.shift_proportions(c, shift))
             assert distance >= previous
             previous = distance
+
+    @pytest.mark.parametrize("p, q, named", [
+        ([0.5, 0.6], [0.5, 0.5], "p"), ([0.5, 0.5], [1.5, -0.5], "q"), ([[1.0]], [1.0], "p")])
+    def test_invalid_vector_is_named(self, p, q, named):
+        with pytest.raises(UsageError, match=f"^{named} is not a valid probability vector: "):
+            E.js_distance(p, q)
 
     def test_js_distance_bounds(self):
         rng = np.random.default_rng(11)
@@ -268,6 +286,10 @@ class TestRenderTable:
     def test_empty_reports(self):
         with pytest.raises(TableError):
             E.render_table([], "csv")
+
+    def test_unknown_format_is_named(self):
+        with pytest.raises(UsageError, match="^format must be csv or markdown, got 'html'$"):
+            E.render_table([fake_report("coal", 0.0, 1, 0.9)], "html")
 
     @pytest.mark.parametrize("bad", [[1, 2], {"config": [1]}, {"metrics": "final"}])
     def test_non_mapping_report_names_its_index(self, bad):

@@ -187,11 +187,21 @@ class TestDomainDiscriminator:
         assert accuracy > 0.9
 
 
+BAD_TEMPERATURES = [float("nan"), float("inf"), "0.3", 0, -1.0, None]
+
+
 class TestInitModel:
-    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), "0.3", 0, -1.0, None])
-    def test_bad_temperature_is_named(self, temperature):
-        with pytest.raises(UsageError, match="^temperature must be a finite positive number, got "):
-            M.init_model(2, (4,), 2, temperature=temperature)
+    @pytest.mark.parametrize("args, named", [
+        *(((2, (4,), 2, temperature), "temperature must be a finite positive number")
+          for temperature in BAD_TEMPERATURES),
+        ((2, (), 4, 0.05), "hidden_dims must be a list of at least one positive integer width"),
+        ((0, (4,), 3, 0.05), "input_dim must be a positive integer"),
+        ((2, (4,), 0, 0.05), "num_classes must be a positive integer"),
+    ], ids=[*map(str, BAD_TEMPERATURES), "hidden_dims", "input_dim", "num_classes"])
+    def test_bad_temperature_is_named(self, args, named):
+        # init_model checks every argument by the checkpoint header's rule for it
+        with pytest.raises(UsageError, match=f"^{named}, got "):
+            M.init_model(*args)
 
 
 def per_block_step(params, config, grads):

@@ -40,6 +40,18 @@ class TestLinearForward:
             numerics.linear_forward(np.ones((1, 3)), block("w", np.ones((2, 2))), block("b", [[0, 0]]))
 
 
+class TestParamBlock:
+    def test_value_not_2d_is_named(self):
+        with pytest.raises(DimensionError, match=r"^block 'w' must be 2-D, got shape \(3,\)$"):
+            block("w", [1.0, 2.0, 3.0])
+
+    def test_gradient_of_another_shape_is_named(self):
+        w = block("w", np.zeros((2, 3)))
+        with pytest.raises(DimensionError,
+                           match=r"^gradient shape \(3, 2\) does not match block 'w' shape \(2, 3\)$"):
+            w.accumulate(np.zeros((3, 2)))
+
+
 class TestLinearBackward:
     def test_accumulates_scaled_gradients_and_returns_none(self):
         rng = np.random.default_rng(7)
@@ -125,6 +137,14 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(UsageError, match="^label -1 out of range for 3 classes$"):
             numerics.cross_entropy(numerics.softmax(np.zeros((1, 3))), np.array([-1]))
 
+    @pytest.mark.parametrize("labels, weights, message", [
+        ([0, 1], None, "^2 labels for 3 logit rows$"),
+        ([0, 1, 0], [1.0, 1.0], "^2 weights for 3 logit rows$"),
+    ], ids=["labels", "weights"])
+    def test_row_count_mismatch_is_named(self, labels, weights, message):
+        with pytest.raises(DimensionError, match=message):
+            numerics.cross_entropy(numerics.softmax(np.zeros((3, 2))), np.array(labels), weights)
+
     def test_masked_rows_get_zero_gradient(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 4))
@@ -168,6 +188,10 @@ class TestMeanEntropy:
     def test_bad_row_sum_raises(self):
         with pytest.raises(NormalizationError):
             numerics.mean_entropy(np.array([[0.6, 0.6]]))
+
+    def test_no_rows_is_named(self):
+        with pytest.raises(UsageError, match=r"^probs must hold at least one row, got shape \(0, 3\)$"):
+            numerics.mean_entropy(np.zeros((0, 3)))
 
     def test_entropy_bounds(self):
         rng = np.random.default_rng(3)

@@ -33,7 +33,7 @@ class TestSourceClassificationLoss:
         x = rng.normal(size=(40, 2))
         y = rng.integers(0, 4, 40)
         params = M.init_model(2, (32, 16), 4, temperature=1.0, seed=0)
-        loss = objectives.source_classification_loss(params, x, y)
+        loss = objectives.source_classification_loss(params, x, y)["l_sc"]
         assert loss == pytest.approx(np.log(4), abs=0.1)
 
     def test_overfit_toy_set(self):
@@ -42,7 +42,7 @@ class TestSourceClassificationLoss:
         params = M.init_model(2, (8, 4), 2, temperature=0.1, seed=0)
         lrs = {b.name: 0.05 for b in params.all_blocks()}
         for _ in range(500):
-            loss = objectives.source_classification_loss(params, x, y)
+            loss = objectives.source_classification_loss(params, x, y)["l_sc"]
             sgd_momentum_step(params.all_blocks(), lrs, 0.9)
         assert loss < 0.05
 
@@ -50,11 +50,11 @@ class TestSourceClassificationLoss:
         rng = np.random.default_rng(2)
         x, y = separable_batch(rng)
         params = M.init_model(2, (8, 4), 2, seed=0)
-        single = objectives.source_classification_loss(params, x, y)
+        single = objectives.source_classification_loss(params, x, y)["l_sc"]
         params.arena.zero_grad()
         double = objectives.source_classification_loss(
             params, np.vstack([x, x]), np.concatenate([y, y])
-        )
+        )["l_sc"]
         params.arena.zero_grad()
         assert double == pytest.approx(single, abs=1e-12)
 
@@ -70,7 +70,7 @@ class TestSelfTrainingLoss:
         x, y = separable_batch(rng)
         tgt = rng.normal(size=(8, 2))
         params = M.init_model(2, (8, 4), 2, seed=1)
-        supervised = objectives.source_classification_loss(params, x, y)
+        supervised = objectives.source_classification_loss(params, x, y)["l_sc"]
         grads = {b.name: b.grad.copy() for b in params.all_blocks()}
         params.arena.zero_grad()
         l_st, l_sc, l_pseudo = reference.self_training_loss(
@@ -325,6 +325,16 @@ class TestStackedSteps:
                                       np.ones(3), 0.1)
         with pytest.raises(UsageError):
             objectives.marginal_align_objective(params, empty_x, empty_y, tgt)
+
+    @pytest.mark.parametrize("tgt_rows, alpha, message", [
+        (3, -0.1, "^alpha must be nonnegative, got -0.1$"),
+        (0, 0.1, r"^probs must hold at least one row, got shape \(0, 2\)$"),
+    ], ids=["negative-alpha", "empty-target"])
+    def test_bad_coal_input_is_named(self, tgt_rows, alpha, message):
+        params = M.init_model(2, (4,), 2, seed=0)
+        with pytest.raises(UsageError, match=message):
+            objectives.coal_objective(params, np.zeros((2, 2)), np.array([0, 1]), np.zeros((tgt_rows, 2)),
+                                      np.zeros(tgt_rows, dtype=int), np.ones(tgt_rows), alpha)
 
 
 

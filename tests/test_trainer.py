@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import model as M
-from coalign import cli, errors, evaluation, selftrain, trainer
+from coalign import cli, errors, evaluation, objectives, selftrain, trainer
 from coalign.errors import DivergenceError, UsageError
 from coalign.trainer import TrainConfig, run_experiment
 from conftest import fixture_config
@@ -291,7 +291,8 @@ class TestAdaptEpochDivergence:
         poisoned = {block.name: block for block in params.all_blocks()}[name]
 
         def step(batch):
-            values = trainer._source_step(params, data[0], batch)
+            values = objectives.source_classification_loss(
+                params, data[0].features[batch], data[0].labels[batch])
             poisoned.grad.flat[-1] = np.nan
             return values
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation, model as model_mod, trainer
-from .errors import CoalignError, ConsistencyError, TableError, UsageError
+from .errors import CoalignError, ConsistencyError, FormatError, UsageError
 
 
 def _degree_list(text: str) -> list[float]:
@@ -25,7 +25,7 @@ def _degree_list(text: str) -> list[float]:
 
 
 def cmd_gen_shift(args: argparse.Namespace) -> int:
-    recipe = data_mod.read_json_object(args.recipe, UsageError)
+    recipe = data_mod.read_json_object(args.recipe)
     dataset = data_mod.materialize_dataset(recipe)
     # the manifest's seed is the shift's seed, the one materialize_dataset draws with
     seed = (recipe.get("shift") or {}).get("seed", 0)
@@ -45,7 +45,7 @@ def cmd_gen_shift(args: argparse.Namespace) -> int:
 def _load_config(args: argparse.Namespace) -> trainer.TrainConfig:
     """The --config file with --out-dir and --dump-pseudo, when given, in
     place of its own values; the result is checked as one document."""
-    doc = data_mod.read_json_object(args.config, UsageError)
+    doc = data_mod.read_json_object(args.config)
     if args.out_dir:
         doc["out_dir"] = args.out_dir
     if getattr(args, "dump_pseudo", False):
@@ -87,8 +87,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params = model_mod.load_checkpoint(args.checkpoint)
-    manifest = data_mod.read_json_object(args.data, ConsistencyError)
-    data_mod.require(manifest, f"{args.data}: manifest ", ("recipe", "sha256"), ConsistencyError)
+    manifest = data_mod.read_json_object(args.data)
+    data_mod.require(manifest, f"{args.data}: manifest ", ("recipe", "sha256"), FormatError)
     dataset = data_mod.materialize_dataset(manifest["recipe"])
     if data_mod.dataset_fingerprint(dataset) != manifest["sha256"]:
         raise ConsistencyError(
@@ -100,22 +100,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if dataset.features.shape[1] != params.input_dim:
         raise ConsistencyError(f"{args.checkpoint} takes {params.input_dim} features but "
                                f"{args.data} holds {dataset.features.shape[1]}")
-    cache = model_mod.forward_full(params, dataset.features)
-    predicted = cache.probs.argmax(axis=1)
-    cm = evaluation.confusion_matrix(dataset.labels, predicted, dataset.num_classes)
-    per_class = evaluation.per_class_mean_accuracy(cm)
-    overall = evaluation.overall_accuracy(cm)
+    scores = trainer.evaluate_model(params, dataset)
+    cm = np.array(scores["confusion"])
     predicted_dist = evaluation.label_distribution(cm.sum(axis=0))
     true_dist = evaluation.label_distribution(cm.sum(axis=1))
     comparison = evaluation.compare_distributions(predicted_dist, true_dist)
-    print(f"per-class mean accuracy: {per_class:.4f}")
-    print(f"overall accuracy:        {overall:.4f}")
+    print(f"per-class mean accuracy: {scores['per_class_mean_accuracy']:.4f}")
+    print(f"overall accuracy:        {scores['overall_accuracy']:.4f}")
     print(f"predicted-vs-true label JS distance: {comparison['js_distance']:.4f}")
     print(f"predicted-vs-true label L1:          {comparison['l1']:.4f}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "confusion.csv", cm, fmt="%d", delimiter=",")
-    projected = evaluation.project_features_2d(cache.embeddings)
+    # only the projection needs the embeddings
+    embeddings = model_mod.forward_full(params, dataset.features).embeddings
+    projected = evaluation.project_features_2d(embeddings)
     with open(out / "features_2d.csv", "w") as fh:
         fh.write("component1,component2,label\n")
         for row, label in zip(projected, dataset.labels):
@@ -128,7 +127,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     paths = sorted(glob_mod.glob(args.glob))
     if not paths:
         raise UsageError(f"no reports match {args.glob!r}")
-    reports = [data_mod.read_json_object(p, TableError) for p in paths]
+    reports = [data_mod.read_json_object(p) for p in paths]
     print(evaluation.render_table(reports, args.format), end="")
     return 0
 

@@ -16,14 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    FormatError,
-    LengthError,
-    ProtocolError,
-    SamplerError,
-    UsageError,
-)
+from .errors import ConsistencyError, FormatError, UsageError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -44,6 +37,7 @@ class LabeledDataset:
     provenance: str = ""
 
     def __post_init__(self) -> None:
+        require({"num_classes": self.num_classes}, "", num_classes=POSITIVE_INT)
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
@@ -118,11 +112,11 @@ def build_shift(dataset: LabeledDataset, shift: dict) -> LabeledDataset:
     available = dataset.class_counts()
     for cls, (need, have) in enumerate(zip(counts, available)):
         if need < min_per_class:
-            raise ProtocolError(
+            raise UsageError(
                 f"class {cls} would get {need} samples, below the minimum {min_per_class}"
             )
         if need > have:
-            raise ProtocolError(
+            raise UsageError(
                 f"class {cls} needs {need} samples but only {have} available (shortfall {need - have})"
             )
     rng = np.random.default_rng(shift.get("seed", 0))
@@ -176,24 +170,26 @@ def generate_twin_domain(
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset:
     """Read an IDX image/label file pair; pixels are scaled to [0, 1]."""
-    raw = Path(images_path).read_bytes()
+    try:
+        raw, raw_labels = Path(images_path).read_bytes(), Path(labels_path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read {exc.filename}: {exc}") from exc
     if len(raw) < 16:
-        raise LengthError(f"{images_path}: header truncated ({len(raw)} bytes)")
+        raise FormatError(f"{images_path}: header truncated ({len(raw)} bytes)")
     magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise FormatError(f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
     expected = 16 + count * rows * cols
     if len(raw) != expected:
-        raise LengthError(f"{images_path}: {len(raw)} bytes, header promises {expected}")
+        raise FormatError(f"{images_path}: {len(raw)} bytes, header promises {expected}")
 
-    raw_labels = Path(labels_path).read_bytes()
     if len(raw_labels) < 8:
-        raise LengthError(f"{labels_path}: header truncated ({len(raw_labels)} bytes)")
+        raise FormatError(f"{labels_path}: header truncated ({len(raw_labels)} bytes)")
     lmagic, lcount = struct.unpack(">II", raw_labels[:8])
     if lmagic != IDX_LABELS_MAGIC:
         raise FormatError(f"{labels_path}: bad magic 0x{lmagic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
     if len(raw_labels) != 8 + lcount:
-        raise LengthError(f"{labels_path}: {len(raw_labels)} bytes, header promises {8 + lcount}")
+        raise FormatError(f"{labels_path}: {len(raw_labels)} bytes, header promises {8 + lcount}")
     if lcount != count:
         raise ConsistencyError(f"{count} images but {lcount} labels")
 
@@ -347,7 +343,7 @@ def take_split(dataset: LabeledDataset, split: dict) -> LabeledDataset:
     for cls in range(dataset.num_classes):
         members = np.flatnonzero(dataset.labels == cls)
         if len(members) < 2:
-            raise ProtocolError(f"class {cls} has {len(members)} samples; cannot split")
+            raise UsageError(f"class {cls} has {len(members)} samples; cannot split")
         take = min(len(members) - 1, max(1, int(round(split["holdout_fraction"] * len(members)))))
         members = members[rng.permutation(len(members))]
         picked.append(members[:take] if split["part"] == "holdout" else members[take:])
@@ -362,7 +358,7 @@ def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.
     counts = dataset.class_counts()
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        raise SamplerError(f"class {int(empty[0])} has no samples")
+        raise UsageError(f"class {int(empty[0])} has no samples")
     c = dataset.num_classes
     rng = np.random.default_rng(seed)
     members = [np.flatnonzero(dataset.labels == cls) for cls in range(c)]
@@ -401,15 +397,15 @@ def dataset_fingerprint(dataset: LabeledDataset) -> str:
     return digest.hexdigest()
 
 
-def read_json_object(path: str | Path, error: type[Exception]) -> dict:
+def read_json_object(path: str | Path) -> dict:
     """The JSON object stored at ``path``; an unreadable file, invalid JSON
-    or any other JSON value raises ``error`` naming the path."""
+    or any other JSON value raises ``FormatError`` naming the path."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise FormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise error(f"{path} must hold a JSON object, got {type(doc).__name__}")
+        raise FormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     return doc
 
 

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from . import data as data_mod
-from .errors import MetricError, TableError, UsageError
+from .errors import ConsistencyError, FormatError, UsageError
 
 
 def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, num_classes: int) -> np.ndarray:
@@ -37,7 +37,7 @@ def per_class_mean_accuracy(cm: np.ndarray) -> float:
     row_sums = cm.sum(axis=1)
     missing = np.flatnonzero(row_sums == 0)
     if missing.size:
-        raise MetricError(f"class {int(missing[0])} has no samples in the evaluation set")
+        raise UsageError(f"class {int(missing[0])} has no samples in the evaluation set")
     return float((np.diag(cm) / row_sums).mean())
 
 
@@ -74,6 +74,8 @@ def js_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Square root of the Jensen-Shannon divergence (natural log) between
     two probability vectors; at most sqrt(ln 2)."""
     p, q = _check_distribution(p, "p"), _check_distribution(q, "q")
+    if p.shape != q.shape:
+        raise UsageError(f"p has {p.size} entries but q has {q.size}")
     m = 0.5 * (p + q)
     return float(np.sqrt(max(0.0, 0.5 * _kl_divergence(p, m) + 0.5 * _kl_divergence(q, m))))
 
@@ -119,21 +121,21 @@ _REPORT_CONFIG_RULES = {
 
 
 def _check_report(report, index: int) -> None:
-    """Raise TableError, naming the report's index and field, for any field
+    """Raise FormatError, naming the report's index and field, for any field
     the table reads that is missing or of the wrong kind."""
     where = f"report {index}: "
-    data_mod.require(report, where, ("metrics",), TableError,
+    data_mod.require(report, where, ("metrics",), FormatError,
                      config=data_mod.MAPPING, metrics=data_mod.MAPPING)
-    data_mod.require(report["metrics"], where + "metrics ", ("final",), TableError,
+    data_mod.require(report["metrics"], where + "metrics ", ("final",), FormatError,
                      final=data_mod.MAPPING)
     data_mod.require(report["metrics"]["final"], where + "metrics final ",
-                     ("per_class_mean_accuracy",), TableError,
+                     ("per_class_mean_accuracy",), FormatError,
                      per_class_mean_accuracy=data_mod.REAL)
     config = report.get("config", {})
-    data_mod.require(config, where + "config ", (), TableError, **_REPORT_CONFIG_RULES)
+    data_mod.require(config, where + "config ", (), FormatError, **_REPORT_CONFIG_RULES)
     data = config.get("data", {})
-    data_mod.require(data, where + "config data ", (), TableError, shift=data_mod.MAPPING)
-    data_mod.require(data.get("shift", {}), where + "shift ", (), TableError,
+    data_mod.require(data, where + "config data ", (), FormatError, shift=data_mod.MAPPING)
+    data_mod.require(data.get("shift", {}), where + "shift ", (), FormatError,
                      degree=data_mod.REAL)
 
 
@@ -167,12 +169,12 @@ def render_table(reports: list[dict], fmt: str = "markdown") -> str:
     if fmt not in ("csv", "markdown"):
         raise UsageError(f"format must be csv or markdown, got {fmt!r}")
     if not reports:
-        raise TableError("no reports to render")
+        raise UsageError("no reports to render")
     for index, report in enumerate(reports):
         _check_report(report, index)
     schemas = {tuple(sorted(r["metrics"]["final"])) for r in reports}
     if len(schemas) != 1:
-        raise TableError(f"reports have mismatched final-metric schemas: {sorted(schemas)}")
+        raise ConsistencyError(f"reports have mismatched final-metric schemas: {sorted(schemas)}")
 
     cells: dict[tuple[str, str], list[float]] = {}
     places: dict[str, float] = {}

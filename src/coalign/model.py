@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import numerics
-from .errors import CheckpointError, DimensionError
+from .errors import FormatError, UsageError
 from .numerics import ParamBlock
 
 CHECKPOINT_VERSION = 1
@@ -119,7 +119,7 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     everything; ``.probs`` are the class probabilities, ``.embeddings`` F(x)."""
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise DimensionError(f"inputs shape {x.shape} incompatible with input dim {params.input_dim}")
+        raise UsageError(f"inputs shape {x.shape} incompatible with input dim {params.input_dim}")
     acts = []
     h = x
     for w, b in params.layers:
@@ -182,12 +182,12 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    doc = data_mod.read_json_object(path, CheckpointError)
+    doc = data_mod.read_json_object(path)
     if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
+        raise FormatError(
             f"checkpoint version {doc.get('format_version')} unsupported (want {CHECKPOINT_VERSION})"
         )
-    data_mod.require(doc, f"checkpoint {path}: ", tuple(_HEADER_RULES), CheckpointError,
+    data_mod.require(doc, f"checkpoint {path}: ", tuple(_HEADER_RULES), FormatError,
                      **_HEADER_RULES)
     params = init_model(
         doc["input_dim"],
@@ -197,27 +197,27 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         seed=doc["seed"],
     )
     names = [block.name for block in params.all_blocks()]
-    data_mod.require(doc["blocks"], f"checkpoint {path}: blocks ", names, CheckpointError,
+    data_mod.require(doc["blocks"], f"checkpoint {path}: blocks ", names, FormatError,
                      known=names)
     for block in params.all_blocks():
         entry = doc["blocks"][block.name]
         data_mod.require(entry, f"checkpoint {path}: block {block.name!r} ", ("shape", "values"),
-                         CheckpointError)
+                         FormatError)
         if entry["shape"] != list(block.value.shape):
-            raise CheckpointError(
+            raise FormatError(
                 f"block {block.name!r} shape {entry['shape']!r} != model shape {block.value.shape}"
             )
         try:
             values = np.asarray(entry["values"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
-            raise CheckpointError(
+            raise FormatError(
                 f"block {block.name!r} values are not a list of numbers: {exc}"
             ) from exc
         if values.shape != (block.value.size,):
-            raise CheckpointError(
+            raise FormatError(
                 f"block {block.name!r} holds {values.size} values, its shape needs {block.value.size}"
             )
         if not np.isfinite(values).all():
-            raise CheckpointError(f"block {block.name!r} holds non-finite values")
+            raise FormatError(f"block {block.name!r} holds non-finite values")
         block.value[...] = values.reshape(block.value.shape)
     return params

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, NormalizationError, UsageError
+from .errors import DivergenceError, UsageError
 
 # normalize_rows divides rows whose norm is at most NORM_EPS by it instead
 NORM_EPS = 1e-12
@@ -36,7 +36,7 @@ class ParamBlock:
     def __post_init__(self) -> None:
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
         if self.value.ndim != 2:
-            raise DimensionError(f"block {self.name!r} must be 2-D, got shape {self.value.shape}")
+            raise UsageError(f"block {self.name!r} must be 2-D, got shape {self.value.shape}")
         self.grad = np.zeros_like(self.value)
         self.momentum = np.zeros_like(self.value)
 
@@ -46,7 +46,7 @@ class ParamBlock:
     def accumulate(self, g: np.ndarray) -> None:
         """grad += g, for a g of the block's shape."""
         if g.shape != self.value.shape:
-            raise DimensionError(
+            raise UsageError(
                 f"gradient shape {g.shape} does not match block {self.name!r} shape {self.value.shape}"
             )
         self.grad += g
@@ -69,7 +69,7 @@ def arena(name: str, values: Mapping[str, np.ndarray]) -> ParamBlock:
 def linear_forward(x: np.ndarray, weights: ParamBlock, bias: ParamBlock) -> np.ndarray:
     """y = x @ W + b, the bias added into the product. Caller keeps x for the backward pass."""
     if x.shape[1] != weights.value.shape[0]:
-        raise DimensionError(
+        raise UsageError(
             f"input shape {x.shape} incompatible with weight shape {weights.value.shape}"
         )
     y = x @ weights.value
@@ -135,7 +135,7 @@ def cross_entropy(
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != probs.shape[0]:
-        raise DimensionError(f"{labels.shape[0]} labels for {probs.shape[0]} logit rows")
+        raise UsageError(f"{labels.shape[0]} labels for {probs.shape[0]} logit rows")
     # a negative label reads as a huge unsigned one
     unsigned = labels.view(np.uint64)
     if labels.size and unsigned.max() >= probs.shape[1]:
@@ -146,7 +146,7 @@ def cross_entropy(
     else:
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.shape[0] != probs.shape[0]:
-            raise DimensionError(f"{weights.shape[0]} weights for {probs.shape[0]} logit rows")
+            raise UsageError(f"{weights.shape[0]} weights for {probs.shape[0]} logit rows")
     denom = max(1.0, float(weights.sum()))
     rows = np.arange(probs.shape[0])
     picked = probs[rows, labels]
@@ -170,7 +170,7 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
     sums = probs.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-4:
         worst = int(np.abs(sums - 1.0).argmax())
-        raise NormalizationError(f"row {worst} sums to {sums[worst]:.6f}, expected 1")
+        raise UsageError(f"row {worst} sums to {sums[worst]:.6f}, expected 1")
     rows = probs.shape[0]
     logp = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
     plogp = probs * logp

@@ -129,6 +129,12 @@ class TestGenShift:
         assert_fails_with(code, capsys, "generator num_classes must be a positive integer")
         assert not (tmp_path / "split").exists()
 
+    def test_missing_idx_file_names_the_path(self, tmp_path, capsys, file_recipes):
+        missing = tmp_path / "missing.idx"
+        code = gen_shift(tmp_path, dict(file_recipes["idx"], images=str(missing)))
+        assert_fails_with(code, capsys, f"^coalign: error: cannot read {re.escape(str(missing))}: ")
+        assert not (tmp_path / "split").exists()
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_recipe_file_that_is_not_an_object_names_the_path(self, tmp_path, capsys, text):
         path = tmp_path / "broken_recipe.json"
@@ -196,6 +202,24 @@ class TestEval:
         assert confusion.sum() == manifest["total"]
         assert len(rows) - 1 == manifest["total"]
         assert confusion.sum(axis=1).tolist() == manifest["per_class_counts"]
+
+    def test_reproduces_the_runs_final_score(self, tmp_path, capsys):
+        """eval of a run's checkpoint on its holdout manifest gives the
+        report's final confusion and accuracies."""
+        config = tiny_config_doc(tmp_path)
+        run_dir = tmp_path / "run"
+        run_cli("train", "--config", str(config), "--out-dir", str(run_dir))
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                       "--data", str(run_dir / "target_holdout_manifest.json"),
+                       "--out-dir", str(out)) == 0
+        final = json.loads((run_dir / "report.json").read_text())["metrics"]["final"]
+        confusion = np.loadtxt(out / "confusion.csv", delimiter=",", dtype=np.int64, ndmin=2)
+        assert confusion.tolist() == final["confusion"]
+        printed = capsys.readouterr().out
+        assert f"per-class mean accuracy: {final['per_class_mean_accuracy']:.4f}\n" in printed
+        assert f"overall accuracy:        {final['overall_accuracy']:.4f}\n" in printed
 
     @pytest.mark.parametrize("part", ["train", "holdout"])
     def test_split_manifests_regenerate_their_rows(self, tmp_path, part):
@@ -374,12 +398,14 @@ class TestSweepAndAblate:
 
 
 def test_every_package_error_keeps_its_builtin_base():
-    types = [t for t in vars(errors).values()
-             if isinstance(t, type) and issubclass(t, Exception) and t is not errors.CoalignError]
-    assert len(types) == 12
-    for t in types:
-        assert issubclass(t, errors.CoalignError), t
-        assert issubclass(t, (ValueError, FloatingPointError)), t
+    types = {name: t for name, t in vars(errors).items()
+             if isinstance(t, type) and issubclass(t, Exception) and t is not errors.CoalignError}
+    bases = {"UsageError": ValueError, "FormatError": ValueError,
+             "ConsistencyError": ValueError, "DivergenceError": FloatingPointError}
+    assert types.keys() == bases.keys()
+    for name, base in bases.items():
+        assert issubclass(types[name], errors.CoalignError), name
+        assert issubclass(types[name], base), name
 
 
 def test_benchmark_workloads_set_up(tmp_path, monkeypatch):

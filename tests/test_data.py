@@ -12,15 +12,7 @@ from hypothesis import strategies as st
 from coalign import data as D
 from coalign import evaluation, numerics
 from coalign import model as M
-from coalign.errors import (
-    CheckpointError,
-    ConsistencyError,
-    FormatError,
-    LengthError,
-    ProtocolError,
-    SamplerError,
-    UsageError,
-)
+from coalign.errors import ConsistencyError, FormatError, UsageError
 from coalign.numerics import (
     ParamBlock,
     cross_entropy,
@@ -128,14 +120,14 @@ class TestBuildShift:
 
     def test_insufficient_samples_names_class_and_shortfall(self):
         pool = balanced_pool(2, 50)
-        with pytest.raises(ProtocolError, match="class 0.*shortfall 30"):
+        with pytest.raises(UsageError, match="class 0.*shortfall 30"):
             D.build_shift(pool, {**FULL_SHIFT, "direction": D.DIRECTION_TARGET})
 
     def test_minimum_per_class_enforced(self):
         pool = balanced_pool(4, 500)
         shift = {"pareto_alpha": 8.0, "direction": D.DIRECTION_TARGET, "degree": 100.0,
                  "budget": 40, "min_per_class": 2}
-        with pytest.raises(ProtocolError, match="minimum"):
+        with pytest.raises(UsageError, match="minimum"):
             D.build_shift(pool, shift)
 
     def test_seeded_and_without_replacement(self):
@@ -211,6 +203,13 @@ def write_idx_fixture(tmp_path):
 
 
 class TestIdx:
+    def test_missing_file_is_named(self, tmp_path):
+        images, labels, _ = write_idx_fixture(tmp_path)
+        missing = tmp_path / "missing.idx"
+        for pair in ((missing, labels), (images, missing)):
+            with pytest.raises(FormatError, match=f"^cannot read {re.escape(str(missing))}: "):
+                D.load_idx(*pair)
+
     def test_hand_crafted_fixture(self, tmp_path):
         images, labels, pix = write_idx_fixture(tmp_path)
         ds = D.load_idx(images, labels)
@@ -241,7 +240,8 @@ class TestIdx:
         images, labels, _ = write_idx_fixture(tmp_path)
         raw = images.read_bytes()
         images.write_bytes(raw[:-5])
-        with pytest.raises(LengthError):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(images))}: {len(raw) - 5} bytes, "
+                                              f"header promises {len(raw)}$"):
             D.load_idx(images, labels)
 
     def test_roundtrip_byte_exact(self, tmp_path):
@@ -279,7 +279,7 @@ class TestIdx:
                 whole = path.read_bytes()
                 for cut in range(len(whole)):
                     path.write_bytes(whole[:cut])
-                    with pytest.raises(LengthError):
+                    with pytest.raises(FormatError, match="header truncated|header promises"):
                         D.load_idx(images, labels)
                 path.write_bytes(whole)
 
@@ -376,6 +376,14 @@ def test_bad_dataset_names_the_field(features, labels, message):
         D.LabeledDataset(features, labels, 2)
 
 
+@pytest.mark.parametrize("num_classes, rows", [("2", 2), (2.5, 2), (0, 0)],
+                         ids=["text", "fraction", "zero"])
+def test_bad_num_classes_is_named(num_classes, rows):
+    with pytest.raises(UsageError,
+                       match=f"^num_classes must be a positive integer, got {num_classes!r}$"):
+        D.LabeledDataset(np.zeros((rows, 2)), [0, 1][:rows], num_classes)
+
+
 @pytest.mark.parametrize("sampler", [D.balanced_batches, D.natural_batches])
 @pytest.mark.parametrize("batch_size", [0, -4])
 def test_bad_batch_size_is_named(sampler, batch_size):
@@ -407,7 +415,7 @@ class TestBalancedBatches:
 
     def test_empty_class_raises(self):
         pool = D.LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=int), num_classes=2)
-        with pytest.raises(SamplerError, match="class 1"):
+        with pytest.raises(UsageError, match="class 1"):
             D.balanced_batches(pool, 4, seed=0)
 
     @given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
@@ -464,7 +472,7 @@ class TestSplitAndManifest:
         assert np.array_equal(train.features, again_train.features)
         # both parts keep every class, so a class of one sample cannot be split
         lone = pool.subset(np.r_[0:51, 100:200])
-        with pytest.raises(ProtocolError, match="^class 1 has 1 samples; cannot split$"):
+        with pytest.raises(UsageError, match="^class 1 has 1 samples; cannot split$"):
             D.take_split(lone, {**split, "part": "train"})
 
     def test_manifest_recipe_roundtrip(self, tmp_path):
@@ -657,5 +665,5 @@ class TestRulesRejectWrongTypes:
             doc = json.loads(path.read_text())
             doc[key] = value
             path.write_text(json.dumps(doc))
-            with pytest.raises(CheckpointError, match=names_field(f"checkpoint {path}: ", key, value)):
+            with pytest.raises(FormatError, match=names_field(f"checkpoint {path}: ", key, value)):
                 M.load_checkpoint(path)

@@ -6,7 +6,7 @@ import pytest
 
 from coalign import data as D
 from coalign import evaluation as E
-from coalign.errors import MetricError, TableError, UsageError
+from coalign.errors import ConsistencyError, FormatError, UsageError
 
 
 class TestConfusionMatrix:
@@ -49,7 +49,7 @@ class TestPerClassMeanAccuracy:
 
     def test_empty_class_names_class(self):
         cm = np.array([[3, 0], [0, 0]])
-        with pytest.raises(MetricError, match="class 1"):
+        with pytest.raises(UsageError, match="class 1"):
             E.per_class_mean_accuracy(cm)
 
     def test_equals_overall_when_balanced(self):
@@ -132,6 +132,11 @@ class TestJsDiagnostics:
     def test_invalid_vector_is_named(self, p, q, named):
         with pytest.raises(UsageError, match=f"^{named} is not a valid probability vector: "):
             E.js_distance(p, q)
+
+    @pytest.mark.parametrize("measure", [E.js_distance, E.compare_distributions])
+    def test_length_mismatch_names_both_lengths(self, measure):
+        with pytest.raises(UsageError, match="^p has 2 entries but q has 3$"):
+            measure([0.5, 0.5], [0.2, 0.3, 0.5])
 
     def test_js_distance_bounds(self):
         rng = np.random.default_rng(11)
@@ -275,16 +280,17 @@ class TestRenderTable:
     def test_schema_mismatch(self):
         good = fake_report("coal", 0.0, 1, 0.9)
         bad = {"config": {"method": "x"}, "metrics": {"final": {"something_else": 1.0}}}
-        with pytest.raises(TableError):
+        with pytest.raises(FormatError,
+                           match="^report 1: metrics final is missing per_class_mean_accuracy$"):
             E.render_table([good, bad], "markdown")
         # every report has the field the table reads, but the final keys differ
         other = fake_report("coal", 0.0, 2, 0.8)
         other["metrics"]["final"]["something_else"] = 1.0
-        with pytest.raises(TableError, match="^reports have mismatched final-metric schemas"):
+        with pytest.raises(ConsistencyError, match="^reports have mismatched final-metric schemas"):
             E.render_table([good, other], "markdown")
 
     def test_empty_reports(self):
-        with pytest.raises(TableError):
+        with pytest.raises(UsageError, match="^no reports to render$"):
             E.render_table([], "csv")
 
     def test_unknown_format_is_named(self):
@@ -293,12 +299,12 @@ class TestRenderTable:
 
     @pytest.mark.parametrize("bad", [[1, 2], {"config": [1]}, {"metrics": "final"}])
     def test_non_mapping_report_names_its_index(self, bad):
-        with pytest.raises(TableError, match="^report 1"):
+        with pytest.raises(FormatError, match="^report 1"):
             E.render_table([fake_report("coal", 0.0, 1, 0.9), bad], "csv")
 
     def test_non_numeric_degree_names_its_index(self):
         reports = [fake_report("coal", 0.0, 1, 0.9), fake_report("coal", "50", 1, 0.9)]
-        with pytest.raises(TableError, match="^report 1: shift degree must be a finite number, got '50'$"):
+        with pytest.raises(FormatError, match="^report 1: shift degree must be a finite number, got '50'$"):
             E.render_table(reports, "csv")
 
     @pytest.mark.parametrize("edit, named", [
@@ -317,7 +323,7 @@ class TestRenderTable:
     def test_bad_field_names_its_index_and_field(self, edit, named):
         bad = fake_report("coal", 0.0, 1, 0.9)
         edit(bad)
-        with pytest.raises(TableError, match=f"^report 1: {named}, got "):
+        with pytest.raises(FormatError, match=f"^report 1: {named}, got "):
             E.render_table([fake_report("coal", 0.0, 1, 0.9), bad], "csv")
 
     def test_named_task_and_natural_sampler_labels(self):

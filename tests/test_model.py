@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import reference
 from coalign import model as M
 from coalign import objectives, selftrain, trainer
-from coalign.errors import CheckpointError, DimensionError, UsageError
+from coalign.errors import FormatError, UsageError
 from coalign.numerics import sgd_momentum_step
 
 
@@ -49,7 +50,7 @@ class TestExtractFeatures:
 
     def test_dimension_error(self):
         params = M.init_model(2, (4,), 2, seed=0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError, match=r"^inputs shape \(1, 3\) incompatible with input dim 2$"):
             M.forward_full(params, np.ones((1, 3)))
 
 
@@ -301,13 +302,13 @@ class TestCheckpoint:
         M.save_checkpoint(params, path)
         doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
         path.write_text(doc)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(FormatError, match=r"^checkpoint version 99 unsupported \(want 1\)$"):
             M.load_checkpoint(path)
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
-        with pytest.raises(CheckpointError):
+        with pytest.raises(FormatError, match=f"^cannot read {re.escape(str(path))}: "):
             M.load_checkpoint(path)
 
     def _edited(self, tmp_path, edit):
@@ -321,12 +322,12 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key", ["temperature", "hidden_dims", "blocks"])
     def test_missing_top_level_key_is_named(self, tmp_path, key):
         path = self._edited(tmp_path, lambda doc: doc.pop(key))
-        with pytest.raises(CheckpointError, match=key):
+        with pytest.raises(FormatError, match=key):
             M.load_checkpoint(path)
 
     def test_values_length_not_matching_shape(self, tmp_path):
         path = self._edited(tmp_path, lambda doc: doc["blocks"]["layer0.bias"]["values"].pop())
-        with pytest.raises(CheckpointError, match="layer0.bias"):
+        with pytest.raises(FormatError, match="layer0.bias"):
             M.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, named", [
@@ -347,13 +348,13 @@ class TestCheckpoint:
             "transposed shape"])
     def test_bad_header_or_block_is_named(self, tmp_path, edit, named):
         path = self._edited(tmp_path, edit)
-        with pytest.raises(CheckpointError, match=named):
+        with pytest.raises(FormatError, match=named):
             M.load_checkpoint(path)
 
     def test_document_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2]")
-        with pytest.raises(CheckpointError, match="JSON object"):
+        with pytest.raises(FormatError, match="JSON object"):
             M.load_checkpoint(path)
 
     def test_non_finite_values(self, tmp_path):
@@ -361,5 +362,5 @@ class TestCheckpoint:
             doc["blocks"]["prototypes"]["values"][1] = float("nan")
 
         path = self._edited(tmp_path, poison)
-        with pytest.raises(CheckpointError, match="prototypes"):
+        with pytest.raises(FormatError, match="prototypes"):
             M.load_checkpoint(path)

@@ -27,8 +27,6 @@ def _degree_list(text: str) -> list[float]:
 def cmd_gen_shift(args: argparse.Namespace) -> int:
     recipe = data_mod.read_json_object(args.recipe)
     dataset = data_mod.materialize_dataset(recipe)
-    # the manifest's seed is the shift's seed, the one materialize_dataset draws with
-    seed = (recipe.get("shift") or {}).get("seed", 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "data.csv", "w") as fh:
@@ -36,7 +34,7 @@ def cmd_gen_shift(args: argparse.Namespace) -> int:
         fh.write(",".join(cols + ["label"]) + "\n")
         for row, label in zip(dataset.features, dataset.labels):
             fh.write(",".join(f"{v:.17g}" for v in row) + f",{label}\n")
-    data_mod.write_manifest(dataset, out / "manifest.json", recipe, seed)
+    data_mod.write_manifest(dataset, out / "manifest.json", recipe)
     print(f"wrote {len(dataset)} samples to {out}/data.csv")
     print(f"per-class counts: {dataset.class_counts().tolist()}")
     return 0

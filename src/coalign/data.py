@@ -34,7 +34,6 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         require({"num_classes": self.num_classes}, "", num_classes=POSITIVE_INT)
@@ -55,13 +54,8 @@ class LabeledDataset:
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
 
-    def subset(self, indices: np.ndarray, provenance: str | None = None) -> "LabeledDataset":
-        return LabeledDataset(
-            self.features[indices],
-            self.labels[indices],
-            self.num_classes,
-            provenance if provenance is not None else self.provenance,
-        )
+    def subset(self, indices: np.ndarray) -> "LabeledDataset":
+        return LabeledDataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
 def pareto_proportions(num_classes: int, alpha: float) -> np.ndarray:
@@ -125,10 +119,7 @@ def build_shift(dataset: LabeledDataset, shift: dict) -> LabeledDataset:
         members = np.flatnonzero(dataset.labels == cls)
         picked.append(rng.choice(members, size=counts[cls], replace=False))
     indices = np.concatenate(picked)
-    indices = indices[rng.permutation(len(indices))]
-    tag = (f"{dataset.provenance}|shift(d={shift['degree']:g},a={shift['pareto_alpha']:g},"
-           f"{shift['direction']})")
-    return dataset.subset(indices, provenance=tag)
+    return dataset.subset(indices[rng.permutation(len(indices))])
 
 
 def generate_twin_domain(
@@ -164,40 +155,40 @@ def generate_twin_domain(
         theta = math.radians(rotation_deg)
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         feats = feats @ rot.T + np.asarray(translation, dtype=np.float64)
-    return LabeledDataset(feats, labels, num_classes,
-                          provenance=f"twin(seed={seed},{'tgt' if target else 'src'})")
+    return LabeledDataset(feats, labels, num_classes)
+
+
+def _read_idx(path: str | Path, magic: int, ndim: int) -> tuple[list[int], np.ndarray]:
+    """The ``ndim`` header sizes and the byte body of the IDX file at
+    ``path``; a file that cannot be read, is shorter than its header, holds
+    another magic or another length than its sizes promise raises
+    ``FormatError`` naming the path."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read {exc.filename}: {exc}") from exc
+    header = 4 + 4 * ndim
+    if len(raw) < header:
+        raise FormatError(f"{path}: header truncated ({len(raw)} bytes)")
+    found, *sizes = struct.unpack(f">{1 + ndim}I", raw[:header])
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    expected = header + math.prod(sizes)
+    if len(raw) != expected:
+        raise FormatError(f"{path}: {len(raw)} bytes, header promises {expected}")
+    return sizes, np.frombuffer(raw, dtype=np.uint8, offset=header)
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset:
     """Read an IDX image/label file pair; pixels are scaled to [0, 1]."""
-    try:
-        raw, raw_labels = Path(images_path).read_bytes(), Path(labels_path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read {exc.filename}: {exc}") from exc
-    if len(raw) < 16:
-        raise FormatError(f"{images_path}: header truncated ({len(raw)} bytes)")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-    expected = 16 + count * rows * cols
-    if len(raw) != expected:
-        raise FormatError(f"{images_path}: {len(raw)} bytes, header promises {expected}")
-
-    if len(raw_labels) < 8:
-        raise FormatError(f"{labels_path}: header truncated ({len(raw_labels)} bytes)")
-    lmagic, lcount = struct.unpack(">II", raw_labels[:8])
-    if lmagic != IDX_LABELS_MAGIC:
-        raise FormatError(f"{labels_path}: bad magic 0x{lmagic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-    if len(raw_labels) != 8 + lcount:
-        raise FormatError(f"{labels_path}: {len(raw_labels)} bytes, header promises {8 + lcount}")
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    (lcount,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if lcount != count:
         raise ConsistencyError(f"{count} images but {lcount} labels")
-
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-    labels = np.frombuffer(raw_labels, dtype=np.uint8, offset=8).astype(np.int64)
-    features = pixels.astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    labels = labels.astype(np.int64)
     num_classes = int(labels.max()) + 1 if labels.size else 1
-    return LabeledDataset(features, labels, num_classes, provenance=f"idx:{images_path}")
+    return LabeledDataset(features, labels, num_classes)
 
 
 def write_idx(
@@ -256,9 +247,7 @@ def load_csv(path: str | Path) -> LabeledDataset:
     if not np.all(labels == np.rint(labels)) or labels.min() < 0:
         raise FormatError(f"{path}: final column must hold nonnegative integer labels")
     labels = labels.astype(np.int64)
-    return LabeledDataset(
-        table[:, :-1], labels, int(labels.max()) + 1, provenance=f"csv:{path}"
-    )
+    return LabeledDataset(table[:, :-1], labels, int(labels.max()) + 1)
 
 
 def _is_int(value) -> bool:
@@ -347,7 +336,7 @@ def take_split(dataset: LabeledDataset, split: dict) -> LabeledDataset:
         take = min(len(members) - 1, max(1, int(round(split["holdout_fraction"] * len(members)))))
         members = members[rng.permutation(len(members))]
         picked.append(members[:take] if split["part"] == "holdout" else members[take:])
-    return dataset.subset(np.sort(np.concatenate(picked)), f"{dataset.provenance}|{split['part']}")
+    return dataset.subset(np.sort(np.concatenate(picked)))
 
 
 def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.ndarray]:
@@ -409,17 +398,16 @@ def read_json_object(path: str | Path) -> dict:
     return doc
 
 
-def write_manifest(dataset: LabeledDataset, path: str | Path, recipe: dict, seed: int) -> None:
+def write_manifest(dataset: LabeledDataset, path: str | Path, recipe: dict) -> None:
     """Split manifest: per-class counts, the recipe that regenerates the
-    split, the seed, and a content hash for verification."""
+    split (the one record of where its rows came from), and a content hash
+    for verification."""
     doc = {
         "num_classes": dataset.num_classes,
         "per_class_counts": dataset.class_counts().tolist(),
         "total": len(dataset),
         "recipe": recipe,
-        "seed": seed,
         "sha256": dataset_fingerprint(dataset),
-        "provenance": dataset.provenance,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -430,14 +418,17 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
     Recipes have kind twin-gaussians (with a ``domain`` selector), csv, or
     idx; an optional ``shift`` section applies the label-shift protocol, and
     an optional ``split`` section then keeps one part of a stratified split
-    (see :func:`take_split`).
+    (see :func:`take_split`). Each section is applied unless it is null.
     """
     require(recipe, "dataset recipe ", ("kind",),
             kind=(lambda v: v in tuple(_RECIPE_KEYS), f"be one of {tuple(_RECIPE_KEYS)}"))
     kind = recipe["kind"]
+    text = (lambda v: isinstance(v, str), "be a string")
+    block = (lambda v: v is None or isinstance(v, dict), "be a mapping or null")
     require(recipe, f"{kind} recipe ", _RECIPE_KEYS[kind],
             known=("kind", "shift", "split", *_RECIPE_KEYS[kind]),
-            domain=(lambda v: v in ("source", "target"), "be 'source' or 'target'"))
+            domain=(lambda v: v in ("source", "target"), "be 'source' or 'target'"),
+            path=text, images=text, labels=text, shift=block, split=block)
     if kind == "twin-gaussians":
         gen = recipe["generator"]
         require(gen, "twin-gaussians generator ", ("num_classes", "per_class", "noise"),
@@ -451,10 +442,8 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
         base = load_csv(recipe["path"])
     else:
         base = load_idx(recipe["images"], recipe["labels"])
-    shift = recipe.get("shift")
-    if shift:
-        base = build_shift(base, shift)
-    split = recipe.get("split")
-    if split:
-        base = take_split(base, split)
+    if recipe.get("shift") is not None:
+        base = build_shift(base, recipe["shift"])
+    if recipe.get("split") is not None:
+        base = take_split(base, recipe["split"])
     return base

@@ -274,19 +274,20 @@ def resolve_datasets(config: TrainConfig) -> tuple[tuple, dict[str, dict]]:
     section = config.data
     require(section, "config data section ", known=_DATA_SECTIONS,
             **dict.fromkeys(_DATA_SECTIONS, MAPPING))
-    if "twin_gaussians" in section:
+    # one form: the twin-Gaussian generator with an optional shift, or two recipes
+    if "twin_gaussians" in section and not {"source", "target"} & section.keys():
         gen = dict(section["twin_gaussians"])
         shift = section.get("shift")
         src_recipe = {"kind": "twin-gaussians", "domain": "source", "generator": gen}
         tgt_recipe = {"kind": "twin-gaussians", "domain": "target", "generator": gen}
-        if shift:
+        if shift is not None:
             # the run sets each side's direction
             require(shift, "config data shift ", seed=NONNEGATIVE_INT,
                     known=[key for key in data_mod.SHIFT_RULES if key != "direction"])
             shift_seed = shift.get("seed", 0)
             src_recipe["shift"] = {**shift, "direction": data_mod.DIRECTION_SOURCE, "seed": shift_seed}
             tgt_recipe["shift"] = {**shift, "direction": data_mod.DIRECTION_TARGET, "seed": shift_seed + 1}
-    elif "source" in section and "target" in section:
+    elif section.keys() == {"source", "target"}:
         src_recipe = section["source"]
         tgt_recipe = section["target"]
         if "split" in tgt_recipe:
@@ -294,7 +295,8 @@ def resolve_datasets(config: TrainConfig) -> tuple[tuple, dict[str, dict]]:
             raise UsageError("config data target recipe must not hold a split block, got "
                              f"{tgt_recipe['split']!r}; the run splits the target itself")
     else:
-        raise UsageError("config data section needs either twin_gaussians or source/target recipes")
+        raise UsageError("config data section needs either twin_gaussians with an optional shift "
+                         f"or source/target recipes, got {sorted(section)}")
     source = data_mod.materialize_dataset(src_recipe)
     target = data_mod.materialize_dataset(tgt_recipe)
     sides = [(d.num_classes, d.features.shape[1]) for d in (source, target)]
@@ -325,7 +327,7 @@ def run_experiment(config: TrainConfig) -> RunReport:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         for (name, recipe), dataset in zip(recipes.items(), data):
-            data_mod.write_manifest(dataset, out_dir / f"{name}_manifest.json", recipe, config.seed)
+            data_mod.write_manifest(dataset, out_dir / f"{name}_manifest.json", recipe)
 
     params = model_mod.init_model(
         source.features.shape[1], config.hidden_dims, source.num_classes,

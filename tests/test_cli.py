@@ -92,7 +92,7 @@ class TestGenShift:
         assert dataset.class_counts().tolist() == [80, 20]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["per_class_counts"] == [80, 20]
-        assert manifest["seed"] == 5
+        assert "seed" not in manifest and manifest["recipe"]["shift"]["seed"] == 5
         # the recipe in the manifest regenerates the exact same split
         rebuilt = D.materialize_dataset(manifest["recipe"])
         assert np.allclose(rebuilt.features, dataset.features)
@@ -121,12 +121,21 @@ class TestGenShift:
         assert gen_shift(tmp_path, recipe) == 0
         manifest = json.loads((tmp_path / "split" / "manifest.json").read_text())
         assert manifest["per_class_counts"] == [30, 30]
-        assert manifest["seed"] == 0
+        assert "seed" not in manifest
         assert manifest["recipe"]["shift"] is None
 
     def test_bad_generator_field_names_it(self, tmp_path, capsys):
         code = gen_shift(tmp_path, twin_recipe(num_classes=2.5))
         assert_fails_with(code, capsys, "generator num_classes must be a positive integer")
+        assert not (tmp_path / "split").exists()
+
+    @pytest.mark.parametrize("recipe, named", [
+        ({"kind": "csv", "path": 5}, "^coalign: error: csv recipe path must be a string, got 5$"),
+        ({"kind": "idx", "images": None, "labels": "labels.idx"},
+         "^coalign: error: idx recipe images must be a string, got None$"),
+    ])
+    def test_wrongly_typed_recipe_field_names_it(self, tmp_path, capsys, recipe, named):
+        assert_fails_with(gen_shift(tmp_path, recipe), capsys, named)
         assert not (tmp_path / "split").exists()
 
     def test_missing_idx_file_names_the_path(self, tmp_path, capsys, file_recipes):

@@ -64,6 +64,24 @@ class TestLinearBackward:
                               + (-0.5 * g).sum(axis=0, keepdims=True))
         assert np.array_equal(w.value, np.ones((3, 2)))
 
+    @given(shape=st.sampled_from([(64, 256), (256, 128)]),
+           zero_rows=st.one_of(st.integers(0, 128), st.just(256)), seed=st.integers(0, 2**16))
+    def test_stacked_zero_rows_keep_the_gradient_bits(self, shape, zero_rows, seed):
+        """The double ablation's premise at the `wide` layer shapes: 256
+        rows with ``zero_rows`` zero-gradient rows stacked on accumulate the
+        bits of the 256 rows alone, over the counts README claims (0-128
+        and 256). A numpy or BLAS build that sums the stack in another order
+        fails here."""
+        fan_in, width = shape
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(256 + zero_rows, fan_in))
+        g = np.vstack([rng.normal(size=(256, width)), np.zeros((zero_rows, width))])
+        (w, b), (w_alone, b_alone) = [(block("w", np.zeros(shape)), block("b", np.zeros((1, width))))
+                                      for _ in range(2)]
+        numerics.linear_backward(g, x, w, b)
+        numerics.linear_backward(g[:256], x[:256], w_alone, b_alone)
+        assert np.array_equal(w.grad, w_alone.grad) and np.array_equal(b.grad, b_alone.grad)
+
 
 # every float class the select must pass through bit for bit: signed zeros,
 # infinities, NaN and subnormals, mixed with arbitrary floats

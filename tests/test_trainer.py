@@ -137,6 +137,19 @@ class TestTrainConfig:
                      "shift": {"pareto_alpha": 1.0, "degree": 100.0, "budget": 200, "seed": seed}}},
            f"^config data shift seed must be a nonnegative integer, got {re.escape(repr(seed))}$")
           for seed in ([1, 2], "x", None)],
+        # the section holds one form, and a config's empty shift is applied like a recipe's
+        ({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
+                   "source": {"kind": "csv", "path": "s.csv"}, "target": {"kind": "csv", "path": "t.csv"}}},
+         r"^config data section needs either twin_gaussians with an optional shift or "
+         r"source/target recipes, got \['source', 'target', 'twin_gaussians'\]$"),
+        ({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
+                   "target": {"kind": "csv", "path": "t.csv"}}},
+         r"^config data section needs either .+, got \['target', 'twin_gaussians'\]$"),
+        ({"data": {"source": {"kind": "csv", "path": "s.csv"}, "target": {"kind": "csv", "path": "t.csv"},
+                   "shift": {"pareto_alpha": 1.0, "degree": 100.0, "budget": 200}}},
+         r"^config data section needs either .+, got \['shift', 'source', 'target'\]$"),
+        ({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
+                   "shift": {}}}, "^shift block is missing pareto_alpha, degree, budget$"),
         ({"data": {"source": {"kind": "csv", "path": "s.csv"},
                    "target": {"kind": "csv", "path": "t.csv",
                               "split": {"holdout_fraction": 0.5, "seed": 1, "part": "train"}}}},
@@ -455,6 +468,34 @@ class TestAblationExactness:
             ablations=("disable-pseudo-term", "disable-entropy-term"),
             out_dir=str(tmp_path / "coal"))
         src = tiny_twin_config("source-only", seed=6, epochs=3, out_dir=str(tmp_path / "src"))
+        run_experiment(coal)
+        run_experiment(src)
+        a = json.loads((tmp_path / "coal" / "checkpoint.json").read_text())
+        b = json.loads((tmp_path / "src" / "checkpoint.json").read_text())
+        assert a["blocks"] == b["blocks"]
+
+    def test_double_ablation_is_bitwise_source_only_at_wide_widths(self, tmp_path):
+        """The same contract at the benchmark's widths: 64-D inputs, hidden
+        (256, 128), batch 256. 1,600 source and 1,600 target_train rows give
+        both plans 7 steps, so the plans fit, and each paired step stacks 256
+        or 64 target rows, counts at which the stacked weight-gradient GEMMs
+        keep the source rows' bits."""
+        rng = np.random.default_rng(0)
+        templates = rng.random((10, 64))
+        recipes = {}
+        for name, per_class in (("source", 160), ("target", 200)):
+            labels = rng.permutation(np.repeat(np.arange(10), per_class))
+            x = np.clip(templates[labels] + 0.25 * rng.standard_normal((len(labels), 64)), 0.0, 1.0)
+            images, label_file = tmp_path / f"{name}-images.idx", tmp_path / f"{name}-labels.idx"
+            D.write_idx(D.LabeledDataset(x, labels, 10), images, label_file, 8, 8)
+            recipes[name] = {"kind": "idx", "images": str(images), "labels": str(label_file)}
+        wide = dict(seed=1, epochs=2, pretrain_epochs=1, batch_size=256, hidden_dims=(256, 128),
+                    temperature=0.3, k_schedule="fast-start", data=recipes)
+        coal = TrainConfig(method="coal", ablations=trainer.ABLATION_FLAGS,
+                           out_dir=str(tmp_path / "coal"), **wide)
+        src = TrainConfig(method="source-only", out_dir=str(tmp_path / "src"), **wide)
+        source, target_train, _ = trainer.resolve_datasets(coal)[0]
+        assert (len(source), len(target_train)) == (1600, 1600)
         run_experiment(coal)
         run_experiment(src)
         a = json.loads((tmp_path / "coal" / "checkpoint.json").read_text())

@@ -554,17 +554,17 @@ class TestSplitAndManifest:
         ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR,
           "split": {"holdout_fraction": 0.2, "seed": 3, "part": "train", "prat": "x"}}, "prat"),
         ({"kind": "csv", "path": "data.csv", "domain": "target"}, "domain"),
-        # an empty block is applied like any other, so it names its missing keys
-        ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR, "shift": {}},
-         "^shift block is missing pareto_alpha, direction, degree, budget$"),
-        ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR, "split": {}},
-         "^split block is missing holdout_fraction, part, seed$"),
         *[({"kind": "twin-gaussians", "domain": "target",
             "generator": {**TWIN_GENERATOR, key: value}}, f"generator {key}")
           for key, value in (("translation", 5), ("translation", "x"), ("translation", ["a", "b"]),
                              ("translation", [1.0, 2.0, 3.0]), ("translation", [float("nan"), 0.0]),
                              ("means", "x"), ("means", [[1, "a"], [2, 3], [0, 0]]),
                              ("means", [[float("nan"), 0.0], [2.0, 0.0], [0.0, 2.0]]))],
+        # an empty block is applied like any other, so it names its missing keys
+        ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR, "shift": {}},
+         "^shift block is missing pareto_alpha, direction, degree, budget$"),
+        ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR, "split": {}},
+         "^split block is missing holdout_fraction, part, seed$"),
     ])
     def test_bad_recipe_names_the_field(self, recipe, names):
         with pytest.raises(UsageError, match=names):

@@ -137,6 +137,13 @@ class TestTrainConfig:
                      "shift": {"pareto_alpha": 1.0, "degree": 100.0, "budget": 200, "seed": seed}}},
            f"^config data shift seed must be a nonnegative integer, got {re.escape(repr(seed))}$")
           for seed in ([1, 2], "x", None)],
+        ({"data": {"source": {"kind": "csv", "path": "s.csv"},
+                   "target": {"kind": "csv", "path": "t.csv",
+                              "split": {"holdout_fraction": 0.5, "seed": 1, "part": "train"}}}},
+         "^config data target recipe must not hold a split block"),
+        ({"ablations": ["disable-pseudo-term", "disable-pseudo-term"]},
+         r"^ablations must be a list of distinct flags from .+, "
+         r"got \['disable-pseudo-term', 'disable-pseudo-term'\]$"),
         # the section holds one form, and a config's empty shift is applied like a recipe's
         ({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
                    "source": {"kind": "csv", "path": "s.csv"}, "target": {"kind": "csv", "path": "t.csv"}}},
@@ -150,13 +157,6 @@ class TestTrainConfig:
          r"^config data section needs either .+, got \['shift', 'source', 'target'\]$"),
         ({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
                    "shift": {}}}, "^shift block is missing pareto_alpha, degree, budget$"),
-        ({"data": {"source": {"kind": "csv", "path": "s.csv"},
-                   "target": {"kind": "csv", "path": "t.csv",
-                              "split": {"holdout_fraction": 0.5, "seed": 1, "part": "train"}}}},
-         "^config data target recipe must not hold a split block"),
-        ({"ablations": ["disable-pseudo-term", "disable-pseudo-term"]},
-         r"^ablations must be a list of distinct flags from .+, "
-         r"got \['disable-pseudo-term', 'disable-pseudo-term'\]$"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         # a data section of the wrong type is caught where the datasets are

@@ -20,16 +20,17 @@ from . import numerics
 from .errors import FormatError, UsageError
 from .numerics import ParamBlock
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # predict runs forward_full on blocks of this many rows; the last block takes
 # the remainder, so a block holds fewer only when the whole input does.
 # Shorter blocks change the last bits of some logits products.
 PREDICT_BLOCK_ROWS = 1024
-# the checkpoint header: every key is required
+# the checkpoint beside its format_version: every key is required, and the
+# arena's values are checked one by one once its length is known
 _HEADER_RULES = {
-    "temperature": data_mod.POSITIVE_REAL, "seed": data_mod.NONNEGATIVE_INT,
-    "input_dim": data_mod.POSITIVE_INT, "hidden_dims": data_mod.WIDTHS,
-    "num_classes": data_mod.POSITIVE_INT, "blocks": data_mod.MAPPING,
+    "temperature": data_mod.POSITIVE_REAL, "input_dim": data_mod.POSITIVE_INT,
+    "hidden_dims": data_mod.WIDTHS, "num_classes": data_mod.POSITIVE_INT,
+    "arena": (lambda v: isinstance(v, list), "be a list"),
 }
 
 
@@ -45,7 +46,6 @@ class ModelParams:
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
-    seed: int
 
     def extractor_blocks(self) -> list[ParamBlock]:
         return [b for pair in self.layers for b in pair]
@@ -86,7 +86,8 @@ def init_model(
     starts at zero, which makes an untrained discriminator output exactly 0.5.
     """
     data_mod.require({"input_dim": input_dim, "hidden_dims": hidden_dims, "num_classes": num_classes,
-                      "temperature": temperature, "seed": seed}, "", **_HEADER_RULES)
+                      "temperature": temperature, "seed": seed}, "", **_HEADER_RULES,
+                     seed=data_mod.NONNEGATIVE_INT)
     rng = np.random.default_rng([seed, 0])
     values = {}
     fan_in = input_dim
@@ -110,7 +111,6 @@ def init_model(
         input_dim=input_dim,
         hidden_dims=tuple(hidden_dims),
         num_classes=num_classes,
-        seed=seed,
     )
 
 
@@ -165,59 +165,33 @@ def backward_head(params: ModelParams, cache: ForwardCache, d_logits: np.ndarray
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write a versioned JSON checkpoint (layout documented in the README)."""
+    """Write a versioned JSON checkpoint: ``init_model``'s header and the
+    arena's values in its order (layout documented in the README)."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "temperature": params.temperature,
-        "seed": params.seed,
         "input_dim": params.input_dim,
         "hidden_dims": list(params.hidden_dims),
         "num_classes": params.num_classes,
-        "blocks": {
-            b.name: {"shape": list(b.value.shape), "values": b.value.reshape(-1).tolist()}
-            for b in params.all_blocks()
-        },
+        "arena": params.arena.value[0].tolist(),
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
     doc = data_mod.read_json_object(path)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise FormatError(
-            f"checkpoint version {doc.get('format_version')} unsupported (want {CHECKPOINT_VERSION})"
-        )
+    version = doc.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise FormatError(f"checkpoint version {version!r} unsupported (want {CHECKPOINT_VERSION})")
     data_mod.require(doc, f"checkpoint {path}: ", tuple(_HEADER_RULES), FormatError,
-                     **_HEADER_RULES)
-    params = init_model(
-        doc["input_dim"],
-        tuple(doc["hidden_dims"]),
-        doc["num_classes"],
-        temperature=doc["temperature"],
-        seed=doc["seed"],
-    )
-    names = [block.name for block in params.all_blocks()]
-    data_mod.require(doc["blocks"], f"checkpoint {path}: blocks ", names, FormatError,
-                     known=names)
-    for block in params.all_blocks():
-        entry = doc["blocks"][block.name]
-        data_mod.require(entry, f"checkpoint {path}: block {block.name!r} ", ("shape", "values"),
-                         FormatError)
-        if entry["shape"] != list(block.value.shape):
-            raise FormatError(
-                f"block {block.name!r} shape {entry['shape']!r} != model shape {block.value.shape}"
-            )
-        try:
-            values = np.asarray(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(
-                f"block {block.name!r} values are not a list of numbers: {exc}"
-            ) from exc
-        if values.shape != (block.value.size,):
-            raise FormatError(
-                f"block {block.name!r} holds {values.size} values, its shape needs {block.value.size}"
-            )
-        if not np.isfinite(values).all():
-            raise FormatError(f"block {block.name!r} holds non-finite values")
-        block.value[...] = values.reshape(block.value.shape)
+                     known=("format_version", *_HEADER_RULES), **_HEADER_RULES)
+    params = init_model(doc["input_dim"], tuple(doc["hidden_dims"]), doc["num_classes"],
+                        temperature=doc["temperature"])
+    arena, size = doc["arena"], params.arena.value.size
+    if len(arena) != size:
+        raise FormatError(f"checkpoint {path}: arena holds {len(arena)} values, the model {size}")
+    for i, value in enumerate(arena):
+        if not data_mod.REAL[0](value):
+            raise FormatError(f"checkpoint {path}: arena[{i}] must be a finite number, got {value!r}")
+    params.arena.value[0] = arena
     return params

@@ -34,10 +34,20 @@ class PseudoLabelSet:
     mask: np.ndarray
 
 
-def advance_k(schedule: dict, epoch: int) -> float:
-    """The k of a k schedule (see ``K_SCHEDULE_RULES``) at an adaptation epoch."""
+def check_k_schedule(schedule: dict) -> None:
+    """Raise ``UsageError`` naming the first key of a k schedule that is
+    missing, unknown or breaks its ``K_SCHEDULE_RULES`` rule, or naming
+    ``k0`` and ``k_max`` when k0 exceeds k_max, so k0 would never apply."""
     require(schedule, "k_schedule ", tuple(K_SCHEDULE_RULES), known=K_SCHEDULE_RULES,
             **K_SCHEDULE_RULES)
+    if schedule["k0"] > schedule["k_max"]:
+        raise UsageError(f"k_schedule k0 {schedule['k0']!r} must be at most "
+                         f"k_max {schedule['k_max']!r}")
+
+
+def advance_k(schedule: dict, epoch: int) -> float:
+    """The k of a k schedule (see ``check_k_schedule``) at an adaptation epoch."""
+    check_k_schedule(schedule)
     if epoch < 0:
         raise UsageError(f"epoch must be nonnegative, got {epoch}")
     return min(schedule["k0"] + epoch * schedule["k_step"], schedule["k_max"])

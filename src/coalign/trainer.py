@@ -22,7 +22,7 @@ from .model import ModelParams
 from .data import (FRACTION, MAPPING, NONNEGATIVE_INT, NONNEGATIVE_REAL, OPTIONAL_STR, PERCENT,
                    POSITIVE_INT, POSITIVE_REAL, WIDTHS, require)
 from .numerics import sgd_momentum_step
-from .selftrain import K_SCHEDULE_PRESETS, K_SCHEDULE_RULES
+from .selftrain import K_SCHEDULE_PRESETS, check_k_schedule
 
 METHODS = ("coal", "source-only", "marginal-align")
 ABLATION_FLAGS = ("disable-pseudo-term", "disable-entropy-term")
@@ -79,9 +79,9 @@ class TrainConfig:
         ks = self.k_schedule
         if isinstance(ks, str):
             ks = K_SCHEDULE_PRESETS[ks]
-        require(ks, "k_schedule ", known=K_SCHEDULE_RULES, **K_SCHEDULE_RULES)
         # a partial dict keeps the default preset's other keys
         self.k_schedule = {**K_SCHEDULE_PRESETS["default"], **ks}
+        check_k_schedule(self.k_schedule)
         self.hidden_dims = tuple(self.hidden_dims)
         # one run, one spelling: flags are kept in ABLATION_FLAGS order
         self.ablations = tuple(f for f in ABLATION_FLAGS if f in self.ablations)

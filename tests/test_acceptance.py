@@ -244,8 +244,8 @@ def test_criterion_6_ablation_direction_and_exactness(benchmark_grid, tmp_path):
     src = fixture_config("source-only", 1, 100.0, epochs=4, out_dir=str(tmp_path / "src"))
     trainer.run_experiment(both)
     trainer.run_experiment(src)
-    blocks_a = json.loads((tmp_path / "both" / "checkpoint.json").read_text())["blocks"]
-    blocks_b = json.loads((tmp_path / "src" / "checkpoint.json").read_text())["blocks"]
+    blocks_a = json.loads((tmp_path / "both" / "checkpoint.json").read_text())["arena"]
+    blocks_b = json.loads((tmp_path / "src" / "checkpoint.json").read_text())["arena"]
     exact_ok = blocks_a == blocks_b
     report_line(6, direction_ok and exact_ok,
                 f"full {full:.3f} >= no-pseudo {no_pseudo:.3f} and >= no-entropy {no_entropy:.3f}; "

@@ -632,8 +632,8 @@ BASE_RECIPES = {"csv": {"kind": "csv", "path": "rows.csv"},
                 "twin-gaussians": {"kind": "twin-gaussians", "domain": "target",
                                    "generator": TWIN_GENERATOR}}
 HEADER_RULES = {
-    "temperature": D.POSITIVE_REAL, "seed": D.NONNEGATIVE_INT, "input_dim": D.POSITIVE_INT,
-    "hidden_dims": D.WIDTHS, "num_classes": D.POSITIVE_INT, "blocks": D.MAPPING,
+    "temperature": D.POSITIVE_REAL, "input_dim": D.POSITIVE_INT, "hidden_dims": D.WIDTHS,
+    "num_classes": D.POSITIVE_INT, "arena": (lambda v: isinstance(v, list), ""),
 }
 
 

@@ -198,9 +198,11 @@ class TestInitModel:
         ((2, (), 4, 0.05), "hidden_dims must be a list of at least one positive integer width"),
         ((0, (4,), 3, 0.05), "input_dim must be a positive integer"),
         ((2, (4,), 0, 0.05), "num_classes must be a positive integer"),
-    ], ids=[*map(str, BAD_TEMPERATURES), "hidden_dims", "input_dim", "num_classes"])
+        ((2, (4,), 2, 0.05, -1), "seed must be a nonnegative integer"),
+    ], ids=[*map(str, BAD_TEMPERATURES), "hidden_dims", "input_dim", "num_classes", "seed"])
     def test_bad_temperature_is_named(self, args, named):
-        # init_model checks every argument by the checkpoint header's rule for it
+        # init_model checks every argument by the checkpoint header's rule for
+        # it, and its seed, which no checkpoint holds, by NONNEGATIVE_INT
         with pytest.raises(UsageError, match=f"^{named}, got "):
             M.init_model(*args)
 
@@ -271,10 +273,8 @@ class TestCheckpoint:
         M.save_checkpoint(params, path)
         loaded = M.load_checkpoint(path)
         assert loaded.temperature == params.temperature
-        assert loaded.seed == params.seed
-        for a, b in zip(params.all_blocks(), loaded.all_blocks()):
-            assert a.name == b.name
-            assert np.array_equal(a.value, b.value)
+        assert [b.name for b in loaded.all_blocks()] == [b.name for b in params.all_blocks()]
+        assert np.array_equal(loaded.arena.value, params.arena.value)
 
     @settings(max_examples=30)
     @given(input_dim=st.integers(1, 6), hidden=st.lists(st.integers(1, 8), min_size=1, max_size=3),
@@ -291,18 +291,49 @@ class TestCheckpoint:
             loaded = M.load_checkpoint(path)
         assert (loaded.input_dim, loaded.hidden_dims, loaded.num_classes) == (
             input_dim, tuple(hidden), classes)
-        assert (loaded.temperature, loaded.seed) == (temperature, seed)
-        for a, b in zip(params.all_blocks(), loaded.all_blocks()):
-            assert a.name == b.name
-            assert a.value.tobytes() == b.value.tobytes()
+        assert loaded.temperature == temperature
+        assert [b.name for b in loaded.all_blocks()] == [b.name for b in params.all_blocks()]
+        assert loaded.arena.value.tobytes() == params.arena.value.tobytes()
+
+    def test_holds_the_header_and_the_arena(self, tmp_path):
+        params = M.init_model(2, (8, 4), 3, temperature=0.2, seed=42)
+        path = tmp_path / "model.json"
+        M.save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        assert doc == {"format_version": 2, "temperature": 0.2, "input_dim": 2, "hidden_dims": [8, 4],
+                       "num_classes": 3,
+                       "arena": [v for b in params.all_blocks() for v in b.value.reshape(-1).tolist()]}
+        assert [b.name for b in params.all_blocks()] == [
+            "layer0.weight", "layer0.bias", "layer1.weight", "layer1.bias", "prototypes",
+            "domain.weight", "domain.bias"]
+
+    def test_version_1_document(self, tmp_path):
+        """A checkpoint in the per-block layout of version 1 is refused by its version."""
+        params = M.init_model(2, (4,), 2, seed=0)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "temperature": params.temperature, "seed": 0, "input_dim": 2,
+            "hidden_dims": [4], "num_classes": 2,
+            "blocks": {b.name: {"shape": list(b.value.shape), "values": b.value.reshape(-1).tolist()}
+                       for b in params.all_blocks()}}))
+        with pytest.raises(FormatError, match=r"^checkpoint version 1 unsupported \(want 2\)$"):
+            M.load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
         params = M.init_model(2, (4,), 2, seed=0)
         path = tmp_path / "model.json"
         M.save_checkpoint(params, path)
-        doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        doc = path.read_text().replace('"format_version": 2', '"format_version": 99')
         path.write_text(doc)
-        with pytest.raises(FormatError, match=r"^checkpoint version 99 unsupported \(want 1\)$"):
+        with pytest.raises(FormatError, match=r"^checkpoint version 99 unsupported \(want 2\)$"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [True, 2.0, 1.0, "2", None])
+    def test_version_is_the_integer_2(self, tmp_path, version):
+        # True == 1.0 == 1 and 2.0 == 2, so only the type tells these apart
+        path = self._edited(tmp_path, lambda doc: doc.update(format_version=version))
+        with pytest.raises(FormatError, match=rf"^checkpoint version {re.escape(repr(version))} "
+                                              rf"unsupported \(want 2\)$"):
             M.load_checkpoint(path)
 
     def test_unreadable_file(self, tmp_path):
@@ -319,33 +350,41 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         return path
 
-    @pytest.mark.parametrize("key", ["temperature", "hidden_dims", "blocks"])
+    @pytest.mark.parametrize("key", ["temperature", "hidden_dims", "arena"])
     def test_missing_top_level_key_is_named(self, tmp_path, key):
         path = self._edited(tmp_path, lambda doc: doc.pop(key))
         with pytest.raises(FormatError, match=key):
             M.load_checkpoint(path)
 
     def test_values_length_not_matching_shape(self, tmp_path):
-        path = self._edited(tmp_path, lambda doc: doc["blocks"]["layer0.bias"]["values"].pop())
-        with pytest.raises(FormatError, match="layer0.bias"):
-            M.load_checkpoint(path)
+        # the model of _edited holds 30 values: 8 + 4 + 8 + 8 + 2
+        for edit, held in ((lambda doc: doc["arena"].pop(), 29),
+                           (lambda doc: doc["arena"].append(0.0), 31)):
+            path = self._edited(tmp_path, edit)
+            with pytest.raises(FormatError, match=rf"^checkpoint {re.escape(str(path))}: "
+                                                  rf"arena holds {held} values, the model 30$"):
+                M.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, named", [
         (lambda doc: doc.update(temperature=-1), "temperature"),
         (lambda doc: doc.update(temperature="x"), "temperature"),
         (lambda doc: doc.update(hidden_dims="ab"), "hidden_dims"),
         (lambda doc: doc.update(input_dim=-3), "input_dim"),
-        (lambda doc: doc.update(seed=-1), "seed"),
-        (lambda doc: doc.update(blocks=[]), "blocks"),
-        (lambda doc: doc["blocks"]["layer0.weight"].update(values="abc"), "layer0.weight"),
-        (lambda doc: doc["blocks"].update({"layer1.weight": doc["blocks"]["layer0.weight"]}),
-         "layer1.weight"),
-        # the same number of values, so only the shape check catches it
-        (lambda doc: doc["blocks"]["layer0.weight"].update(shape=[4, 2]),
-         r"layer0.weight' shape \[4, 2\] != model shape \(2, 4\)"),
+        # a version 1 seed or blocks left in the document is a key of no version 2 field
+        (lambda doc: doc.update(seed=-1), r"has unknown keys \['seed'\]$"),
+        (lambda doc: doc.update(blocks=[]), r"has unknown keys \['blocks'\]$"),
+        (lambda doc: doc.update(momentum=[0.0] * 30), r"has unknown keys \['momentum'\]$"),
+        # the message names the first bad value and its index, not the whole arena
+        (lambda doc: doc["arena"].__setitem__(3, "-0.2513"),
+         r"arena\[3\] must be a finite number, got '-0.2513'$"),
+        (lambda doc: doc["arena"].__setitem__(5, True), r"arena\[5\] must be a finite number, got True$"),
+        (lambda doc: doc["arena"].__setitem__(0, [0.5]),
+         r"arena\[0\] must be a finite number, got \[0.5\]$"),
+        (lambda doc: doc.update(arena={"layer0.bias": [0.0] * 4}),
+         r"arena must be a list, got \{'layer0.bias': \[0.0, 0.0, 0.0, 0.0\]\}$"),
     ], ids=["negative temperature", "text temperature", "text hidden_dims",
-            "negative input_dim", "negative seed", "list blocks", "text values", "extra block",
-            "transposed shape"])
+            "negative input_dim", "negative seed", "list blocks", "extra key", "text values",
+            "boolean value", "nested value", "arena not a list"])
     def test_bad_header_or_block_is_named(self, tmp_path, edit, named):
         path = self._edited(tmp_path, edit)
         with pytest.raises(FormatError, match=named):
@@ -359,8 +398,8 @@ class TestCheckpoint:
 
     def test_non_finite_values(self, tmp_path):
         def poison(doc):
-            doc["blocks"]["prototypes"]["values"][1] = float("nan")
+            doc["arena"][13] = float("nan")
 
         path = self._edited(tmp_path, poison)
-        with pytest.raises(FormatError, match="prototypes"):
+        with pytest.raises(FormatError, match=r"arena\[13\] must be a finite number, got nan$"):
             M.load_checkpoint(path)

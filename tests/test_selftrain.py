@@ -152,6 +152,10 @@ class TestKSchedule:
         with pytest.raises(UsageError, match="epoch must be nonnegative, got -1"):
             selftrain.advance_k(K_SCHEDULE_PRESETS["default"], -1)
 
+    def test_k0_above_k_max(self):
+        with pytest.raises(UsageError, match=r"^k_schedule k0 50\.0 must be at most k_max 30\.0$"):
+            selftrain.advance_k({"k0": 50.0, "k_step": 5.0, "k_max": 30.0}, 0)
+
 
 def test_pseudo_csv_dump(tmp_path):
     pseudo = selftrain.PseudoLabelSet(

@@ -157,6 +157,10 @@ class TestTrainConfig:
          r"^config data section needs either .+, got \['shift', 'source', 'target'\]$"),
         ({"data": {"twin_gaussians": {"num_classes": 2, "per_class": 300, "noise": 0.5},
                    "shift": {}}}, "^shift block is missing pareto_alpha, degree, budget$"),
+        # a k0 above k_max never applies, also when k_max comes from the default preset
+        ({"k_schedule": {"k0": 50, "k_step": 5, "k_max": 30}},
+         r"^k_schedule k0 50 must be at most k_max 30$"),
+        ({"k_schedule": {"k0": 40}}, r"^k_schedule k0 40 must be at most k_max 30\.0$"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         # a data section of the wrong type is caught where the datasets are
@@ -168,7 +172,9 @@ class TestTrainConfig:
            epochs=st.integers(0, 50), batch_size=st.integers(1, 512),
            rates=st.tuples(*[st.floats(0.0, 10.0)] * 4), momentum=st.floats(0.0, 0.99),
            temperature=st.floats(0.01, 5.0), holdout=st.floats(0.01, 0.99),
-           k=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 50.0), st.floats(0.0, 100.0)),
+           # a valid schedule: k0 at most k_max
+           k=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 50.0), st.floats(0.0, 100.0)).map(
+               lambda k: (min(k[0], k[2]), k[1], max(k[0], k[2]))),
            hidden=st.lists(st.integers(1, 256), min_size=1, max_size=3),
            ablations=st.lists(st.sampled_from(trainer.ABLATION_FLAGS), unique=True),
            sampler=st.sampled_from(["balanced", "natural"]), dump_pseudo=st.booleans())
@@ -472,7 +478,7 @@ class TestAblationExactness:
         run_experiment(src)
         a = json.loads((tmp_path / "coal" / "checkpoint.json").read_text())
         b = json.loads((tmp_path / "src" / "checkpoint.json").read_text())
-        assert a["blocks"] == b["blocks"]
+        assert a["arena"] == b["arena"]
 
     def test_double_ablation_is_bitwise_source_only_at_wide_widths(self, tmp_path):
         """The same contract at the benchmark's widths: 64-D inputs, hidden
@@ -500,7 +506,7 @@ class TestAblationExactness:
         run_experiment(src)
         a = json.loads((tmp_path / "coal" / "checkpoint.json").read_text())
         b = json.loads((tmp_path / "src" / "checkpoint.json").read_text())
-        assert a["blocks"] == b["blocks"]
+        assert a["arena"] == b["arena"]
 
 
 class TestResolveDatasets:

@@ -10,6 +10,7 @@ import json
 import math
 import numbers
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -256,8 +257,9 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
-    """A finite, non-boolean real number."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite, non-boolean real number; an int beyond float range is not one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 # field rules for require, (predicate, rule); each predicate tests the type
@@ -387,11 +389,12 @@ def dataset_fingerprint(dataset: LabeledDataset) -> str:
 
 
 def read_json_object(path: str | Path) -> dict:
-    """The JSON object stored at ``path``; an unreadable file, invalid JSON
-    or any other JSON value raises ``FormatError`` naming the path."""
+    """The JSON object stored at ``path``; an unreadable file, invalid JSON,
+    JSON nested past the decoder's recursion limit or any other JSON value
+    raises ``FormatError`` naming the path."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConsistencyError, FormatError, UsageError
+from .errors import FormatError, UsageError
 
 
 def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, num_classes: int) -> np.ndarray:
@@ -172,9 +172,6 @@ def render_table(reports: list[dict], fmt: str = "markdown") -> str:
         raise UsageError("no reports to render")
     for index, report in enumerate(reports):
         _check_report(report, index)
-    schemas = {tuple(sorted(r["metrics"]["final"])) for r in reports}
-    if len(schemas) != 1:
-        raise ConsistencyError(f"reports have mismatched final-metric schemas: {sorted(schemas)}")
 
     cells: dict[tuple[str, str], list[float]] = {}
     places: dict[str, float] = {}

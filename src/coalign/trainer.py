@@ -162,7 +162,6 @@ def _run_epoch(
     step_log: list,
     *,
     paired: bool = False,
-    alpha: float = 0.0,
 ) -> dict:
     """The epoch loop of every method at global epoch ``epoch``, over the
     run's ``data`` (source, target_train, target_holdout).
@@ -170,10 +169,8 @@ def _run_epoch(
     Each optimizer step calls ``step`` with a source batch (and a
     target_train batch when ``paired``; the shorter plan cycles). ``step``
     accumulates the gradients of its objective and returns its values by
-    name; a step that returns no ``l_target_pseudo`` or ``l_h`` reports
-    them as 0.0. Each step's losses are appended to ``step_log`` with
-    ``alpha``. The record holds the epoch mean of every step value, then
-    the holdout metrics.
+    name. Each step's losses are appended to ``step_log``. The record holds
+    the epoch mean of every step value, then the holdout metrics.
     """
     source, target_train, holdout = data
     phase = "pretrain" if epoch < config.pretrain_epochs else "adapt"
@@ -184,8 +181,7 @@ def _run_epoch(
     steps = max(len(plan) for plan in plans)
     sums: dict[str, float] = {}
     for i in range(steps):
-        values = {"l_target_pseudo": 0.0, "l_h": 0.0,
-                  **step(*(plan[i % len(plan)] for plan in plans))}
+        values = step(*(plan[i % len(plan)] for plan in plans))
         losses = {key: val for key, val in values.items() if key in _STEP_LOSSES}
         for key, val in losses.items():
             if not math.isfinite(val):
@@ -193,11 +189,9 @@ def _run_epoch(
         sgd_momentum_step([params.arena], lrs, config.momentum)
         for key, val in values.items():
             sums[key] = sums.get(key, 0.0) + val
-        step_log.append({"epoch": epoch, "phase": phase, "step": i, "alpha": alpha, **losses})
-    record = {"epoch": epoch, "phase": phase, "k": None,
-              "estimated_target_distribution": None, "masked_pseudo_accuracy": None,
-              "domain_discriminator_accuracy": None,
-              **{key: val / steps for key, val in sums.items()}, **evaluate_model(params, holdout)}
+        step_log.append({"epoch": epoch, "phase": phase, "step": i, **losses})
+    record = {"epoch": epoch, "phase": phase, **{key: val / steps for key, val in sums.items()},
+              **evaluate_model(params, holdout)}
     record.pop("confusion")
     return record
 
@@ -225,7 +219,11 @@ def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch:
     pseudo_labels, confidence = selftrain.assign_pseudo_labels(params, target_train.features)
     pseudo = selftrain.select_top_k_per_class(pseudo_labels, confidence, k, target_train.num_classes)
     selected = pseudo.mask == 1
-    extra = {"k": k, "alpha": config.alpha}
+    # an ablated term stays in the objective as a zero weight or a zero alpha;
+    # with both, every target row's gradient is +0.0 and the run trains as source-only
+    weights = pseudo.mask * float("disable-pseudo-term" not in config.ablations)
+    alpha = 0.0 if "disable-entropy-term" in config.ablations else config.alpha
+    extra = {"k": k, "alpha": alpha}
     if selected.any():
         extra["estimated_target_distribution"] = evaluation.label_distribution(
             np.bincount(pseudo.labels[selected], minlength=target_train.num_classes)).tolist()
@@ -237,18 +235,12 @@ def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch:
     if config.dump_pseudo:
         selftrain.write_pseudo_csv(pseudo, Path(config.out_dir) / f"pseudo_epoch_{adapt_epoch:03d}.csv")
 
-    # an ablated term stays in the objective as a zero weight or a zero alpha;
-    # with both, every target row's gradient is +0.0 and the run trains as source-only
-    weights = pseudo.mask * float("disable-pseudo-term" not in config.ablations)
-    alpha = 0.0 if "disable-entropy-term" in config.ablations else config.alpha
-
     def step(sb: np.ndarray, tb: np.ndarray) -> dict:
         return objectives.coal_objective(params, source.features[sb], source.labels[sb],
                                          target_train.features[tb], pseudo.labels[tb], weights[tb],
                                          alpha)
 
-    return {**_run_epoch(params, config, epoch, step, data, step_log,
-                         paired=True, alpha=config.alpha), **extra}
+    return {**_run_epoch(params, config, epoch, step, data, step_log, paired=True), **extra}
 
 
 def run_marginal_align_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
@@ -349,11 +341,10 @@ def run_experiment(config: TrainConfig) -> RunReport:
     final = evaluate_model(params, target_holdout)
     true_dist = evaluation.label_distribution(target_train.class_counts())
     estimates = [r["estimated_target_distribution"] for r in records
-                 if r["estimated_target_distribution"] is not None]
-    comparison = (evaluation.compare_distributions(estimates[-1], true_dist)
-                  if estimates else {"js_distance": None, "l1": None})
-    final["estimated_vs_true_js_distance"] = comparison["js_distance"]
-    final["estimated_vs_true_l1"] = comparison["l1"]
+                 if "estimated_target_distribution" in r]
+    if estimates:
+        final.update({f"estimated_vs_true_{key}": value for key, value in
+                      evaluation.compare_distributions(estimates[-1], true_dist).items()})
     metrics = {
         "true_target_distribution": true_dist.tolist(),
         "epochs": records,

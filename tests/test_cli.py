@@ -164,7 +164,8 @@ class TestTrain:
         b = json.loads((out2 / "report.json").read_text())
         assert json.dumps(a["metrics"], sort_keys=True) == json.dumps(b["metrics"], sort_keys=True)
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
+                                      pytest.param("[" * 100_000, id="deep nesting")])
     def test_bad_config_file_names_the_path(self, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
         path.write_text(text)

@@ -565,6 +565,10 @@ class TestSplitAndManifest:
          "^shift block is missing pareto_alpha, direction, degree, budget$"),
         ({"kind": "twin-gaussians", "domain": "target", "generator": TWIN_GENERATOR, "split": {}},
          "^split block is missing holdout_fraction, part, seed$"),
+        # an int beyond float range is not a finite number
+        ({"kind": "twin-gaussians", "domain": "target",
+          "generator": {**TWIN_GENERATOR, "noise": 10**400}},
+         "generator noise must be a finite nonnegative number"),
     ])
     def test_bad_recipe_names_the_field(self, recipe, names):
         with pytest.raises(UsageError, match=names):

@@ -6,7 +6,7 @@ import pytest
 
 from coalign import data as D
 from coalign import evaluation as E
-from coalign.errors import ConsistencyError, FormatError, UsageError
+from coalign.errors import FormatError, UsageError
 
 
 class TestConfusionMatrix:
@@ -283,11 +283,11 @@ class TestRenderTable:
         with pytest.raises(FormatError,
                            match="^report 1: metrics final is missing per_class_mean_accuracy$"):
             E.render_table([good, bad], "markdown")
-        # every report has the field the table reads, but the final keys differ
-        other = fake_report("coal", 0.0, 2, 0.8)
-        other["metrics"]["final"]["something_else"] = 1.0
-        with pytest.raises(ConsistencyError, match="^reports have mismatched final-metric schemas"):
-            E.render_table([good, other], "markdown")
+        # a coal report holds the estimate's distances, a source-only report does
+        # not; the table reads only the accuracy, so both share one table
+        good["metrics"]["final"].update(estimated_vs_true_js_distance=0.1, estimated_vs_true_l1=0.2)
+        rows = E.render_table([good, fake_report("source-only", 0.0, 1, 0.8)], "csv").splitlines()
+        assert rows == ["method,d=0%", "coal,90.00", "source-only,80.00"]
 
     def test_empty_reports(self):
         with pytest.raises(UsageError, match="^no reports to render$"):

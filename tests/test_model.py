@@ -338,9 +338,11 @@ class TestCheckpoint:
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        with pytest.raises(FormatError, match=f"^cannot read {re.escape(str(path))}: "):
-            M.load_checkpoint(path)
+        # the deep document exceeds the JSON decoder's recursion limit
+        for text in ("{not json", "[" * 100_000):
+            path.write_text(text)
+            with pytest.raises(FormatError, match=f"^cannot read {re.escape(str(path))}: "):
+                M.load_checkpoint(path)
 
     def _edited(self, tmp_path, edit):
         path = tmp_path / "model.json"
@@ -382,9 +384,12 @@ class TestCheckpoint:
          r"arena\[0\] must be a finite number, got \[0.5\]$"),
         (lambda doc: doc.update(arena={"layer0.bias": [0.0] * 4}),
          r"arena must be a list, got \{'layer0.bias': \[0.0, 0.0, 0.0, 0.0\]\}$"),
+        # an int beyond float range is not a finite number
+        (lambda doc: doc["arena"].__setitem__(7, 10**400),
+         r"arena\[7\] must be a finite number, got 10{400}$"),
     ], ids=["negative temperature", "text temperature", "text hidden_dims",
             "negative input_dim", "negative seed", "list blocks", "extra key", "text values",
-            "boolean value", "nested value", "arena not a list"])
+            "boolean value", "nested value", "arena not a list", "huge int value"])
     def test_bad_header_or_block_is_named(self, tmp_path, edit, named):
         path = self._edited(tmp_path, edit)
         with pytest.raises(FormatError, match=named):

@@ -161,6 +161,8 @@ class TestTrainConfig:
         ({"k_schedule": {"k0": 50, "k_step": 5, "k_max": 30}},
          r"^k_schedule k0 50 must be at most k_max 30$"),
         ({"k_schedule": {"k0": 40}}, r"^k_schedule k0 40 must be at most k_max 30\.0$"),
+        # an int beyond float range is not a finite number
+        ({"lr_head": 10**400}, "^lr_head must be a finite nonnegative number, got 10{400}$"),
     ])
     def test_rejects_bad_field_naming_it(self, doc, names):
         # a data section of the wrong type is caught where the datasets are
@@ -337,6 +339,8 @@ class TestCoalEpoch:
         assert arenas["ablated"] == arenas["alpha 0"]
         assert arenas["ablated"] != arenas["alpha 0.1"]
         assert records["ablated"]["l_h"] > 0.0
+        # each record holds the alpha its objective ran with
+        assert [records[name]["alpha"] for name in records] == [0.0, 0.0, 0.1]
 
     def test_pseudo_ablation_keeps_l_st_equal_l_sc(self):
         cfg = tiny_twin_config("coal", ablations=("disable-pseudo-term",))
@@ -373,7 +377,10 @@ class TestCoalEpoch:
         params, data = pretrained(cfg)
         record = trainer.run_coal_epoch(params, data, cfg, cfg.pretrain_epochs, [])
         assert record["warnings"]
-        assert record["estimated_target_distribution"] is None
+        # nothing was selected, so nothing about the selection is measured
+        assert not {"estimated_target_distribution", "masked_pseudo_accuracy"} & record.keys()
+        final = run_experiment(cfg).metrics["final"]
+        assert not {"estimated_vs_true_js_distance", "estimated_vs_true_l1"} & final.keys()
 
 
 class TestRunExperiment:
@@ -397,11 +404,12 @@ class TestRunExperiment:
         report = run_experiment(tiny_twin_config(pretrain_epochs=3, epochs=2))
         assert report.timing["per_epoch_s"] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_source_only_has_no_entropy_terms(self):
-        report = run_experiment(tiny_twin_config("source-only"))
+    def test_source_only_has_no_entropy_terms(self, tmp_path):
+        report = run_experiment(tiny_twin_config("source-only", out_dir=str(tmp_path)))
+        lines = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
         adapt = [r for r in report.metrics["epochs"] if r["phase"] == "adapt"]
-        assert adapt
-        assert all(r["l_h"] == 0.0 for r in adapt)
+        assert adapt and lines
+        assert not any({"l_h", "l_target_pseudo"} & entry.keys() for entry in adapt + lines)
 
     def test_outputs_written(self, tmp_path):
         cfg = tiny_twin_config("coal", out_dir=str(tmp_path / "run"), dump_pseudo=True)

@@ -27,8 +27,7 @@ def _degree_list(text: str) -> list[float]:
 def cmd_gen_shift(args: argparse.Namespace) -> int:
     recipe = data_mod.read_json_object(args.recipe)
     dataset = data_mod.materialize_dataset(recipe)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = data_mod.make_out_dir(args.out)
     with open(out / "data.csv", "w") as fh:
         cols = [f"x{i}" for i in range(dataset.features.shape[1])]
         fh.write(",".join(cols + ["label"]) + "\n")
@@ -103,12 +102,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     predicted_dist = evaluation.label_distribution(cm.sum(axis=0))
     true_dist = evaluation.label_distribution(cm.sum(axis=1))
     comparison = evaluation.compare_distributions(predicted_dist, true_dist)
+    out = data_mod.make_out_dir(args.out_dir)
     print(f"per-class mean accuracy: {scores['per_class_mean_accuracy']:.4f}")
     print(f"overall accuracy:        {scores['overall_accuracy']:.4f}")
     print(f"predicted-vs-true label JS distance: {comparison['js_distance']:.4f}")
     print(f"predicted-vs-true label L1:          {comparison['l1']:.4f}")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "confusion.csv", cm, fmt="%d", delimiter=",")
     # only the projection needs the embeddings
     embeddings = model_mod.forward_full(params, dataset.features).embeddings

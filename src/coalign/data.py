@@ -104,21 +104,16 @@ def build_shift(dataset: LabeledDataset, shift: dict) -> LabeledDataset:
     props = shift_proportions(dataset.num_classes, shift)
     counts = largest_remainder_counts(props, shift["budget"])
     min_per_class = shift.get("min_per_class", 2)
-    available = dataset.class_counts()
-    for cls, (need, have) in enumerate(zip(counts, available)):
-        if need < min_per_class:
-            raise UsageError(
-                f"class {cls} would get {need} samples, below the minimum {min_per_class}"
-            )
-        if need > have:
-            raise UsageError(
-                f"class {cls} needs {need} samples but only {have} available (shortfall {need - have})"
-            )
     rng = np.random.default_rng(shift.get("seed", 0))
     picked = []
-    for cls in range(dataset.num_classes):
+    for cls, need in enumerate(counts):
+        if need < min_per_class:
+            raise UsageError(f"class {cls} would get {need} samples, below the minimum {min_per_class}")
         members = np.flatnonzero(dataset.labels == cls)
-        picked.append(rng.choice(members, size=counts[cls], replace=False))
+        if need > len(members):
+            raise UsageError(f"class {cls} needs {need} samples but only {len(members)} available "
+                             f"(shortfall {need - len(members)})")
+        picked.append(rng.choice(members, size=need, replace=False))
     indices = np.concatenate(picked)
     return dataset.subset(indices[rng.permutation(len(indices))])
 
@@ -399,6 +394,18 @@ def read_json_object(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def make_out_dir(path: str | Path) -> Path:
+    """The output directory at ``path``, made with its parents when missing;
+    a path at or below a file, or any other directory that cannot be made,
+    raises ``UsageError`` naming the path."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {path}: {exc.strerror}") from exc
+    return path
 
 
 def write_manifest(dataset: LabeledDataset, path: str | Path, recipe: dict) -> None:

@@ -18,14 +18,14 @@ def source_classification_loss(params: ModelParams, inputs: np.ndarray,
                                labels: np.ndarray) -> dict[str, float]:
     """Mean cross-entropy of the cosine head on labeled rows; accumulates
     gradients into the prototypes and the extractor. Returns the loss as
-    ``l_sc`` and as ``l_st`` (no self-training) by name."""
+    ``l_sc``."""
     if len(inputs) == 0:
         raise UsageError("source batch is empty")
     cache = model_mod.forward_full(params, inputs)
     loss, d_logits = numerics.cross_entropy(cache.probs, labels)
     d_embed = model_mod.backward_head(params, cache, d_logits, d_logits)
     model_mod.backward_extractor(params, cache, d_embed)
-    return {"l_sc": loss, "l_st": loss}
+    return {"l_sc": loss}
 
 
 def coal_objective(
@@ -80,9 +80,8 @@ def marginal_align_objective(
     The discriminator head is trained to tell the stacked embeddings of
     source (0) from target (1) rows. The extractor receives the source rows'
     classification gradient plus ``-grl_lambda`` times the domain gradient,
-    chained back once. Returns ``l_sc``, ``l_st`` (the same value: no
-    self-training), the domain loss ``l_domain`` and the batch
-    ``domain_discriminator_accuracy`` by name; gradients equal
+    chained back once. Returns ``l_sc``, the domain loss ``l_domain`` and the
+    batch ``domain_discriminator_accuracy`` by name; gradients equal
     :func:`source_classification_loss` plus the per-term
     ``domain_alignment_loss`` of ``tests/reference.py`` up to summation order.
     """
@@ -105,4 +104,4 @@ def marginal_align_objective(
     d_embed = model_mod.backward_head(params, cache, d_logits, d_logits)
     d_embed += d_domain
     model_mod.backward_extractor(params, cache, d_embed)
-    return {"l_sc": l_sc, "l_st": l_sc, "l_domain": l_dom, "domain_discriminator_accuracy": accuracy}
+    return {"l_sc": l_sc, "l_domain": l_dom, "domain_discriminator_accuracy": accuracy}

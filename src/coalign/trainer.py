@@ -147,12 +147,6 @@ def evaluate_model(params: ModelParams, dataset: data_mod.LabeledDataset) -> dic
     }
 
 
-# the step values that are losses: each is checked for finiteness and written
-# to the step log; the epoch record averages every step value, so it also
-# holds per-step statistics such as the discriminator's batch accuracy
-_STEP_LOSSES = ("l_sc", "l_target_pseudo", "l_st", "l_h", "l_domain")
-
-
 def _run_epoch(
     params: ModelParams,
     config: TrainConfig,
@@ -169,8 +163,9 @@ def _run_epoch(
     Each optimizer step calls ``step`` with a source batch (and a
     target_train batch when ``paired``; the shorter plan cycles). ``step``
     accumulates the gradients of its objective and returns its values by
-    name. Each step's losses are appended to ``step_log``. The record holds
-    the epoch mean of every step value, then the holdout metrics.
+    name; each value is checked for finiteness, and the step's values are
+    appended to ``step_log`` as returned. The record holds the epoch mean of
+    every step value, then the holdout metrics.
     """
     source, target_train, holdout = data
     phase = "pretrain" if epoch < config.pretrain_epochs else "adapt"
@@ -182,14 +177,12 @@ def _run_epoch(
     sums: dict[str, float] = {}
     for i in range(steps):
         values = step(*(plan[i % len(plan)] for plan in plans))
-        losses = {key: val for key, val in values.items() if key in _STEP_LOSSES}
-        for key, val in losses.items():
+        for key, val in values.items():
             if not math.isfinite(val):
                 raise DivergenceError(f"non-finite {key} ({val}) at epoch {epoch}, step {i}")
-        sgd_momentum_step([params.arena], lrs, config.momentum)
-        for key, val in values.items():
             sums[key] = sums.get(key, 0.0) + val
-        step_log.append({"epoch": epoch, "phase": phase, "step": i, **losses})
+        sgd_momentum_step([params.arena], lrs, config.momentum)
+        step_log.append({"epoch": epoch, "phase": phase, "step": i, **values})
     record = {"epoch": epoch, "phase": phase, **{key: val / steps for key, val in sums.items()},
               **evaluate_model(params, holdout)}
     record.pop("confusion")
@@ -315,9 +308,8 @@ def run_experiment(config: TrainConfig) -> RunReport:
     t_start = time.perf_counter()
     data, recipes = resolve_datasets(config)
     source, target_train, target_holdout = data
-    out_dir = Path(config.out_dir) if config.out_dir else None
+    out_dir = data_mod.make_out_dir(config.out_dir) if config.out_dir else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         for (name, recipe), dataset in zip(recipes.items(), data):
             data_mod.write_manifest(dataset, out_dir / f"{name}_manifest.json", recipe)
 
@@ -363,11 +355,13 @@ def run_experiment(config: TrainConfig) -> RunReport:
 
 def run_experiments(configs: list[TrainConfig]) -> list[RunReport]:
     """The one driver of many runs: one report per config, in order. Two
-    configs that share an out_dir fail before any run starts."""
-    dirs = [Path(config.out_dir) for config in configs if config.out_dir]
-    for out in dirs:
-        if dirs.count(out) > 1:
-            raise UsageError(f"two runs would write to out_dir {str(out)!r}")
+    configs whose out_dirs name one directory, however spelled, fail
+    before any run starts."""
+    named = [config.out_dir for config in configs if config.out_dir]
+    dirs = [Path(out).resolve() for out in named]
+    for out, resolved in zip(named, dirs):
+        if dirs.count(resolved) > 1:
+            raise UsageError(f"two runs would write to out_dir {out!r}")
     # looked up per run, so a wrapped module attribute is the one called
     return [run_experiment(config) for config in configs]
 

@@ -20,11 +20,12 @@ def run_cli(*argv):
 
 def assert_fails_with(code, capsys, pattern):
     """The command exited 2 with one stderr line, a ``coalign: error:``
-    message that ``pattern`` matches."""
-    err = capsys.readouterr().err
+    message that ``pattern`` matches; returns what it printed on stdout."""
+    out, err = capsys.readouterr()
     assert code == 2, err
     assert err.startswith("coalign: error: ") and err.count("\n") == 1, err
     assert re.search(pattern, err), err
+    return out
 
 
 def tiny_config_doc(tmp_path, method="coal", **overrides):
@@ -405,6 +406,41 @@ class TestSweepAndAblate:
         assert run_cli("ablate", "--config", config, "--out-dir", str(ablate)) == 0
         assert len(calls) == 2 + 3
         assert (sweep / "sweep_table.md").exists() and (ablate / "ablation_table.md").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["train", "sweep", "ablate", "config out_dir", "gen-shift",
+                                     "eval", "run_experiment"])
+def test_an_output_directory_that_is_a_file_fails_naming_it(tmp_path, capsys, command, below):
+    """Every way to name an output directory fails with a one-line usage
+    error naming the path, and prints no result first, when the path is a
+    file or lies below one."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = str(taken / "run" if below else taken)
+    config = str(tiny_config_doc(tmp_path))
+    message = f"cannot make output directory {re.escape(out)}"
+    if command == "run_experiment":
+        doc = json.loads(Path(config).read_text())
+        with pytest.raises(errors.UsageError, match=f"^{message}"):
+            trainer.run_experiment(trainer.TrainConfig.from_dict({**doc, "out_dir": out}))
+    else:
+        if command == "config out_dir":
+            argv = ["train", "--config", str(tiny_config_doc(tmp_path, out_dir=out))]
+        elif command == "gen-shift":
+            recipe = tmp_path / "recipe.json"
+            recipe.write_text(json.dumps(twin_recipe()))
+            argv = ["gen-shift", "--recipe", str(recipe), "--out", out]
+        elif command == "eval":
+            run_dir = tmp_path / "run"
+            assert run_cli("train", "--config", config, "--out-dir", str(run_dir)) == 0
+            capsys.readouterr()
+            argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(run_dir / "target_holdout_manifest.json"), "--out-dir", out]
+        else:
+            argv = [command, "--config", config, "--out-dir", out]
+        assert assert_fails_with(run_cli(*argv), capsys, f"^coalign: error: {message}") == ""
+    assert taken.read_text() == "kept"
 
 
 def test_every_package_error_keeps_its_builtin_base():

@@ -34,36 +34,49 @@ def test_pinned_outputs_match_the_ledger(pinned_root, benchmark_grid, sampler_gr
         f"{committed[0][2:]}; this run has {lines[0][2:]}): {', '.join(changes)}")
 
 
-# the losses each epoch function's steps compute; source-only adapts by pretraining
-STEP_LOSSES = {"pretrain": {"l_sc", "l_st"}, "source-only": {"l_sc", "l_st"},
+# the values each epoch function's steps return; source-only adapts by pretraining
+STEP_VALUES = {"pretrain": {"l_sc"}, "source-only": {"l_sc"},
                "coal": {"l_sc", "l_target_pseudo", "l_st", "l_h"},
-               "marginal-align": {"l_sc", "l_st", "l_domain"}}
-# what an adaptation record holds besides its epoch, phase, losses and holdout scores
-ADAPT_EXTRAS = {"source-only": set(), "marginal-align": {"domain_discriminator_accuracy"},
+               "marginal-align": {"l_sc", "l_domain", "domain_discriminator_accuracy"}}
+# what an adaptation record holds besides its epoch, phase, step means and holdout scores
+ADAPT_EXTRAS = {"source-only": set(), "marginal-align": set(),
                 "coal": {"k", "alpha", "estimated_target_distribution", "masked_pseudo_accuracy"}}
 HOLDOUT = {"per_class_mean_accuracy", "overall_accuracy"}
 
 
 def test_metrics_hold_only_what_each_method_measured(benchmark_grid, sampler_grid):
     """No metric of a session-fixture run is null, and each epoch record,
-    step line and final block holds exactly the keys its method computes."""
+    step line and final block holds exactly the keys its method computes.
+    Each step line holds the values its objective returned, so only a coal
+    adaptation line holds ``l_st``, and each epoch record's step-value
+    means are the means of that epoch's lines, bit for bit."""
     for report in [*benchmark_grid.values(), *sampler_grid.values()]:
         method = report.config["method"]
         # json writes None as null, and no metric is a string that holds "null"
         assert "null" not in report.metrics_payload()
         for record in report.metrics["epochs"]:
             adapt = record["phase"] == "adapt"
-            assert record.keys() == ({"epoch", "phase"} | STEP_LOSSES[method if adapt else "pretrain"]
+            assert record.keys() == ({"epoch", "phase"} | STEP_VALUES[method if adapt else "pretrain"]
                                      | (ADAPT_EXTRAS[method] if adapt else set()) | HOLDOUT)
         estimate = {"estimated_vs_true_js_distance", "estimated_vs_true_l1"}
         assert report.metrics["final"].keys() == (
             HOLDOUT | {"confusion"} | (estimate if method == "coal" else set()))
         if report.config["out_dir"]:
-            log = Path(report.config["out_dir"], "metrics.jsonl").read_text().splitlines()
-            for entry in map(json.loads, log):
+            log = [json.loads(line) for line in
+                   Path(report.config["out_dir"], "metrics.jsonl").read_text().splitlines()]
+            for entry in log:
                 adapt = entry["phase"] == "adapt"
-                assert entry.keys() == {"epoch", "phase", "step"} | STEP_LOSSES[
+                assert entry.keys() == {"epoch", "phase", "step"} | STEP_VALUES[
                     method if adapt else "pretrain"]
+            for record in report.metrics["epochs"]:
+                lines = [entry for entry in log if entry["epoch"] == record["epoch"]]
+                assert [entry["step"] for entry in lines] == list(range(len(lines)))
+                for key in STEP_VALUES[method if record["phase"] == "adapt" else "pretrain"]:
+                    # in step order, as the trainer adds; sum() compensates and gives other bits
+                    total = 0.0
+                    for entry in lines:
+                        total += entry[key]
+                    assert record[key] == total / len(lines), (record["epoch"], key)
 
 
 def test_conftest_loads_by_path_with_only_src_on_the_path(tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -419,8 +420,10 @@ class TestRunExperiment:
                      "source_manifest.json", "target_train_manifest.json",
                      "target_holdout_manifest.json", "pseudo_epoch_000.csv"):
             assert (out / name).exists(), name
-        lines = (out / "metrics.jsonl").read_text().strip().splitlines()
-        assert all("l_st" in json.loads(line) for line in lines)
+        lines = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert all("l_sc" in entry for entry in lines)
+        # only coal's adaptation steps minimize the self-training loss
+        assert [entry["phase"] == "adapt" for entry in lines] == ["l_st" in entry for entry in lines]
 
     def test_every_step_goes_through_sgd_momentum_step(self, tmp_path, monkeypatch):
         # a wrapper bound to the module attribute sees each optimizer step,
@@ -459,6 +462,13 @@ class TestRunExperiment:
         with pytest.raises(UsageError, match="^two runs would write to out_dir .*degree_0'$"):
             trainer.run_experiments([configs[0], configs[0]])
         assert not (tmp_path / "degree_0").exists()
+        # two spellings of one directory are one out_dir; the error shows the config's spelling
+        first = replace(cfg, seed=1, out_dir=str(tmp_path / "runs" / "a"))
+        alias = replace(cfg, seed=2, out_dir=str(tmp_path / "runs" / "b" / ".." / "a"))
+        with pytest.raises(UsageError, match=f"^two runs would write to out_dir "
+                                             f"{re.escape(repr(first.out_dir))}$"):
+            trainer.run_experiments([first, alias])
+        assert not (tmp_path / "runs" / "a").exists()
 
     @pytest.mark.parametrize("shift", [None, 5])
     def test_sweep_needs_a_shift_block(self, shift):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import glob as glob_mod
+import json
 import sys
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def _run_table(configs: list[trainer.TrainConfig], out_dir: str | None, table_na
     """Run ``configs``, print their markdown table and write it into ``out_dir``, when set."""
     reports = trainer.run_experiments(configs)
     table = evaluation.render_table([r.to_dict() for r in reports], "markdown")
-    print(table)
+    print(table, end="")
     if out_dir:
         Path(out_dir, table_name).write_text(table)
     return 0
@@ -85,12 +86,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     params = model_mod.load_checkpoint(args.checkpoint)
     manifest = data_mod.read_json_object(args.data)
-    data_mod.require(manifest, f"{args.data}: manifest ", ("recipe", "sha256"), FormatError)
+    data_mod.require(manifest, f"{args.data}: manifest ", ("recipe", "sha256"), FormatError,
+                     recipe=data_mod.MAPPING, sha256=data_mod.STRING)
     dataset = data_mod.materialize_dataset(manifest["recipe"])
-    if data_mod.dataset_fingerprint(dataset) != manifest["sha256"]:
-        raise ConsistencyError(
-            f"{args.data}: the dataset its recipe regenerates does not match its sha256"
-        )
+    rebuilt = data_mod.build_manifest(dataset, manifest["recipe"])
+    # compared as JSON text, so 1.0 or true does not pass for 1
+    differ = [key for key in sorted(manifest.keys() | rebuilt.keys())
+              if key not in rebuilt or json.dumps(manifest.get(key)) != json.dumps(rebuilt[key])]
+    if differ:
+        raise ConsistencyError(f"{args.data}: the dataset its recipe regenerates does not match "
+                               f"its {', '.join(differ)}")
     if dataset.num_classes != params.num_classes:
         raise ConsistencyError(f"{args.checkpoint} predicts {params.num_classes} classes but "
                                f"{args.data} holds {dataset.num_classes}")

@@ -276,6 +276,7 @@ REAL_PAIR = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
 REAL_PAIRS = (lambda v: isinstance(v, (list, tuple)) and all(REAL_PAIR[0](p) for p in v),
               "be a list of pairs of finite numbers")
 MAPPING = (lambda v: isinstance(v, dict), "be a mapping")
+STRING = (lambda v: isinstance(v, str), "be a string")
 OPTIONAL_STR = (lambda v: v is None or isinstance(v, str), "be a string or null")
 PERCENT = (lambda v: _is_finite_real(v) and 0 <= v <= 100, "lie in [0, 100]")
 
@@ -408,18 +409,22 @@ def make_out_dir(path: str | Path) -> Path:
     return path
 
 
-def write_manifest(dataset: LabeledDataset, path: str | Path, recipe: dict) -> None:
+def build_manifest(dataset: LabeledDataset, recipe: dict) -> dict:
     """Split manifest: per-class counts, the recipe that regenerates the
     split (the one record of where its rows came from), and a content hash
     for verification."""
-    doc = {
+    return {
         "num_classes": dataset.num_classes,
         "per_class_counts": dataset.class_counts().tolist(),
         "total": len(dataset),
         "recipe": recipe,
         "sha256": dataset_fingerprint(dataset),
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def write_manifest(dataset: LabeledDataset, path: str | Path, recipe: dict) -> None:
+    """Write the :func:`build_manifest` document of ``dataset`` to ``path``."""
+    Path(path).write_text(json.dumps(build_manifest(dataset, recipe), indent=2, sort_keys=True))
 
 
 def materialize_dataset(recipe: dict) -> LabeledDataset:
@@ -433,12 +438,11 @@ def materialize_dataset(recipe: dict) -> LabeledDataset:
     require(recipe, "dataset recipe ", ("kind",),
             kind=(lambda v: v in tuple(_RECIPE_KEYS), f"be one of {tuple(_RECIPE_KEYS)}"))
     kind = recipe["kind"]
-    text = (lambda v: isinstance(v, str), "be a string")
     block = (lambda v: v is None or isinstance(v, dict), "be a mapping or null")
     require(recipe, f"{kind} recipe ", _RECIPE_KEYS[kind],
             known=("kind", "shift", "split", *_RECIPE_KEYS[kind]),
             domain=(lambda v: v in ("source", "target"), "be 'source' or 'target'"),
-            path=text, images=text, labels=text, shift=block, split=block)
+            path=STRING, images=STRING, labels=STRING, shift=block, split=block)
     if kind == "twin-gaussians":
         gen = recipe["generator"]
         require(gen, "twin-gaussians generator ", ("num_classes", "per_class", "noise"),

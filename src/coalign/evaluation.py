@@ -108,57 +108,45 @@ def project_features_2d(embeddings: np.ndarray) -> np.ndarray:
     return projected
 
 
-# the report fields render_table reads besides the final accuracy and the
-# shift degree; each report must pass them before the table is built
+# the config fields a report's row and column labels read; only method is required
 _REPORT_CONFIG_RULES = {
-    "method": (lambda v: isinstance(v, str), "be a string"),
+    "method": data_mod.STRING,
     "ablations": (lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),
                   "be a list of strings"),
-    "sampler": (lambda v: isinstance(v, str), "be a string"),
+    "sampler": data_mod.STRING,
     "task": data_mod.OPTIONAL_STR,
     "data": data_mod.MAPPING,
 }
 
 
-def _check_report(report, index: int) -> None:
-    """Raise FormatError, naming the report's index and field, for any field
-    the table reads that is missing or of the wrong kind."""
+def _read_report(report, index: int) -> tuple[str, str, float, float]:
+    """One report's row label, column label, column place (degree columns in
+    degree order, then named tasks) and final per-class mean accuracy. A
+    field that is missing or of the wrong kind raises FormatError naming the
+    report's index and the field."""
     where = f"report {index}: "
-    data_mod.require(report, where, ("metrics",), FormatError,
+    data_mod.require(report, where, ("config", "metrics"), FormatError,
                      config=data_mod.MAPPING, metrics=data_mod.MAPPING)
     data_mod.require(report["metrics"], where + "metrics ", ("final",), FormatError,
                      final=data_mod.MAPPING)
-    data_mod.require(report["metrics"]["final"], where + "metrics final ",
-                     ("per_class_mean_accuracy",), FormatError,
+    final = report["metrics"]["final"]
+    data_mod.require(final, where + "metrics final ", ("per_class_mean_accuracy",), FormatError,
                      per_class_mean_accuracy=data_mod.REAL)
-    config = report.get("config", {})
-    data_mod.require(config, where + "config ", (), FormatError, **_REPORT_CONFIG_RULES)
-    data = config.get("data", {})
-    data_mod.require(data, where + "config data ", (), FormatError, shift=data_mod.MAPPING)
-    data_mod.require(data.get("shift", {}), where + "shift ", (), FormatError,
-                     degree=data_mod.REAL)
-
-
-def _method_label(report: dict) -> str:
-    config = report.get("config", {})
-    label = config.get("method", "?")
-    for flag in config.get("ablations", []):
-        label += f" [{flag}]"
+    config = report["config"]
+    data_mod.require(config, where + "config ", ("method",), FormatError, **_REPORT_CONFIG_RULES)
+    label = config["method"] + "".join(f" [{flag}]" for flag in config.get("ablations", []))
     if config.get("sampler") == "natural":
         label += " [natural sampler]"
-    return label
-
-
-def _task(report: dict) -> tuple[str, float]:
-    """The report's column label and place: degree columns in degree
-    order, then named tasks."""
-    config = report.get("config", {})
+    data = config.get("data", {})
+    data_mod.require(data, where + "config data ", (), FormatError, shift=data_mod.MAPPING)
+    shift = data.get("shift", {})
+    data_mod.require(shift, where + "shift ", (), FormatError, degree=data_mod.REAL)
+    accuracy = final["per_class_mean_accuracy"]
     if config.get("task"):
-        return config["task"], math.inf
-    shift = config.get("data", {}).get("shift", {})
+        return label, config["task"], math.inf, accuracy
     if "degree" in shift:
-        return f"d={shift['degree']:g}%", shift["degree"]
-    return "task", math.inf
+        return label, f"d={shift['degree']:g}%", shift["degree"], accuracy
+    return label, "task", math.inf, accuracy
 
 
 def render_table(reports: list[dict], fmt: str = "markdown") -> str:
@@ -170,16 +158,13 @@ def render_table(reports: list[dict], fmt: str = "markdown") -> str:
         raise UsageError(f"format must be csv or markdown, got {fmt!r}")
     if not reports:
         raise UsageError("no reports to render")
-    for index, report in enumerate(reports):
-        _check_report(report, index)
 
     cells: dict[tuple[str, str], list[float]] = {}
     places: dict[str, float] = {}
-    for report in reports:
-        task, place = _task(report)
+    for index, report in enumerate(reports):
+        method, task, place, accuracy = _read_report(report, index)
         places[task] = place
-        cells.setdefault((_method_label(report), task), []).append(
-            report["metrics"]["final"]["per_class_mean_accuracy"])
+        cells.setdefault((method, task), []).append(accuracy)
     methods = sorted({m for m, _ in cells})
     tasks = sorted(places, key=lambda t: (places[t], t))
 

@@ -7,6 +7,7 @@ is deterministic: a repeated run gives byte-identical metrics.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,32 @@ def sampler_study_config(sampler: str, seed: int) -> TrainConfig:
 
 def final_accuracy(report) -> float:
     return report.metrics["final"]["per_class_mean_accuracy"]
+
+
+# the wrong JSON values the reader fuzzes put in place of one leaf
+WRONG_VALUES = (None, "x", [1, 2], {"a": 1}, float("nan"), float("inf"), float("-inf"),
+                -1, -2.5, -0.0, True)
+
+
+def leaf_paths(node, path=()):
+    """The key path of every leaf of a nest of dicts and lists."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in leaf_paths(child, path + (key,))]
+
+
+def with_leaf(doc, path, value):
+    """A deep copy of ``doc`` with the leaf at key path ``path`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 @pytest.fixture

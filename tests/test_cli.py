@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import importlib.util
 import inspect
+import io
 import json
 import re
 import sys
@@ -9,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalign import cli, errors, trainer
 from coalign import data as D
+from conftest import WRONG_VALUES, leaf_paths, with_leaf
 
 
 def run_cli(*argv):
@@ -191,6 +196,35 @@ class TestTrain:
         assert (out / "pseudo_epoch_001.csv").exists()
 
 
+# each tamper of a run's holdout manifest and the error it gives after the
+# manifest's path
+TAMPERS = {
+    "split part": (lambda m: m["recipe"]["split"].update(part="train"),
+                   "the dataset its recipe regenerates does not match its "
+                   "per_class_counts, sha256, total"),
+    "no sha256": (lambda m: m.pop("sha256"), "manifest is missing sha256"),
+    "total": (lambda m: m.update(total=999),
+              "the dataset its recipe regenerates does not match its total"),
+    "num_classes": (lambda m: m.update(num_classes=7),
+                    "the dataset its recipe regenerates does not match its num_classes"),
+    "per_class_counts": (lambda m: m.update(per_class_counts=[1, 2, 3, 4]),
+                         "the dataset its recipe regenerates does not match its per_class_counts"),
+    "unknown key": (lambda m: m.update(note="x"),
+                    "the dataset its recipe regenerates does not match its note"),
+    "sha256 5": (lambda m: m.update(sha256=5), "manifest sha256 must be a string, got 5"),
+    "recipe 5": (lambda m: m.update(recipe=5), "manifest recipe must be a mapping, got 5"),
+}
+
+
+@pytest.fixture(scope="module")
+def holdout_run(tmp_path_factory):
+    """The directory of one tiny trained run: its checkpoint and manifests."""
+    root = tmp_path_factory.mktemp("holdout")
+    assert run_cli("train", "--config", str(tiny_config_doc(root)), "--out-dir",
+                   str(root / "run")) == 0
+    return root / "run"
+
+
 class TestEval:
     def test_checkpoint_against_manifest(self, tmp_path, capsys):
         config = tiny_config_doc(tmp_path)
@@ -242,21 +276,39 @@ class TestEval:
         assert D.dataset_fingerprint(rebuilt) == manifest["sha256"]
         assert len(rebuilt) == manifest["total"]
 
-    @pytest.mark.parametrize("tamper", ["split part", "no sha256"])
+    @pytest.mark.parametrize("tamper", list(TAMPERS))
     def test_tampered_manifest_raises(self, tmp_path, capsys, tamper):
         run_dir = tmp_path / "run"
         run_cli("train", "--config", str(tiny_config_doc(tmp_path)), "--out-dir", str(run_dir))
         path = run_dir / "target_holdout_manifest.json"
         manifest = json.loads(path.read_text())
-        if tamper == "split part":
-            manifest["recipe"]["split"]["part"] = "train"
-        else:
-            del manifest["sha256"]
+        edit, message = TAMPERS[tamper]
+        edit(manifest)
         path.write_text(json.dumps(manifest))
         code = run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                        "--data", str(path), "--out-dir", str(tmp_path / "eval"))
-        assert_fails_with(code, capsys, "target_holdout_manifest.json")
+        assert_fails_with(code, capsys, f"^coalign: error: {re.escape(f'{path}: {message}')}$")
         assert not (tmp_path / "eval" / "confusion.csv").exists()
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_a_wrong_leaf_scores_or_fails_with_one_error_line(self, holdout_run, data):
+        """One leaf of a run's holdout manifest set to a wrong value either
+        scores the checkpoint or exits 2 with one error line, never with a
+        traceback."""
+        manifest = json.loads((holdout_run / "target_holdout_manifest.json").read_text())
+        path = data.draw(st.sampled_from(leaf_paths(manifest)))
+        value = data.draw(st.sampled_from(WRONG_VALUES))
+        tampered = holdout_run.parent / "tampered_manifest.json"
+        tampered.write_text(json.dumps(with_leaf(manifest, path, value)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli("eval", "--checkpoint", str(holdout_run / "checkpoint.json"),
+                           "--data", str(tampered), "--out-dir", str(holdout_run.parent / "eval"))
+        err = err.getvalue()
+        assert (code, err) == (0, "") or (
+            code == 2 and err.startswith("coalign: error: ") and err.count("\n") == 1), (
+            f"{'/'.join(map(str, path))} = {value!r}: exit {code}: {err}")
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_unreadable_manifest_names_the_path(self, tmp_path, capsys, text):
@@ -329,6 +381,17 @@ class TestReport:
         assert_fails_with(run_cli("report", "--glob", str(path)), capsys, "report.json")
 
 
+def assert_one_table(capsys, table_path, run_dirs):
+    """The table a command printed, the one it wrote to ``table_path`` and the
+    one ``coalign report`` prints for the ``run_dirs`` glob hold the same
+    bytes; returns that table."""
+    printed = capsys.readouterr().out
+    assert run_cli("report", "--glob", str(run_dirs / "report.json")) == 0
+    reported = capsys.readouterr().out
+    assert printed.encode() == table_path.read_bytes() == reported.encode()
+    return printed
+
+
 class TestSweepAndAblate:
     def test_sweep_writes_table(self, tmp_path, capsys):
         config = tiny_config_doc(tmp_path)
@@ -336,8 +399,7 @@ class TestSweepAndAblate:
         code = run_cli("sweep", "--config", str(config), "--degrees", "0,50,100",
                        "--out-dir", str(out))
         assert code == 0
-        assert (out / "sweep_table.md").exists()
-        assert "d=0%" in capsys.readouterr().out
+        assert "d=0%" in assert_one_table(capsys, out / "sweep_table.md", out / "degree_*")
 
     def test_bad_degrees_name_the_flag(self, tmp_path, capsys):
         config = tiny_config_doc(tmp_path)
@@ -350,9 +412,7 @@ class TestSweepAndAblate:
         out = tmp_path / "ablate"
         code = run_cli("ablate", "--config", str(config), "--out-dir", str(out))
         assert code == 0
-        table = capsys.readouterr().out
-        assert "disable-pseudo-term" in table
-        assert (out / "ablation_table.md").exists()
+        assert "disable-pseudo-term" in assert_one_table(capsys, out / "ablation_table.md", out / "*")
         config = tiny_config_doc(tmp_path, method="marginal-align")
         code = run_cli("ablate", "--config", str(config), "--out-dir", str(tmp_path / "other"))
         assert_fails_with(code, capsys, "ablation study requires method=coal$")

@@ -3,10 +3,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalign import data as D
+from coalign import errors, trainer
 from coalign import evaluation as E
 from coalign.errors import FormatError, UsageError
+from conftest import WRONG_VALUES, leaf_paths, with_leaf
 
 
 class TestConfusionMatrix:
@@ -250,6 +254,17 @@ def fake_report(method, degree, seed, accuracy, ablations=(), sampler="balanced"
     }
 
 
+# a real coal run's report with an ablation and a task, so that every config
+# field the table reads is one of its leaves
+REPORT = trainer.run_experiment(trainer.TrainConfig.from_dict({
+    "method": "coal", "seed": 1, "epochs": 2, "pretrain_epochs": 1, "batch_size": 16,
+    "ablations": ["disable-entropy-term"], "task": "t",
+    "data": {"twin_gaussians": {"num_classes": 2, "per_class": 80, "noise": 0.4, "seed": 3},
+             "shift": {"pareto_alpha": 1.0, "degree": 40.0, "budget": 120, "seed": 5}},
+})).to_dict()
+REPORT_PATHS = leaf_paths(REPORT)
+
+
 class TestRenderTable:
     def test_single_report_single_row(self):
         table = E.render_table([fake_report("coal", 100.0, 1, 0.9)], "markdown")
@@ -318,12 +333,15 @@ class TestRenderTable:
          "metrics final per_class_mean_accuracy must be a finite number"),
         (lambda r: r["metrics"]["final"].update(per_class_mean_accuracy=None),
          "metrics final per_class_mean_accuracy must be a finite number"),
+        (lambda r: r.pop("config"), "is missing config"),
+        (lambda r: r["config"].pop("method"), "config is missing method"),
     ], ids=["data", "shift", "ablations int", "ablations str", "method", "final",
-            "accuracy str", "accuracy null"])
+            "accuracy str", "accuracy null", "no config", "no method"])
     def test_bad_field_names_its_index_and_field(self, edit, named):
         bad = fake_report("coal", 0.0, 1, 0.9)
         edit(bad)
-        with pytest.raises(FormatError, match=f"^report 1: {named}, got "):
+        # a wrong value is shown after the field; a missing field ends the message
+        with pytest.raises(FormatError, match=f"^report 1: {named}(, got |$)"):
             E.render_table([fake_report("coal", 0.0, 1, 0.9), bad], "csv")
 
     def test_named_task_and_natural_sampler_labels(self):
@@ -336,3 +354,15 @@ class TestRenderTable:
         assert rows == [["method", "d=0%", "A->B", "task"],
                         ["coal", "90.00", "", "80.00"],
                         ["source-only [natural sampler]", "", "70.00", ""]]
+
+    @settings(max_examples=300)
+    @given(path=st.sampled_from(REPORT_PATHS), value=st.sampled_from(WRONG_VALUES))
+    def test_a_wrong_leaf_renders_or_fails_with_a_package_error(self, path, value):
+        """One leaf of a real report set to a wrong value either renders
+        beside the real report or raises an error type of the package that
+        names the report's index."""
+        try:
+            E.render_table([REPORT, with_leaf(REPORT, path, value)], "csv")
+        except Exception as exc:  # the assertion is on the type
+            assert type(exc).__module__ == errors.__name__ and str(exc).startswith("report 1: "), (
+                f"{'/'.join(map(str, path))} = {value!r}: {type(exc).__name__}: {exc}")

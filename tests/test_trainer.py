@@ -1,4 +1,3 @@
-import copy
 import json
 import re
 from dataclasses import replace
@@ -15,7 +14,7 @@ from coalign import model as M
 from coalign import cli, errors, evaluation, objectives, selftrain, trainer
 from coalign.errors import DivergenceError, UsageError
 from coalign.trainer import TrainConfig, run_experiment
-from conftest import fixture_config
+from conftest import WRONG_VALUES, fixture_config, leaf_paths, with_leaf
 
 
 def tiny_twin_config(method="source-only", seed=0, **overrides):
@@ -52,22 +51,7 @@ def pretrained(cfg, data=None):
 SMALL_CONFIG = tiny_twin_config(
     "coal", ablations=("disable-entropy-term",), hidden_dims=(8, 4),
     k_schedule={"k0": 20.0, "k_step": 5.0, "k_max": 50.0}, task="t").to_dict()
-WRONG_VALUES = (None, "x", [1, 2], {"a": 1}, float("nan"), float("inf"), float("-inf"),
-                -1, -2.5, -0.0, True)
-
-
-def _leaf_paths(node, path=()):
-    """The key path of every leaf of a nest of dicts and lists."""
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return [path]
-    return [leaf for key, child in children for leaf in _leaf_paths(child, path + (key,))]
-
-
-LEAF_PATHS = _leaf_paths(SMALL_CONFIG)
+LEAF_PATHS = leaf_paths(SMALL_CONFIG)
 
 
 class TestTrainConfig:
@@ -211,13 +195,8 @@ class TestTrainConfig:
     def test_a_wrong_leaf_fails_with_a_package_error(self, path, value):
         """One leaf of a small config set to a wrong value either builds the
         run's datasets and model or raises an error type of the package."""
-        doc = copy.deepcopy(SMALL_CONFIG)
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
         try:
-            cfg = TrainConfig.from_dict(doc)
+            cfg = TrainConfig.from_dict(with_leaf(SMALL_CONFIG, path, value))
             (source, *_), _ = trainer.resolve_datasets(cfg)
             M.init_model(source.features.shape[1], cfg.hidden_dims, source.num_classes,
                          temperature=cfg.temperature, seed=cfg.seed)

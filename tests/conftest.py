@@ -1,14 +1,18 @@
 """Shared fixtures: the pinned twin-Gaussian benchmark grid.
 
-The grid runs every (method, degree, seed) combination once per session and
-feeds both the acceptance suite and the trainer-invariant tests. Every run
-is deterministic: a repeated run gives byte-identical metrics.
+Every fixture run reads ``configs/benchmark.json``, the one definition of
+the pinned benchmark configuration. The grid runs every (method, degree,
+seed) combination once per session and feeds both the acceptance suite and
+the trainer-invariant tests. Every run is deterministic: a repeated run
+gives byte-identical metrics.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,57 +35,19 @@ def pytest_configure(config):
     settings.load_profile("coalign")
 
 
-# class blobs on a radius-2 ring at 0/70/180/250 degrees: the 30-degree
-# domain rotation pushes each cluster nearly halfway into its neighbour's
-# slot while the clusters themselves stay tight enough to recover
-FIXTURE_MEAN_ANGLES = (0.0, 70.0, 180.0, 250.0)
-
-
-def ring_means(angles_deg=FIXTURE_MEAN_ANGLES, radius=2.0):
-    a = np.radians(angles_deg)
-    return np.stack([radius * np.cos(a), radius * np.sin(a)], axis=1).tolist()
+BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
+_PINNED = json.loads(BENCHMARK_CONFIG.read_text())
 
 
 def fixture_config(method: str, seed: int, degree: float, **overrides) -> TrainConfig:
-    """The pinned benchmark configuration (about 2000 samples per run)."""
-    base = dict(
-        method=method,
-        seed=seed,
-        epochs=30,
-        pretrain_epochs=5,
-        batch_size=32,
-        lr_head=0.01,
-        lr_backbone=0.001,
-        momentum=0.9,
-        alpha=0.1,
-        grl_lambda=2.0,
-        k_schedule="fast-start",
-        sampler="balanced",
-        temperature=0.3,
-        hidden_dims=(32, 16),
-        holdout_fraction=0.2,
-        data={
-            "twin_gaussians": {
-                "num_classes": 4,
-                "per_class": 500,
-                "noise": 0.35,
-                "rotation_deg": 30.0,
-                "translation": [0.0, 0.0],
-                "radius": 2.0,
-                "means": ring_means(),
-                "seed": 11,
-            },
-            "shift": {
-                "pareto_alpha": 1.0,
-                "degree": degree,
-                "budget": 1000,
-                "min_per_class": 2,
-                "seed": 17,
-            },
-        },
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
+    """The pinned benchmark configuration of ``configs/benchmark.json``
+    (about 2000 samples per run), read as ``coalign train`` reads it, with
+    ``method``, ``seed``, the shift ``degree`` and ``overrides`` set and no
+    ``out_dir``."""
+    doc = copy.deepcopy(_PINNED)
+    doc["data"]["shift"]["degree"] = degree
+    doc.update({"method": method, "seed": seed, "out_dir": None, **overrides})
+    return TrainConfig.from_dict(doc)
 
 
 def sampler_study_config(sampler: str, seed: int) -> TrainConfig:

@@ -8,13 +8,13 @@ come ``<sha256>  <name>`` lines:
   ``coal/d100/s1``, ``disable-pseudo-term/d100/s2`` or ``natural/s3``;
 - every artifact of coal (full, each single ablation and both ablations),
   marginal-align and source-only on the pinned twin-Gaussian fixture of
-  ``conftest.fixture_config`` at shift degrees 0 and 100 and seed 1, each
-  with an ``out_dir`` and pseudo-label dumps, plus a coal and a
-  marginal-align run at the benchmark's ``wide`` shapes (64-D inputs, hidden
-  (256, 128), 10 classes, batch 256) on seeded IDX pools written under the
-  output root. Each checkpoint is then evaluated by ``coalign eval`` on its
-  holdout manifest, and ``coalign gen-shift`` writes one split of
-  ``GEN_SHIFT_RECIPE``.
+  ``configs/benchmark.json`` (read by ``conftest.fixture_config``) at shift
+  degrees 0 and 100 and seed 1, each with an ``out_dir`` and pseudo-label
+  dumps, plus a coal and a marginal-align run at the benchmark's ``wide``
+  shapes (64-D inputs, hidden (256, 128), 10 classes, batch 256) on seeded
+  IDX pools written under the output root. Each checkpoint is then
+  evaluated by ``coalign eval`` on its holdout manifest, and
+  ``coalign gen-shift`` writes one split of ``GEN_SHIFT_RECIPE``.
 
 Eight of the artifact runs are seed-1 runs of ``benchmark_runs``, which
 writes them into ``grid_out_dirs(root)``; only the other six run here. A

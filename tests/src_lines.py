@@ -1,5 +1,5 @@
 """Print the line counts of ``src/``: raw lines and code-only lines, per
-module and in total.
+module and in total, then the total of ``tests/*.py``.
 
 A code-only line is a line that is not blank, not only a comment and not
 part of a docstring (the leading string of a module, class or function).
@@ -17,7 +17,8 @@ import io
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
@@ -50,6 +51,8 @@ def main() -> None:
         total_code += code
         print(f"{raw:6,d} {code:6,d}  {path.relative_to(SRC)}")
     print(f"{total_raw:6,d} {total_code:6,d}  total (raw, code-only)")
+    raw, code = (sum(column) for column in zip(*map(count, sorted(TESTS.glob("*.py")))))
+    print(f"{raw:6,d} {code:6,d}  tests/*.py total (raw, code-only)")
 
 
 if __name__ == "__main__":

@@ -11,10 +11,10 @@ import numpy as np
 
 import reference
 from coalign import model as M
-from coalign import evaluation, trainer
+from coalign import cli, evaluation, trainer
 from coalign.data import natural_batches
 from coalign.numerics import mean_entropy, sgd_momentum_step
-from conftest import FIXTURE_SEEDS, fixture_config, grid_mean
+from conftest import BENCHMARK_CONFIG, FIXTURE_SEEDS, fixture_config, grid_mean
 from pinned_hashes import LEDGER, ledger_lines
 
 
@@ -91,6 +91,21 @@ def test_conftest_loads_by_path_with_only_src_on_the_path(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(tests.parent / "src")})
     assert (result.returncode, result.stdout) == (0, "coal\n"), result.stderr
+
+
+def test_the_config_file_is_the_pinned_fixture(tmp_path, benchmark_grid):
+    """``configs/benchmark.json`` holds every config field in the form
+    ``TrainConfig.to_dict`` writes, and ``coalign sweep`` on it trains the
+    grid's coal seed-1 runs bit for bit."""
+    text = BENCHMARK_CONFIG.read_text()
+    doc = trainer.TrainConfig.from_dict(json.loads(text)).to_dict()
+    assert json.dumps(doc, indent=2, sort_keys=True) == text
+    assert cli.main(["sweep", "--config", str(BENCHMARK_CONFIG), "--degrees", "0,100",
+                     "--out-dir", str(tmp_path)]) == 0
+    for degree in (0.0, 100.0):
+        report = json.loads((tmp_path / f"degree_{degree:g}" / "report.json").read_text())
+        assert json.dumps(report["metrics"], sort_keys=True) == \
+            benchmark_grid[("coal", degree, 1)].metrics_payload(), degree
 
 
 def test_minimax_step_directions_on_fixture():

@@ -247,8 +247,10 @@ def load_csv(path: str | Path) -> LabeledDataset:
 
 
 def _is_int(value) -> bool:
-    """A non-boolean Python int; inputs hold these for counts, widths and seeds."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A non-boolean Python int that an int64 holds; inputs hold these for
+    counts, widths and seeds."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= np.iinfo(np.int64).max)
 
 
 def _is_finite_real(value) -> bool:

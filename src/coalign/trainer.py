@@ -147,36 +147,32 @@ def evaluate_model(params: ModelParams, dataset: data_mod.LabeledDataset) -> dic
     }
 
 
-def _run_epoch(
-    params: ModelParams,
-    config: TrainConfig,
-    epoch: int,
-    step: Callable[..., dict[str, float]],
-    data: tuple,
-    step_log: list,
-    *,
-    paired: bool = False,
-) -> dict:
+def _run_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch: int, step_log: list,
+               objective: Callable[..., dict[str, float]], target_rows: tuple = (), **options) -> dict:
     """The epoch loop of every method at global epoch ``epoch``, over the
     run's ``data`` (source, target_train, target_holdout).
 
-    Each optimizer step calls ``step`` with a source batch (and a
-    target_train batch when ``paired``; the shorter plan cycles). ``step``
-    accumulates the gradients of its objective and returns its values by
-    name; each value is checked for finiteness, and the step's values are
-    appended to ``step_log`` as returned. The record holds the epoch mean of
-    every step value, then the holdout metrics.
+    Each optimizer step calls ``objective(params, source inputs, source
+    labels, *target batch rows, **options)``, with one target_train batch
+    of each array in ``target_rows`` (none, and no target plan, when it is
+    empty; the shorter plan cycles). The objective accumulates its
+    gradients and returns its values by name; each value is checked for
+    finiteness, and the step's values are appended to ``step_log`` as
+    returned. The record holds the epoch mean of every step value, then the
+    holdout metrics.
     """
     source, target_train, holdout = data
     phase = "pretrain" if epoch < config.pretrain_epochs else "adapt"
     lrs = _learning_rates(params, config)
     plans = [_batch_plan(source, config, _STREAM_SOURCE, epoch, config.sampler)]
-    if paired:
+    if target_rows:
         plans.append(_batch_plan(target_train, config, _STREAM_TARGET, epoch, "natural"))
     steps = max(len(plan) for plan in plans)
     sums: dict[str, float] = {}
     for i in range(steps):
-        values = step(*(plan[i % len(plan)] for plan in plans))
+        sb, *tb = (plan[i % len(plan)] for plan in plans)
+        values = objective(params, source.features[sb], source.labels[sb],
+                           *(rows[b] for b in tb for rows in target_rows), **options)
         for key, val in values.items():
             if not math.isfinite(val):
                 raise DivergenceError(f"non-finite {key} ({val}) at epoch {epoch}, step {i}")
@@ -193,20 +189,15 @@ def pretrain(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
              step_log: list) -> dict:
     """One epoch of supervised training on source batches only; the
     source-only baseline also runs it after pretraining."""
-    source = data[0]
-
-    def step(sb: np.ndarray) -> dict:
-        return objectives.source_classification_loss(params, source.features[sb], source.labels[sb])
-
-    return _run_epoch(params, config, epoch, step, data, step_log)
+    return _run_epoch(params, data, config, epoch, step_log, objectives.source_classification_loss)
 
 
 def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
                    step_log: list) -> dict:
     """One adaptation epoch: pseudo-label assignment, per-class top-k
-    selection, then paired source/target steps of the combined objective.
+    selection, then source/target_train steps of the combined objective.
     The k schedule and the pseudo-label dump count adaptation epochs."""
-    source, target_train, _ = data
+    target_train = data[1]
     adapt_epoch = epoch - config.pretrain_epochs
     k = selftrain.advance_k(config.k_schedule, adapt_epoch)
     pseudo_labels, confidence = selftrain.assign_pseudo_labels(params, target_train.features)
@@ -227,28 +218,16 @@ def run_coal_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch:
         extra["warnings"] = ["no pseudo labels selected; the pseudo-label term was zero this epoch"]
     if config.dump_pseudo:
         selftrain.write_pseudo_csv(pseudo, Path(config.out_dir) / f"pseudo_epoch_{adapt_epoch:03d}.csv")
-
-    def step(sb: np.ndarray, tb: np.ndarray) -> dict:
-        return objectives.coal_objective(params, source.features[sb], source.labels[sb],
-                                         target_train.features[tb], pseudo.labels[tb], weights[tb],
-                                         alpha)
-
-    return {**_run_epoch(params, config, epoch, step, data, step_log, paired=True), **extra}
+    return {**_run_epoch(params, data, config, epoch, step_log, objectives.coal_objective,
+                         (target_train.features, pseudo.labels, weights), alpha=alpha), **extra}
 
 
 def run_marginal_align_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch: int,
                              step_log: list) -> dict:
     """Supervised loss plus adversarial domain confusion on embeddings; no
     conditioning and no self-training."""
-    source, target_train, _ = data
-
-    def step(sb: np.ndarray, tb: np.ndarray) -> dict:
-        return objectives.marginal_align_objective(
-            params, source.features[sb], source.labels[sb], target_train.features[tb],
-            config.grl_lambda,
-        )
-
-    return _run_epoch(params, config, epoch, step, data, step_log, paired=True)
+    return _run_epoch(params, data, config, epoch, step_log, objectives.marginal_align_objective,
+                      (data[1].features,), grl_lambda=config.grl_lambda)
 
 
 def resolve_datasets(config: TrainConfig) -> tuple[tuple, dict[str, dict]]:

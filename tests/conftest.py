@@ -84,9 +84,10 @@ def final_accuracy(report) -> float:
     return report.metrics["final"]["per_class_mean_accuracy"]
 
 
-# the wrong JSON values the reader fuzzes put in place of one leaf
+# the wrong JSON values the reader fuzzes put in place of one leaf; 10**400
+# is an int that no int64 or float64 holds
 WRONG_VALUES = (None, "x", [1, 2], {"a": 1}, float("nan"), float("inf"), float("-inf"),
-                -1, -2.5, -0.0, True)
+                -1, -2.5, -0.0, True, 10**400)
 
 
 def leaf_paths(node, path=()):

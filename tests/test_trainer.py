@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coalign import data as D
@@ -192,6 +192,10 @@ class TestTrainConfig:
     # about as many examples as there are (leaf, value) pairs
     @settings(max_examples=len(LEAF_PATHS) * len(WRONG_VALUES))
     @given(path=st.sampled_from(LEAF_PATHS), value=st.sampled_from(WRONG_VALUES))
+    # ints that no array can hold: a shape, a width and a shift budget
+    @example(path=("data", "twin_gaussians", "per_class"), value=10**400)
+    @example(path=("hidden_dims", 0), value=10**400)
+    @example(path=("data", "shift", "budget"), value=10**400)
     def test_a_wrong_leaf_fails_with_a_package_error(self, path, value):
         """One leaf of a small config set to a wrong value either builds the
         run's datasets and model or raises an error type of the package."""
@@ -291,14 +295,29 @@ class TestAdaptEpochDivergence:
         params = M.init_model(2, cfg.hidden_dims, 2, temperature=cfg.temperature)
         poisoned = {block.name: block for block in params.all_blocks()}[name]
 
-        def step(batch):
-            values = objectives.source_classification_loss(
-                params, data[0].features[batch], data[0].labels[batch])
+        def poisoning_objective(params, inputs, labels):
+            values = objectives.source_classification_loss(params, inputs, labels)
             poisoned.grad.flat[-1] = np.nan
             return values
 
         with pytest.raises(DivergenceError, match=f"^non-finite gradient in block '{name}'$"):
-            trainer._run_epoch(params, cfg, 0, step, data, [])
+            trainer._run_epoch(params, data, cfg, 0, [], poisoning_objective)
+
+
+class TestEpochLoop:
+    def test_only_target_rows_plan_a_target_batch(self, monkeypatch):
+        # the balanced source sampler never calls natural_batches, so each
+        # call is a target_train plan
+        cfg = tiny_twin_config("marginal-align")
+        assert cfg.sampler == "balanced"
+        params, data = pretrained(cfg)
+        calls = []
+        natural = D.natural_batches
+        monkeypatch.setattr(D, "natural_batches", lambda *args: calls.append(args) or natural(*args))
+        trainer.pretrain(params, data, cfg, 0, [])
+        assert len(calls) == 0
+        trainer.run_marginal_align_epoch(params, data, cfg, cfg.pretrain_epochs, [])
+        assert len(calls) == 1
 
 
 class TestCoalEpoch:

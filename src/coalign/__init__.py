@@ -5,5 +5,3 @@ trains a prototype-based cosine classifier with adversarial entropy and
 class-balanced self-training, and reports per-class mean accuracy against
 source-only and marginal-alignment baselines.
 """
-
-__version__ = "0.1.0"

@@ -182,7 +182,3 @@ def main(argv: list[str] | None = None) -> int:
     except CoalignError as exc:
         print(f"coalign: error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -38,7 +38,6 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         require({"num_classes": self.num_classes}, "", num_classes=POSITIVE_INT)
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise UsageError(f"features must be 2-D, got shape {self.features.shape}")
@@ -135,10 +134,8 @@ def generate_twin_domain(
     if means is None:
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
         means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    else:
-        if np.shape(means) != (num_classes, 2):
-            raise UsageError(f"twin-gaussians generator means must hold {num_classes} pairs, got {means!r}")
-        means = np.asarray(means, dtype=np.float64)
+    elif np.shape(means) != (num_classes, 2):
+        raise UsageError(f"twin-gaussians generator means must hold {num_classes} pairs, got {means!r}")
     target = domain == "target"
     rng = np.random.default_rng([seed, int(target)])
     feats = np.vstack(
@@ -182,7 +179,6 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
     if lcount != count:
         raise ConsistencyError(f"{count} images but {lcount} labels")
     features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    labels = labels.astype(np.int64)
     num_classes = int(labels.max()) + 1 if labels.size else 1
     return LabeledDataset(features, labels, num_classes)
 
@@ -242,7 +238,6 @@ def load_csv(path: str | Path) -> LabeledDataset:
     labels = table[:, -1]
     if not np.all(labels == np.rint(labels)) or labels.min() < 0:
         raise FormatError(f"{path}: final column must hold nonnegative integer labels")
-    labels = labels.astype(np.int64)
     return LabeledDataset(table[:, :-1], labels, int(labels.max()) + 1)
 
 

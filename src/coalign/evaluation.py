@@ -33,7 +33,6 @@ def confusion_matrix(true_labels: np.ndarray, predicted: np.ndarray, num_classes
 
 def per_class_mean_accuracy(cm: np.ndarray) -> float:
     """Mean over classes of the within-class accuracy; robust to imbalance."""
-    cm = np.asarray(cm)
     row_sums = cm.sum(axis=1)
     missing = np.flatnonzero(row_sums == 0)
     if missing.size:
@@ -42,7 +41,6 @@ def per_class_mean_accuracy(cm: np.ndarray) -> float:
 
 
 def overall_accuracy(cm: np.ndarray) -> float:
-    cm = np.asarray(cm)
     return float(np.diag(cm).sum() / cm.sum())
 
 
@@ -145,7 +143,7 @@ def _read_report(report, index: int) -> tuple[str, str, float, float]:
     if config.get("task"):
         return label, config["task"], math.inf, accuracy
     if "degree" in shift:
-        return label, f"d={shift['degree']:g}%", shift["degree"], accuracy
+        return label, f"d={shift['degree'] + 0.0:g}%", shift["degree"], accuracy
     return label, "task", math.inf, accuracy
 
 

@@ -12,7 +12,7 @@ The finite-difference gradient check lives with the other test oracles in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -24,17 +24,15 @@ NORM_EPS = 1e-12
 
 @dataclass
 class ParamBlock:
-    """One trainable tensor with its gradient and momentum buffer; an arena's
-    ``parts`` are the named blocks whose buffers are views into its own."""
+    """One trainable 2-D float64 tensor with its gradient ``grad`` and
+    momentum buffer ``momentum``; an arena's ``parts`` are the named blocks
+    whose buffers are views into its own."""
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = field(init=False)
-    momentum: np.ndarray = field(init=False)
     parts: list["ParamBlock"] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
-        self.value = np.ascontiguousarray(self.value, dtype=np.float64)
         if self.value.ndim != 2:
             raise UsageError(f"block {self.name!r} must be 2-D, got shape {self.value.shape}")
         self.grad = np.zeros_like(self.value)
@@ -133,10 +131,9 @@ def cross_entropy(
     so +0.0 when no row is weighted, and the gradient of row r is
     weights[r] * (probs[r] - onehot(labels[r])) / W, zero if unweighted.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != probs.shape[0]:
         raise UsageError(f"{labels.shape[0]} labels for {probs.shape[0]} logit rows")
-    # a negative label reads as a huge unsigned one
+    # labels are int64, so a negative label reads as a huge unsigned one
     unsigned = labels.view(np.uint64)
     if labels.size and unsigned.max() >= probs.shape[1]:
         bad = labels[unsigned >= probs.shape[1]][0]
@@ -164,7 +161,6 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
     Rows must sum to 1 within 1e-4; 0 log 0 counts as 0. The gradient of
     row r is -p (log p + H_r) / rows.
     """
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
     if len(probs) == 0:
         raise UsageError(f"probs must hold at least one row, got shape {probs.shape}")
     sums = probs.sum(axis=1)
@@ -181,11 +177,10 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def sgd_momentum_step(
-    blocks: Iterable[ParamBlock], learning_rates: Mapping[str, float | np.ndarray], momentum: float
+    blocks: list[ParamBlock], learning_rates: Mapping[str, float | np.ndarray], momentum: float
 ) -> None:
     """buffer <- momentum * buffer + grad; value <- value - lr * buffer; grads zeroed.
     An lr is a number or one per element; lr * buffer is formed in the grad buffer."""
-    blocks = list(blocks)
     for block in blocks:
         if not np.isfinite(block.grad).all():
             bad = next(b for b in [*block.parts, block] if not np.isfinite(b.grad).all())

@@ -71,8 +71,6 @@ def select_top_k_per_class(
     """
     if not 0 <= k <= 100:
         raise UsageError(f"k must be within [0, 100], got {k}")
-    labels = np.asarray(labels, dtype=np.int64)
-    confidence = np.asarray(confidence, dtype=np.float64)
     mask = np.zeros(len(labels), dtype=np.int64)
     for cls in range(num_classes):
         members = np.flatnonzero(labels == cls)

@@ -82,7 +82,6 @@ class TrainConfig:
         # a partial dict keeps the default preset's other keys
         self.k_schedule = {**K_SCHEDULE_PRESETS["default"], **ks}
         check_k_schedule(self.k_schedule)
-        self.hidden_dims = tuple(self.hidden_dims)
         # one run, one spelling: flags are kept in ABLATION_FLAGS order
         self.ablations = tuple(f for f in ABLATION_FLAGS if f in self.ablations)
         if self.ablations and self.method != "coal":
@@ -359,6 +358,7 @@ def degree_configs(config: TrainConfig, degrees: list[float]) -> list[TrainConfi
     configs, names = [], []
     for degree in degrees:
         require({"degree": degree}, "sweep ", degree=PERCENT)
+        degree += 0.0  # -0.0 is degree 0
         data = json.loads(json.dumps(config.data))
         data["shift"]["degree"] = degree
         names.append(f"degree_{degree:g}")

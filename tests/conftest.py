@@ -1,10 +1,11 @@
-"""Shared fixtures: the pinned twin-Gaussian benchmark grid.
+"""Shared helpers: the pinned twin-Gaussian benchmark grid.
 
 Every fixture run reads ``configs/benchmark.json``, the one definition of
 the pinned benchmark configuration. The grid runs every (method, degree,
 seed) combination once per session and feeds both the acceptance suite and
 the trainer-invariant tests. Every run is deterministic: a repeated run
-gives byte-identical metrics.
+gives byte-identical metrics. The pytest fixtures that serve them are in
+``pinned_fixtures.py``, so this file imports neither pytest nor hypothesis.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from coalign import data as D
 from coalign.trainer import ABLATION_FLAGS, TrainConfig, run_experiments
 
 FIXTURE_SEEDS = (1, 2, 3)
@@ -34,6 +33,8 @@ def pytest_configure(config):
     settings.register_profile("coalign", derandomize=True, deadline=None)
     settings.load_profile("coalign")
 
+
+pytest_plugins = ["pinned_fixtures"]
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
 _PINNED = json.loads(BENCHMARK_CONFIG.read_text())
@@ -111,23 +112,6 @@ def with_leaf(doc, path, value):
     return doc
 
 
-@pytest.fixture
-def file_recipes(tmp_path):
-    """csv and idx recipes for the same 90 labelled rows (classes of 40, 30
-    and 20 rows, 2x2-pixel features), keyed by kind."""
-    rng = np.random.default_rng(0)
-    labels = rng.permutation(np.repeat(np.arange(3), (40, 30, 20)))
-    dataset = D.LabeledDataset(rng.integers(0, 256, (90, 4)) / 255.0, labels, 3)
-    path = tmp_path / "rows.csv"
-    path.write_text("x0,x1,x2,x3,label\n" + "".join(
-        ",".join(f"{v:.17g}" for v in row) + f",{label}\n"
-        for row, label in zip(dataset.features, labels)))
-    D.write_idx(dataset, tmp_path / "images.idx", tmp_path / "labels.idx", 2, 2)
-    return {"csv": {"kind": "csv", "path": str(path)},
-            "idx": {"kind": "idx", "images": str(tmp_path / "images.idx"),
-                    "labels": str(tmp_path / "labels.idx")}}
-
-
 def benchmark_runs(out_dirs: dict | None = None) -> dict:
     """All fixture runs used by the directional criteria, keyed by
     (method, degree, seed); ablation variants keyed by (flag, 100.0, seed).
@@ -149,25 +133,6 @@ def sampler_runs() -> dict:
     configs = {(sampler, seed): sampler_study_config(sampler, seed)
                for sampler in ("balanced", "natural") for seed in FIXTURE_SEEDS}
     return dict(zip(configs, run_experiments(list(configs.values()))))
-
-
-@pytest.fixture(scope="session")
-def pinned_root(tmp_path_factory):
-    """Where the session's pinned runs write the artifacts the ledger hashes."""
-    return tmp_path_factory.mktemp("pinned")
-
-
-@pytest.fixture(scope="session")
-def benchmark_grid(pinned_root):
-    # imported here: the benchmark loads this file with only src/ on sys.path
-    from pinned_hashes import grid_out_dirs
-
-    return benchmark_runs(grid_out_dirs(pinned_root))
-
-
-@pytest.fixture(scope="session")
-def sampler_grid():
-    return sampler_runs()
 
 
 def grid_mean(grid, method, degree) -> float:

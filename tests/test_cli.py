@@ -103,6 +103,11 @@ class TestGenShift:
         rebuilt = D.materialize_dataset(manifest["recipe"])
         assert np.allclose(rebuilt.features, dataset.features)
 
+    def test_prints_the_split_it_wrote(self, tmp_path, capsys):
+        assert gen_shift(tmp_path, twin_recipe()) == 0
+        assert capsys.readouterr().out == (f"wrote 100 samples to {tmp_path / 'split'}/data.csv\n"
+                                           "per-class counts: [80, 20]\n")
+
     def test_source_reversed_direction_reverses(self, tmp_path):
         assert gen_shift(tmp_path, twin_recipe(D.DIRECTION_SOURCE)) == 0
         manifest = json.loads((tmp_path / "split" / "manifest.json").read_text())
@@ -169,6 +174,18 @@ class TestTrain:
         a = json.loads((out1 / "report.json").read_text())
         b = json.loads((out2 / "report.json").read_text())
         assert json.dumps(a["metrics"], sort_keys=True) == json.dumps(b["metrics"], sort_keys=True)
+
+    def test_prints_the_run_and_its_final_scores(self, tmp_path, capsys):
+        """The outputs line appears only when the run has an out_dir."""
+        config, out = tiny_config_doc(tmp_path), tmp_path / "run"
+        assert run_cli("train", "--config", str(config), "--out-dir", str(out)) == 0
+        final = json.loads((out / "report.json").read_text())["metrics"]["final"]
+        scores = (f"method=coal seed=1\n"
+                  f"final per-class mean accuracy: {final['per_class_mean_accuracy']:.4f}\n"
+                  f"final overall accuracy:        {final['overall_accuracy']:.4f}\n")
+        assert capsys.readouterr().out == scores + f"outputs in {out}\n"
+        assert run_cli("train", "--config", str(config)) == 0
+        assert capsys.readouterr().out == scores
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
                                       pytest.param("[" * 100_000, id="deep nesting")])
@@ -428,7 +445,8 @@ class TestSweepAndAblate:
         assert not out.exists()
 
     @pytest.mark.parametrize("degrees, shared", [("0,0", "degree_0"),
-                                                 ("1e-7,1.0000001e-7,100", "degree_1e-07")])
+                                                 ("1e-7,1.0000001e-7,100", "degree_1e-07"),
+                                                 ("0,-0", "degree_0")])
     def test_runs_sharing_a_directory_fail_before_the_first_run(self, tmp_path, capsys, degrees,
                                                                  shared):
         out = tmp_path / "sweep"
@@ -437,7 +455,8 @@ class TestSweepAndAblate:
         assert_fails_with(code, capsys, re.escape(str(out / shared)))
         assert not out.exists()
 
-    @pytest.mark.parametrize("degrees, shown", [("0,0", "0"), ("1e-7,1.0000001e-7", "1e-07")])
+    @pytest.mark.parametrize("degrees, shown", [("0,0", "0"), ("1e-7,1.0000001e-7", "1e-07"),
+                                                ("0,-0", "0")])
     def test_repeated_degree_without_an_out_dir_fails_before_the_first_run(
             self, tmp_path, capsys, monkeypatch, degrees, shown):
         # two runs of one name would be averaged into one table cell

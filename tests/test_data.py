@@ -582,6 +582,13 @@ class TestRequire:
             D.require({"b": 1, "d": 2, "e": 3}, "block ", ("a", "b", "c"), ConsistencyError,
                       known=("a", "b", "c"))
 
+    @pytest.mark.parametrize("section", [5, [1], "a"])
+    def test_a_section_that_is_not_a_mapping_is_named(self, section):
+        # a list or a string answers ``in`` and would read as missing keys
+        with pytest.raises(ConsistencyError,
+                           match=rf"^block must be a mapping, got {re.escape(repr(section))}$"):
+            D.require(section, "block ", ("a",), ConsistencyError, known=("a",))
+
 
 # a value of any JSON type; each property keeps only the values that the
 # field's rule rejects, so most of them have the wrong type

@@ -292,6 +292,10 @@ class TestRenderTable:
         text = E.render_table(reports, "csv")
         assert "85.00" in text
 
+    def test_negative_zero_degree_is_degree_zero(self):
+        reports = [fake_report("coal", d, s, a) for d, s, a in [(0.0, 1, 0.8), (-0.0, 2, 0.9)]]
+        assert E.render_table(reports, "csv") == "method,d=0%\r\ncoal,85.00\r\n"
+
     def test_schema_mismatch(self):
         good = fake_report("coal", 0.0, 1, 0.9)
         bad = {"config": {"method": "x"}, "metrics": {"final": {"something_else": 1.0}}}

@@ -79,18 +79,31 @@ def test_metrics_hold_only_what_each_method_measured(benchmark_grid, sampler_gri
                     assert record[key] == total / len(lines), (record["epoch"], key)
 
 
-def test_conftest_loads_by_path_with_only_src_on_the_path(tmp_path):
-    """The benchmark loads conftest.py by file path with only src/ on
-    sys.path, so conftest must import no module of tests/ at top level."""
+def _load_conftest_by_path(tmp_path, then: str) -> str:
+    """The stdout of a fresh process that loads conftest.py by file path, as
+    the benchmark does, with only src/ on sys.path, then runs ``then``."""
     tests = Path(__file__).parent
-    code = ("import importlib.util\n"
+    code = ("import importlib.util, sys\n"
             f"spec = importlib.util.spec_from_file_location('pinned', {str(tests / 'conftest.py')!r})\n"
             "module = importlib.util.module_from_spec(spec)\n"
-            "spec.loader.exec_module(module)\n"
-            "print(module.fixture_config('coal', 1, 100.0).method)\n")
+            "spec.loader.exec_module(module)\n" + then)
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(tests.parent / "src")})
-    assert (result.returncode, result.stdout) == (0, "coal\n"), result.stderr
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_conftest_loads_by_path_with_only_src_on_the_path(tmp_path):
+    """conftest must import no module of tests/ at top level."""
+    assert _load_conftest_by_path(
+        tmp_path, "print(module.fixture_config('coal', 1, 100.0).method)") == "coal\n"
+
+
+def test_conftest_loaded_by_path_imports_no_test_framework(tmp_path):
+    """Every benchmark process that reads the pinned configuration loads
+    conftest.py, so pytest and hypothesis stay out of its imports."""
+    assert _load_conftest_by_path(
+        tmp_path, "print(sorted({'pytest', 'hypothesis'} & set(sys.modules)))") == "[]\n"
 
 
 def test_the_config_file_is_the_pinned_fixture(tmp_path, benchmark_grid):

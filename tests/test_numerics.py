@@ -131,6 +131,17 @@ class TestNormalizeRows:
         y, _ = numerics.normalize_rows(rng.normal(size=(20, 5)))
         assert np.allclose(np.linalg.norm(y, axis=1), 1.0)
 
+    def test_a_row_below_norm_eps_is_divided_by_it_in_both_passes(self):
+        """A row with 0 < norm <= NORM_EPS is divided by NORM_EPS, not made
+        unit, so its gradient is g / NORM_EPS with no projection term."""
+        x = np.array([[3e-14, 4e-14], [3.0, 4.0]])
+        g = np.array([[1.0, 2.0], [1.0, 2.0]])
+        y, norms = numerics.normalize_rows(x)
+        assert np.array_equal(y[0], x[0] / numerics.NORM_EPS)
+        dx = numerics.normalize_rows_bwd(g, y, norms)
+        assert np.array_equal(dx[0], g[0] / numerics.NORM_EPS)
+        assert np.allclose(dx[1], (g[1] - y[1] * (y[1] @ g[1])) / 5.0)
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_class(self):

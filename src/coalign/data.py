@@ -38,6 +38,7 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         require({"num_classes": self.num_classes}, "", num_classes=POSITIVE_INT)
+        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise UsageError(f"features must be 2-D, got shape {self.features.shape}")

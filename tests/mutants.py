@@ -15,7 +15,6 @@ repository root:
     python tests/mutants.py                   # every candidate
     python tests/mutants.py --only FILE       # only the candidates FILE names,
                                               # as lines the sweep printed
-    python tests/mutants.py --jobs 2          # two copies, two mutants at a time
 
 ``--only`` matches a printed line by file and statement, not by line number,
 so a survivor list still selects its mutants after the lines around them
@@ -36,7 +35,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,36 +162,23 @@ def _select(mutants: list[Mutant], listing: Path) -> list[Mutant]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", type=Path, help="run only the candidates this file lists")
-    parser.add_argument("--jobs", type=int, default=1, choices=range(1, 9), metavar="1..8",
-                        help="copies that run mutants at once")
     args = parser.parse_args(argv)
     mutants = candidates()
     if args.only:
         mutants = _select(mutants, args.only)
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="coalign-mutants-") as tmp:
-        copies = [Path(tmp) / f"copy{job}" for job in range(args.jobs)]
-        for copy in copies:
-            _copy_tree(copy)
-        check = _run_tests(copies[0], 10 * TIMEOUT_S)
+        copy = Path(tmp)
+        _copy_tree(copy)
+        check = _run_tests(copy, 10 * TIMEOUT_S)
         print(f"unmutated copy: {check} in {time.monotonic() - start:.1f} s", flush=True)
         if check != "passed":
             return 1
-        free = list(copies)
         results = {}
-
-        def run(mutant):
-            copy = free.pop()
-            try:
-                results[mutant] = outcome = _run_mutant(copy, mutant, TIMEOUT_S)
-            finally:
-                free.append(copy)
-            done = len(results)
+        for done, mutant in enumerate(mutants, 1):
+            results[mutant] = outcome = _run_mutant(copy, mutant, TIMEOUT_S)
             print(f"[{done}/{len(mutants)} {time.monotonic() - start:.0f} s] {outcome:8s} {mutant}",
                   file=sys.stderr, flush=True)
-
-        with ThreadPoolExecutor(args.jobs) as pool:
-            list(pool.map(run, mutants))
     survivors = [m for m in mutants if results[m] == "passed"]
     timeouts = [m for m in mutants if results[m] == "timeout"]
     for heading, group in (("survived", survivors), ("timed out", timeouts)):

@@ -291,6 +291,7 @@ class TestCsv:
         ds = D.load_csv(path)
         assert ds.num_classes == 3
         assert np.array_equal(ds.features, [[0.5, -1.25], [1.5, 2.0]])
+        assert ds.features.flags.c_contiguous  # not a view of the whole table
         assert ds.labels.tolist() == [0, 2]
 
     @pytest.mark.parametrize("kind", ["directory", "not utf-8"])

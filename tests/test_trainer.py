@@ -548,6 +548,16 @@ class TestResolveDatasets:
             assert rebuilt.class_counts().tolist() == doc["per_class_counts"]
         assert doc["recipe"]["kind"] == "idx" and doc["recipe"]["split"]["part"] == "holdout"
 
+    def test_means_beyond_int64_give_float_features_and_a_run(self):
+        """A recipe's means may hold any integer a float holds, also one that
+        no int64 holds; numpy would keep such an integer as an object."""
+        cfg = tiny_twin_config("coal")
+        cfg.data["twin_gaussians"]["means"] = [[10**20, 0], [0, 1]]
+        data, _ = trainer.resolve_datasets(cfg)
+        assert [part.features.dtype for part in data] == [np.float64] * 3
+        final = run_experiment(cfg).metrics["final"]
+        assert 0.0 <= final["per_class_mean_accuracy"] <= 1.0
+
     def test_directions_assigned_per_domain(self):
         cfg = tiny_twin_config()
         (source, tgt_train, tgt_hold), _ = trainer.resolve_datasets(cfg)

@@ -11,7 +11,9 @@ gives byte-identical metrics. The pytest fixtures that serve them are in
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,8 +38,21 @@ def pytest_configure(config):
 
 pytest_plugins = ["pinned_fixtures"]
 
-BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
+REPO = Path(__file__).resolve().parent.parent
+BENCHMARK_CONFIG = REPO / "configs" / "benchmark.json"
 _PINNED = json.loads(BENCHMARK_CONFIG.read_text())
+
+
+def load_coalbench(name: str):
+    """The benchmark's ``coalbench/<name>.py``, loaded by path as module
+    ``coalbench_<name>``. It goes into ``sys.modules`` before it runs,
+    because a dataclass looks its module up there while the module loads."""
+    path = REPO / "coalbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"coalbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def fixture_config(method: str, seed: int, degree: float, **overrides) -> TrainConfig:

@@ -10,16 +10,17 @@ come ``<sha256>  <name>`` lines:
   marginal-align and source-only on the pinned twin-Gaussian fixture of
   ``configs/benchmark.json`` (read by ``conftest.fixture_config``) at shift
   degrees 0 and 100 and seed 1, each with an ``out_dir`` and pseudo-label
-  dumps, plus a coal and a marginal-align run at the benchmark's ``wide``
-  shapes (64-D inputs, hidden (256, 128), 10 classes, batch 256) on seeded
-  IDX pools written under the output root. Each checkpoint is then
-  evaluated by ``coalign eval`` on its holdout manifest, and
-  ``coalign gen-shift`` writes one split of ``GEN_SHIFT_RECIPE``.
+  dumps, plus the coal and marginal-align runs of ``coalbench/workloads.py``'s
+  ``wide`` workload at bench seed 0, run seed 1, on the IDX pools it writes
+  under the output root. Each checkpoint is then evaluated by
+  ``coalign eval`` on its holdout manifest, and ``coalign gen-shift`` writes
+  one split of ``GEN_SHIFT_RECIPE``.
 
 Eight of the artifact runs are seed-1 runs of ``benchmark_runs``, which
 writes them into ``grid_out_dirs(root)``; only the other six run here. A
 tier-1 test builds the same lines from the session fixtures and compares
-them with the file. A change that moves an output on purpose rewrites it:
+them with the file. A change that moves an output on purpose, such as a
+benchmark change to ``wide``, which moves the ``wide/*`` lines, rewrites it:
 
     PYTHONPATH=src python tests/pinned_hashes.py > tests/pinned_hashes.txt
 
@@ -39,13 +40,13 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from conftest import benchmark_runs, fixture_config, sampler_runs
+from conftest import benchmark_runs, fixture_config, load_coalbench, sampler_runs
 
-from coalign import cli
+from coalign import cli, trainer
 from coalign import data as D
-from coalign.trainer import TrainConfig, run_experiments
 
 LEDGER = Path(__file__).with_name("pinned_hashes.txt")
 VARIANTS = (
@@ -58,7 +59,6 @@ VARIANTS = (
 )
 DEGREES = (0.0, 100.0)
 SEED = 1
-WIDE_CLASSES = 10
 # a two-class twin-Gaussian source at shift degree 100 with a 100-sample budget
 GEN_SHIFT_RECIPE = {
     "kind": "twin-gaussians", "domain": "source",
@@ -74,26 +74,19 @@ def versions() -> str:
     return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
 
 
-def wide_recipes(root: Path) -> dict:
-    """Source and target IDX recipes of 8x8 pixels: one random template per
-    class plus Gaussian noise; the target is contrast-reduced and brightened,
-    and both take the label shift at degree 100."""
-    rng = np.random.default_rng([SEED, 64])
-    templates = 0.2 + 0.6 * rng.random((WIDE_CLASSES, 64))
-    recipes = {}
-    for name, per_class, direction, budget in (("source", 600, D.DIRECTION_SOURCE, 2560),
-                                               ("target", 800, D.DIRECTION_TARGET, 3200)):
-        labels = rng.permutation(np.repeat(np.arange(WIDE_CLASSES), per_class))
-        x = templates[labels] + 0.25 * rng.standard_normal((len(labels), 64))
-        if name == "target":
-            x = 0.8 * x + 0.15
-        images, label_file = root / f"{name}-images.idx", root / f"{name}-labels.idx"
-        D.write_idx(D.LabeledDataset(np.clip(x, 0.0, 1.0), labels, WIDE_CLASSES),
-                    images, label_file, 8, 8)
-        recipes[name] = {"kind": "idx", "images": str(images), "labels": str(label_file),
-                         "shift": {"pareto_alpha": 1.0, "direction": direction, "degree": 100.0,
-                                   "budget": budget, "min_per_class": 2, "seed": 17}}
-    return recipes
+def ledger_configs(root: Path) -> dict:
+    """Each artifact run's config by tag, without ``out_dir``: the fixture
+    variants, and the coal and marginal-align ops of ``coalbench``'s
+    ``wide`` at bench seed 0, run seed 1, whose pools it writes under
+    ``root``. Those ops look ``trainer.run_experiment`` up when called, so a
+    stand-in that returns its config collects them without training."""
+    runs = {f"{name}/d{degree:g}": fixture_config(method, SEED, degree, ablations=ablations)
+            for name, method, ablations in VARIANTS for degree in DEGREES}
+    ops, _ = load_coalbench("workloads").wide(0, root)
+    with mock.patch.object(trainer, "run_experiment", lambda config: config):
+        wide = {op.name: op.run() for op in ops}
+    runs.update({f"wide/{method}": wide[f"{method}/s1"] for method in ("coal", "marginal-align")})
+    return runs
 
 
 def grid_out_dirs(root: Path) -> dict:
@@ -111,16 +104,10 @@ def ledger_lines(root: Path, benchmark: dict, sampler: dict) -> list[str]:
     lines = [(f"metrics/{key}", hashlib.sha256(report.metrics_payload().encode()).hexdigest())
              for key, report in sorted(keyed.items())]
 
-    runs = {f"{name}/d{degree:g}": fixture_config(method, SEED, degree, ablations=ablations)
-            for name, method, ablations in VARIANTS for degree in DEGREES}
-    recipes = wide_recipes(root)
-    runs.update({f"wide/{method}": TrainConfig(
-        method=method, seed=SEED, epochs=10, pretrain_epochs=5, batch_size=256,
-        hidden_dims=(256, 128), alpha=0.1, grl_lambda=2.0, k_schedule="fast-start",
-        temperature=0.3, data=recipes) for method in ("coal", "marginal-align")})
+    runs = ledger_configs(root)
     written = {report.config["out_dir"] for report in benchmark.values()}
-    run_experiments([replace(config, out_dir=str(root / tag), dump_pseudo=True)
-                     for tag, config in runs.items() if str(root / tag) not in written])
+    trainer.run_experiments([replace(config, out_dir=str(root / tag), dump_pseudo=True)
+                             for tag, config in runs.items() if str(root / tag) not in written])
 
     def sha256(data: bytes) -> str:
         return hashlib.sha256(data.replace(str(root).encode(), b"<root>")).hexdigest()

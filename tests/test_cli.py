@@ -1,6 +1,6 @@
 import contextlib
 import csv
-import importlib.util
+import importlib
 import inspect
 import io
 import json
@@ -8,6 +8,7 @@ import re
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from coalign import cli, errors, trainer
 from coalign import data as D
-from conftest import WRONG_VALUES, leaf_paths, with_leaf
+from conftest import WRONG_VALUES, leaf_paths, load_coalbench, with_leaf
+from pinned_hashes import ledger_configs
 
 
 def run_cli(*argv):
@@ -533,16 +535,11 @@ def test_every_package_error_keeps_its_builtin_base():
         assert issubclass(types[name], base), name
 
 
-def test_benchmark_workloads_set_up(tmp_path, monkeypatch):
+def test_benchmark_workloads_set_up(tmp_path):
     """The benchmark's gated workloads, ``wide`` and ``cli-sweep``, build
     their ops from this tree, and ``cli-sweep``'s warm-up op passes its own
     check; the ledger's ``wide`` runs already cover ``wide``'s warm-up."""
-    path = Path(__file__).resolve().parent.parent / "coalbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("coalbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while it loads
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = load_coalbench("workloads")
     built = {}
     for name in ("wide", "cli-sweep"):
         (tmp_path / name).mkdir()
@@ -552,17 +549,40 @@ def test_benchmark_workloads_set_up(tmp_path, monkeypatch):
     assert warmup.check(warmup.run()) == []
 
 
+def test_the_ledger_pins_each_gated_workloads_seed_0_coal_run(tmp_path):
+    """The ledger trains the coal run of each gated benchmark workload at
+    bench seed 0: the ``coal.json`` that ``cli-sweep`` writes reads back as
+    the ledger's ``coal/d100`` config, and ``wide``'s ``coal/s1`` op runs the
+    ledger's ``wide/coal`` config on pools that hold the same rows. Nothing
+    trains: a stand-in for ``trainer.run_experiment`` returns each config."""
+    (tmp_path / "ledger").mkdir()
+    ledger = ledger_configs(tmp_path / "ledger")
+    workloads = load_coalbench("workloads")
+    workloads.cli_sweep(0, tmp_path)
+    assert trainer.TrainConfig.from_dict(json.loads((tmp_path / "coal.json").read_text())) == \
+        ledger["coal/d100"]
+    ops, _ = workloads.wide(0, tmp_path)
+    with mock.patch.object(trainer, "run_experiment", lambda config: config):
+        wide = {op.name: op.run() for op in ops}
+
+    def rows(config):
+        """The config's fields, each data recipe replaced by the hash of the rows it builds."""
+        doc = config.to_dict()
+        doc["data"] = {name: D.dataset_fingerprint(D.materialize_dataset(recipe))
+                       for name, recipe in doc["data"].items()}
+        return doc
+
+    assert rows(wide["coal/s1"]) == rows(ledger["wide/coal"])
+
+
 def test_benchmark_hooks_find_their_functions(monkeypatch):
     """The benchmark finds what it measures by name: every span name that
     ``coalbench/layers.py::layer_metrics`` reads and every ``HOOKS`` key is
     a public function its ``coalign`` module defines, which is what the
     tracer wraps. A renamed or deleted one would read 0 without an error."""
-    path = Path(__file__).resolve().parent.parent / "coalbench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("coalbench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
     # layers.py imports its summary type from the harness's tracing module
     monkeypatch.setitem(sys.modules, "tracing", types.SimpleNamespace(SpanSummary=None))
-    spec.loader.exec_module(layers)
+    layers = load_coalbench("layers")
     asked, prefixes = set(layers.HOOKS), set()
 
     class Summary:

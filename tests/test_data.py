@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coalign import data as D
-from coalign import evaluation, numerics
+from coalign import errors, evaluation, numerics
 from coalign import model as M
 from coalign.errors import ConsistencyError, FormatError, UsageError
 from coalign.numerics import (
@@ -186,6 +186,38 @@ class TestTwinDomains:
             D.materialize_dataset(recipe)
 
 
+# small valid files for the byte-level fuzzes: three 2x2 images and their
+# labels, and three CSV rows of two features
+IDX_IMAGES = struct.pack(">IIII", D.IDX_IMAGES_MAGIC, 3, 2, 2) + bytes(range(0, 240, 20))
+IDX_LABELS = struct.pack(">II", D.IDX_LABELS_MAGIC, 3) + bytes([0, 2, 1])
+CSV_ROWS = b"x0,x1,label\n0.5,-1.25,0\n1.5,2,2\n-3,0.25,1\n"
+
+
+def damaged(whole: bytes, promising: bytes):
+    """The byte-level damage both file readers' fuzzes draw: ``whole``, a
+    small valid file, cut short or with one to three of its bits flipped, or
+    ``promising``, that file with a header that promises more than its body
+    holds."""
+    return st.one_of(
+        st.integers(0, len(whole) - 1).map(lambda cut: whole[:cut]),
+        st.sets(st.integers(0, 8 * len(whole) - 1), min_size=1, max_size=3).map(
+            lambda bits: bytes(byte ^ sum(1 << bit % 8 for bit in bits if bit // 8 == at)
+                               for at, byte in enumerate(whole))),
+        st.just(promising))
+
+
+def one_more_row(idx: bytes) -> bytes:
+    """An IDX file whose header count, after the magic, is one more than its body holds."""
+    return idx[:4] + struct.pack(">I", struct.unpack(">I", idx[4:8])[0] + 1) + idx[8:]
+
+
+def loads_or_fails_with_a_package_error(load) -> None:
+    try:
+        load()
+    except Exception as exc:  # the assertion is on the type
+        assert type(exc).__module__ == errors.__name__, f"{type(exc).__name__}: {exc}"
+
+
 def write_idx_fixture(tmp_path):
     """Two 28x28 images made by hand, labels 3 and 7."""
     images = tmp_path / "images.idx"
@@ -283,6 +315,17 @@ class TestIdx:
                         D.load_idx(images, labels)
                 path.write_bytes(whole)
 
+    @settings(max_examples=200)
+    @given(files=st.one_of(
+        damaged(IDX_IMAGES, one_more_row(IDX_IMAGES)).map(lambda raw: (raw, IDX_LABELS)),
+        damaged(IDX_LABELS, one_more_row(IDX_LABELS)).map(lambda raw: (IDX_IMAGES, raw))))
+    def test_a_damaged_file_loads_or_fails_with_a_package_error(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = Path(tmp, "images.idx"), Path(tmp, "labels.idx")
+            for path, raw in zip(paths, files):
+                path.write_bytes(raw)
+            loads_or_fails_with_a_package_error(lambda: D.load_idx(*paths))
+
 
 class TestCsv:
     def test_load(self, tmp_path):
@@ -365,6 +408,15 @@ class TestCsv:
                     continue
                 assert ds.features.shape[1] == features
                 assert len(ds) <= count
+
+    @settings(max_examples=200)
+    # its promising twin's header names one more column than the rows hold
+    @given(raw=damaged(CSV_ROWS, b"x," + CSV_ROWS))
+    def test_a_damaged_file_loads_or_fails_with_a_package_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "rows.csv")
+            path.write_bytes(raw)
+            loads_or_fails_with_a_package_error(lambda: D.load_csv(path))
 
 
 @pytest.mark.parametrize("features, labels, message", [

@@ -113,8 +113,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"predicted-vs-true label JS distance: {comparison['js_distance']:.4f}")
     print(f"predicted-vs-true label L1:          {comparison['l1']:.4f}")
     np.savetxt(out / "confusion.csv", cm, fmt="%d", delimiter=",")
-    # only the projection needs the embeddings
-    embeddings = model_mod.forward_full(params, dataset.features).embeddings
+    # only the projection needs the embeddings, formed over predict's blocks
+    embeddings = np.concatenate([model_mod.forward_full(params, block).embeddings
+                                 for block in model_mod.row_blocks(dataset.features)])
     projected = evaluation.project_features_2d(embeddings)
     with open(out / "features_2d.csv", "w") as fh:
         fh.write("component1,component2,label\n")

@@ -179,7 +179,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
     (lcount,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if lcount != count:
         raise ConsistencyError(f"{count} images but {lcount} labels")
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0
     num_classes = int(labels.max()) + 1 if labels.size else 1
     return LabeledDataset(features, labels, num_classes)
 
@@ -239,7 +240,11 @@ def load_csv(path: str | Path) -> LabeledDataset:
     labels = table[:, -1]
     if not np.all(labels == np.rint(labels)) or labels.min() < 0:
         raise FormatError(f"{path}: final column must hold nonnegative integer labels")
-    return LabeledDataset(table[:, :-1], labels, int(labels.max()) + 1)
+    top = float(labels.max())
+    # float64, which the labels are parsed as, holds no exact integer from 2**53 on
+    if top >= 2**53:
+        raise FormatError(f"{path}: label {top!r} is not below 2**53")
+    return LabeledDataset(table[:, :-1], labels, int(top) + 1)
 
 
 def _is_int(value) -> bool:
@@ -377,8 +382,9 @@ def natural_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.n
 
 def dataset_fingerprint(dataset: LabeledDataset) -> str:
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(dataset.features).tobytes())
-    digest.update(np.ascontiguousarray(dataset.labels).tobytes())
+    # LabeledDataset holds contiguous arrays, so each buffer is hashed as it is
+    digest.update(dataset.features)
+    digest.update(dataset.labels)
     return digest.hexdigest()
 
 

@@ -21,9 +21,8 @@ from .errors import FormatError, UsageError
 from .numerics import ParamBlock
 
 CHECKPOINT_VERSION = 2
-# predict runs forward_full on blocks of this many rows; the last block takes
-# the remainder, so a block holds fewer only when the whole input does.
-# Shorter blocks change the last bits of some logits products.
+# predict and eval's embeddings run forward_full on row_blocks of this many
+# rows. Shorter blocks change the last bits of some logits products.
 PREDICT_BLOCK_ROWS = 1024
 # the checkpoint beside its format_version: every key is required, and the
 # arena's values are checked one by one once its length is known
@@ -133,11 +132,18 @@ def forward_full(params: ModelParams, inputs: np.ndarray) -> ForwardCache:
     return ForwardCache(x, acts, normalized, norms, probs)
 
 
+def row_blocks(inputs: np.ndarray) -> list[np.ndarray]:
+    """``inputs`` cut into blocks of PREDICT_BLOCK_ROWS rows; the last block
+    takes the remainder, so a block holds fewer only when the whole input
+    does, and none holds 2 * PREDICT_BLOCK_ROWS or more."""
+    cuts = range(PREDICT_BLOCK_ROWS, len(inputs) - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS)
+    return np.split(inputs, cuts)
+
+
 def predict(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """``forward_full(params, inputs).probs``, byte for byte, with at most
-    one block's cache (under 2 * PREDICT_BLOCK_ROWS rows) alive at a time."""
-    cuts = range(PREDICT_BLOCK_ROWS, len(inputs) - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS)
-    return np.concatenate([forward_full(params, block).probs for block in np.split(inputs, cuts)])
+    one block's cache alive at a time."""
+    return np.concatenate([forward_full(params, block).probs for block in row_blocks(inputs)])
 
 
 def backward_extractor(params: ModelParams, cache: ForwardCache, d_embed: np.ndarray) -> None:

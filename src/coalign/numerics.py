@@ -176,11 +176,9 @@ def mean_entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
     return h, d_logits
 
 
-def sgd_momentum_step(
-    blocks: list[ParamBlock], learning_rates: Mapping[str, float | np.ndarray], momentum: float
-) -> None:
+def sgd_momentum_step(blocks: list[ParamBlock], lr: float | np.ndarray, momentum: float) -> None:
     """buffer <- momentum * buffer + grad; value <- value - lr * buffer; grads zeroed.
-    An lr is a number or one per element; lr * buffer is formed in the grad buffer."""
+    ``lr`` is a number or the arena's one per element; lr * buffer is formed in the grad buffer."""
     for block in blocks:
         if not np.isfinite(block.grad).all():
             bad = next(b for b in [*block.parts, block] if not np.isfinite(b.grad).all())
@@ -188,7 +186,7 @@ def sgd_momentum_step(
     for block in blocks:
         block.momentum *= momentum
         block.momentum += block.grad
-        np.multiply(learning_rates[block.name], block.momentum, out=block.grad)
+        np.multiply(lr, block.momentum, out=block.grad)
         block.value -= block.grad
         block.zero_grad()
 

@@ -120,13 +120,13 @@ class RunReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
 
 
-def _learning_rates(params: ModelParams, config: TrainConfig) -> dict[str, np.ndarray]:
+def _learning_rates(params: ModelParams, config: TrainConfig) -> np.ndarray:
     """The arena's per-element learning rates: lr_backbone on the extractor,
     lr_head on the prototypes and the domain head."""
     extractor = {block.name for block in params.extractor_blocks()}
-    return {params.arena.name: np.concatenate([
+    return np.concatenate([
         np.full(block.value.size, config.lr_backbone if block.name in extractor else config.lr_head)
-        for block in params.all_blocks()])}
+        for block in params.all_blocks()])
 
 
 def _batch_plan(dataset, config: TrainConfig, stream: int, global_epoch: int, sampler: str):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from coalign import cli, errors, trainer
 from coalign import data as D
+from coalign import model as M
 from conftest import WRONG_VALUES, leaf_paths, load_coalbench, with_leaf
 from pinned_hashes import ledger_configs
 
@@ -328,6 +329,24 @@ class TestEval:
         assert (code, err) == (0, "") or (
             code == 2 and err.startswith("coalign: error: ") and err.count("\n") == 1), (
             f"{'/'.join(map(str, path))} = {value!r}: exit {code}: {err}")
+
+    def test_the_forward_runs_in_predicts_row_blocks(self, holdout_run, tmp_path, monkeypatch):
+        """Scores and embeddings of a manifest longer than two blocks never
+        pass forward_full a block of 2 * PREDICT_BLOCK_ROWS rows or more."""
+        rows = 2 * M.PREDICT_BLOCK_ROWS + 100
+        assert gen_shift(tmp_path, dict(twin_recipe(per_class=rows // 2), shift=None)) == 0
+        seen, forward_full = [], M.forward_full
+
+        def counting(params, inputs):
+            seen.append(len(inputs))
+            return forward_full(params, inputs)
+
+        monkeypatch.setattr(M, "forward_full", counting)
+        assert run_cli("eval", "--checkpoint", str(holdout_run / "checkpoint.json"),
+                       "--data", str(tmp_path / "split" / "manifest.json"),
+                       "--out-dir", str(tmp_path / "eval")) == 0
+        assert len((tmp_path / "eval" / "features_2d.csv").read_text().splitlines()) == rows + 1
+        assert seen and max(seen) <= 2 * M.PREDICT_BLOCK_ROWS - 1, seen
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_unreadable_manifest_names_the_path(self, tmp_path, capsys, text):

@@ -153,11 +153,10 @@ class TestTwinDomains:
                     for domain in ("source", "target"))
         w = ParamBlock("w", np.zeros((2, 4)))
         b = ParamBlock("b", np.zeros((1, 4)))
-        lrs = {"w": 0.1, "b": 0.1}
         for _ in range(400):
             _, dl = cross_entropy(numerics.softmax(linear_forward(src.features, w, b)), src.labels)
             linear_backward(dl, src.features, w, b)
-            sgd_momentum_step([w, b], lrs, 0.9)
+            sgd_momentum_step([w, b], 0.1, 0.9)
 
         def accuracy(ds):
             return (linear_forward(ds.features, w, b).argmax(axis=1) == ds.labels).mean()
@@ -382,6 +381,21 @@ class TestCsv:
         path.write_text("x0,label\n0.5,-1\n")
         with pytest.raises(FormatError, match="negative.csv: final column"):
             D.load_csv(path)
+
+    # float64 holds no exact integer from 2**53 on: 1e17 would give 10**17 + 1
+    # classes and 1e300 a 301-digit class count
+    @pytest.mark.parametrize("label", ["1e17", "1e300"])
+    def test_label_beyond_exact_float64_integers_names_the_file(self, tmp_path, label):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"x0,label\n0.5,0\n0.5,{label}\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: label "
+                                              rf"{re.escape(repr(float(label)))} is not below 2\*\*53$"):
+            D.load_csv(path)
+
+    def test_largest_exact_label_sets_the_class_count(self, tmp_path):
+        path = tmp_path / "top.csv"
+        path.write_text(f"x0,label\n0.5,{2**53 - 1}\n")
+        assert D.load_csv(path).num_classes == 2**53
 
     def test_header_only_names_the_missing_rows(self, tmp_path):
         path = tmp_path / "header.csv"

@@ -133,11 +133,6 @@ def test_minimax_step_directions_on_fixture():
         run_epoch(params, data, cfg, epoch, [])
 
     deltas_c, deltas_f = [], []
-    head_lrs = {b.name: (0.01 if b.name == "prototypes" else 0.0) for b in params.all_blocks()}
-    feat_lrs = {
-        b.name: (0.001 if not b.name.startswith(("prototypes", "domain")) else 0.0)
-        for b in params.all_blocks()
-    }
     for batch in natural_batches(tgt_train, cfg.batch_size, seed=9)[:20]:
         x = tgt_train.features[batch]
 
@@ -146,10 +141,11 @@ def test_minimax_step_directions_on_fixture():
 
         snapshot = [b.value.copy() for b in params.all_blocks()]
         h0 = batch_entropy()
-        for lrs, sink in ((head_lrs, deltas_c), (feat_lrs, deltas_f)):
+        for blocks, lr, sink in (([params.prototypes], 0.01, deltas_c),
+                                 (params.extractor_blocks(), 0.001, deltas_f)):
             params.arena.zero_grad()
             reference.entropy_objective(params, x, cfg.alpha)
-            sgd_momentum_step(params.all_blocks(), lrs, 0.0)
+            sgd_momentum_step(blocks, lr, 0.0)
             sink.append(batch_entropy() - h0)
             for b, v in zip(params.all_blocks(), snapshot):
                 b.value[...] = v

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from coalign import errors, objectives, selftrain, trainer
 from coalign import model as M
-from coalign import objectives, selftrain, trainer
 from coalign.errors import FormatError, UsageError
 from coalign.numerics import sgd_momentum_step
+from conftest import WRONG_VALUES, with_leaf
 
 
 def identity_extractor_model(dim, num_classes, temperature=0.05, prototypes=None):
@@ -158,10 +159,9 @@ class TestPrototypeSemantics:
         x = np.vstack([rng.normal((-2, 0), 0.3, (30, 2)), rng.normal((2, 0), 0.3, (30, 2))])
         y = np.repeat([0, 1], 30)
         params = M.init_model(2, (8, 4), 2, temperature=0.3, seed=0)
-        lrs = {b.name: 0.05 for b in params.all_blocks()}
         for _ in range(300):
             objectives.source_classification_loss(params, x, y)
-            sgd_momentum_step(params.all_blocks(), lrs, 0.9)
+            sgd_momentum_step(params.all_blocks(), 0.05, 0.9)
         emb, _ = np.linalg.norm(M.forward_full(params, x).embeddings, axis=1, keepdims=True), None
         normalized = M.forward_full(params, x).embeddings / np.maximum(emb, 1e-12)
         protos = params.prototypes.value / np.linalg.norm(params.prototypes.value, axis=0)
@@ -180,10 +180,9 @@ class TestDomainDiscriminator:
         tgt = rng.normal((1.5, 0, 0), 0.4, (60, 3))
         params = identity_extractor_model(3, 2)
         w, b = params.domain_head
-        lrs = {w.name: 0.5, b.name: 0.5}
         for _ in range(200):
             _, accuracy = reference.domain_alignment_loss(params, src, tgt)
-            sgd_momentum_step([w, b], lrs, 0.9)
+            sgd_momentum_step([w, b], 0.5, 0.9)
             params.arena.zero_grad()
         assert accuracy > 0.9
 
@@ -400,6 +399,23 @@ class TestCheckpoint:
         path.write_text("[1, 2]")
         with pytest.raises(FormatError, match="JSON object"):
             M.load_checkpoint(path)
+
+    # every header leaf of _edited's checkpoint and its first three arena values
+    FUZZED_LEAVES = [("format_version",), ("temperature",), ("input_dim",), ("hidden_dims", 0),
+                     ("num_classes",), ("arena", 0), ("arena", 1), ("arena", 2)]
+
+    @settings(max_examples=len(FUZZED_LEAVES) * len(WRONG_VALUES))
+    @given(leaf=st.sampled_from(FUZZED_LEAVES), value=st.sampled_from(WRONG_VALUES))
+    def test_a_wrong_leaf_loads_or_fails_with_a_package_error(self, leaf, value):
+        """One leaf of a small checkpoint set to a wrong value either loads
+        or raises an error type of the package."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = self._edited(Path(tmp), lambda doc: doc.update(with_leaf(doc, leaf, value)))
+            try:
+                M.load_checkpoint(path)
+            except Exception as exc:  # the assertion is on the type
+                assert type(exc).__module__ == errors.__name__, (
+                    f"{'/'.join(map(str, leaf))} = {value!r}: {type(exc).__name__}: {exc}")
 
     def test_non_finite_values(self, tmp_path):
         def poison(doc):

@@ -293,7 +293,7 @@ class TestSgdMomentum:
     def test_first_step(self):
         b = block("w", [[0.0]])
         b.grad[...] = 1.0
-        numerics.sgd_momentum_step([b], {"w": 0.1}, 0.9)
+        numerics.sgd_momentum_step([b], 0.1, 0.9)
         assert b.value[0, 0] == pytest.approx(-0.1)
         assert b.momentum[0, 0] == 1.0
         assert b.grad[0, 0] == 0.0
@@ -301,22 +301,22 @@ class TestSgdMomentum:
     def test_two_steps_unrolled(self):
         b = block("w", [[0.0]])
         b.grad[...] = 1.0
-        numerics.sgd_momentum_step([b], {"w": 0.1}, 0.9)
+        numerics.sgd_momentum_step([b], 0.1, 0.9)
         first = b.value[0, 0]
         b.grad[...] = 1.0
-        numerics.sgd_momentum_step([b], {"w": 0.1}, 0.9)
+        numerics.sgd_momentum_step([b], 0.1, 0.9)
         assert b.value[0, 0] - first == pytest.approx(-0.1 * 1.9)
 
     def test_zero_gradient_fixed_point(self):
         b = block("w", [[7.0]])
-        numerics.sgd_momentum_step([b], {"w": 0.1}, 0.9)
+        numerics.sgd_momentum_step([b], 0.1, 0.9)
         assert b.value[0, 0] == 7.0
 
     def test_non_finite_gradient_names_block(self):
         b = block("oddball", [[0.0]])
         b.grad[...] = np.nan
         with pytest.raises(DivergenceError, match="oddball"):
-            numerics.sgd_momentum_step([b], {"oddball": 0.1}, 0.9)
+            numerics.sgd_momentum_step([b], 0.1, 0.9)
 
 
 class TestFiniteDifferenceCheck:

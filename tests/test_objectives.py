@@ -40,10 +40,9 @@ class TestSourceClassificationLoss:
         rng = np.random.default_rng(1)
         x, y = separable_batch(rng)
         params = M.init_model(2, (8, 4), 2, temperature=0.1, seed=0)
-        lrs = {b.name: 0.05 for b in params.all_blocks()}
         for _ in range(500):
             loss = objectives.source_classification_loss(params, x, y)["l_sc"]
-            sgd_momentum_step(params.all_blocks(), lrs, 0.9)
+            sgd_momentum_step(params.all_blocks(), 0.05, 0.9)
         assert loss < 0.05
 
     def test_duplicated_batch_same_loss(self):
@@ -147,10 +146,9 @@ class TestEntropyObjective:
         x, y = separable_batch(rng, 20)
         tgt = rng.normal(0, 1.5, size=(30, 2))
         params = M.init_model(2, (8, 4), 2, temperature=0.3, seed=0)
-        lrs = {b.name: 0.05 for b in params.all_blocks()}
         for _ in range(100):
             objectives.source_classification_loss(params, x, y)
-            sgd_momentum_step(params.all_blocks(), lrs, 0.9)
+            sgd_momentum_step(params.all_blocks(), 0.05, 0.9)
 
         def entropy_now():
             return mean_entropy(M.forward_full(params, tgt).probs)[0]
@@ -158,13 +156,14 @@ class TestEntropyObjective:
         snapshot = [b.value.copy() for b in params.all_blocks()]
         h0 = entropy_now()
         reference.entropy_objective(params, tgt, 0.5)
-        sgd_momentum_step(params.all_blocks(), {b.name: (0.05 if b.name == "prototypes" else 0.0) for b in params.all_blocks()}, 0.0)
+        sgd_momentum_step([params.prototypes], 0.05, 0.0)
         assert entropy_now() > h0
         for b, v in zip(params.all_blocks(), snapshot):
             b.value[...] = v
             b.momentum[...] = 0.0
+        params.arena.zero_grad()
         reference.entropy_objective(params, tgt, 0.5)
-        sgd_momentum_step(params.all_blocks(), {b.name: (0.0 if b.name in ("prototypes", "domain.weight", "domain.bias") else 0.05) for b in params.all_blocks()}, 0.0)
+        sgd_momentum_step(params.extractor_blocks(), 0.05, 0.0)
         assert entropy_now() < h0
 
 

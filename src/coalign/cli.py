@@ -102,7 +102,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if dataset.features.shape[1] != params.input_dim:
         raise ConsistencyError(f"{args.checkpoint} takes {params.input_dim} features but "
                                f"{args.data} holds {dataset.features.shape[1]}")
-    scores = trainer.evaluate_model(params, dataset)
+    # one forward over predict's blocks scores and projects; each block's
+    # cache is dropped once its probs and embeddings are taken
+    caches = (model_mod.forward_full(params, rows) for rows in model_mod.row_blocks(dataset.features))
+    probs, embeddings = map(np.concatenate, zip(*((c.probs, c.embeddings) for c in caches)))
+    scores = evaluation.scores(dataset.labels, probs, dataset.num_classes)
     cm = np.array(scores["confusion"])
     predicted_dist = evaluation.label_distribution(cm.sum(axis=0))
     true_dist = evaluation.label_distribution(cm.sum(axis=1))
@@ -113,9 +117,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"predicted-vs-true label JS distance: {comparison['js_distance']:.4f}")
     print(f"predicted-vs-true label L1:          {comparison['l1']:.4f}")
     np.savetxt(out / "confusion.csv", cm, fmt="%d", delimiter=",")
-    # only the projection needs the embeddings, formed over predict's blocks
-    embeddings = np.concatenate([model_mod.forward_full(params, block).embeddings
-                                 for block in model_mod.row_blocks(dataset.features)])
     projected = evaluation.project_features_2d(embeddings)
     with open(out / "features_2d.csv", "w") as fh:
         fh.write("component1,component2,label\n")

@@ -214,7 +214,7 @@ def write_idx(
 def load_csv(path: str | Path) -> LabeledDataset:
     """CSV with a header row, float feature columns, and a final integer
     label column. Every row has as many cells as the header, and every cell
-    is a finite number; labels are nonnegative."""
+    is a finite number; labels are nonnegative and below the row count."""
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -241,9 +241,10 @@ def load_csv(path: str | Path) -> LabeledDataset:
     if not np.all(labels == np.rint(labels)) or labels.min() < 0:
         raise FormatError(f"{path}: final column must hold nonnegative integer labels")
     top = float(labels.max())
-    # float64, which the labels are parsed as, holds no exact integer from 2**53 on
-    if top >= 2**53:
-        raise FormatError(f"{path}: label {top!r} is not below 2**53")
+    # a class count above the row count leaves a class with no rows, which no
+    # command can split, sample or score; checked before any per-class array
+    if top >= len(labels):
+        raise FormatError(f"{path}: label {top!r} is not below the row count, {len(labels)}")
     return LabeledDataset(table[:, :-1], labels, int(top) + 1)
 
 

@@ -44,6 +44,14 @@ def overall_accuracy(cm: np.ndarray) -> float:
     return float(np.diag(cm).sum() / cm.sum())
 
 
+def scores(labels: np.ndarray, probs: np.ndarray, num_classes: int) -> dict:
+    """The argmax of each row of ``probs`` scored against ``labels``: per-class
+    mean accuracy, overall accuracy and the confusion counts as lists."""
+    cm = confusion_matrix(labels, probs.argmax(axis=1), num_classes)
+    return {"per_class_mean_accuracy": per_class_mean_accuracy(cm),
+            "overall_accuracy": overall_accuracy(cm), "confusion": cm.tolist()}
+
+
 def label_distribution(counts: np.ndarray) -> np.ndarray:
     """Normalize nonnegative class counts into proportions."""
     counts = np.asarray(counts, dtype=np.float64)

@@ -21,7 +21,7 @@ from .errors import FormatError, UsageError
 from .numerics import ParamBlock
 
 CHECKPOINT_VERSION = 2
-# predict and eval's embeddings run forward_full on row_blocks of this many
+# predict and coalign eval run forward_full on row_blocks of this many
 # rows. Shorter blocks change the last bits of some logits products.
 PREDICT_BLOCK_ROWS = 1024
 # the checkpoint beside its format_version: every key is required, and the

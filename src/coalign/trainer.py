@@ -138,12 +138,7 @@ def _batch_plan(dataset, config: TrainConfig, stream: int, global_epoch: int, sa
 
 def evaluate_model(params: ModelParams, dataset: data_mod.LabeledDataset) -> dict:
     probs = model_mod.predict(params, dataset.features)
-    cm = evaluation.confusion_matrix(dataset.labels, probs.argmax(axis=1), dataset.num_classes)
-    return {
-        "per_class_mean_accuracy": evaluation.per_class_mean_accuracy(cm),
-        "overall_accuracy": evaluation.overall_accuracy(cm),
-        "confusion": cm.tolist(),
-    }
+    return evaluation.scores(dataset.labels, probs, dataset.num_classes)
 
 
 def _run_epoch(params: ModelParams, data: tuple, config: TrainConfig, epoch: int, step_log: list,

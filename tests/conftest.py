@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from coalign import errors
+from coalign.model import init_model
 from coalign.trainer import ABLATION_FLAGS, TrainConfig, run_experiments
 
 FIXTURE_SEEDS = (1, 2, 3)
@@ -96,6 +98,18 @@ def sampler_study_config(sampler: str, seed: int) -> TrainConfig:
     )
 
 
+def identity_extractor_model(dim, num_classes, temperature=0.05, prototypes=None):
+    """Single identity layer with zero bias: F(x) = relu(x), so nonnegative
+    inputs pass straight through and prototypes can be set directly."""
+    params = init_model(dim, (dim,), num_classes, temperature=temperature, seed=0)
+    w, b = params.layers[0]
+    w.value[...] = np.eye(dim)
+    b.value[...] = 0.0
+    if prototypes is not None:
+        params.prototypes.value[...] = prototypes
+    return params
+
+
 def final_accuracy(report) -> float:
     return report.metrics["final"]["per_class_mean_accuracy"]
 
@@ -106,25 +120,60 @@ WRONG_VALUES = (None, "x", [1, 2], {"a": 1}, float("nan"), float("inf"), float("
                 -1, -2.5, -0.0, True, 10**400)
 
 
-def leaf_paths(node, path=()):
-    """The key path of every leaf of a nest of dicts and lists."""
+# with_leaf's value that deletes the key instead
+DROP = object()
+
+
+def _nodes(node, path=()):
+    """(key path, node) of every node of a nest of dicts and lists, the top one first."""
     if isinstance(node, dict):
         children = node.items()
     elif isinstance(node, list):
         children = enumerate(node)
     else:
-        return [path]
-    return [leaf for key, child in children for leaf in leaf_paths(child, path + (key,))]
+        children = ()
+    return [(path, node)] + [pair for key, child in children
+                             for pair in _nodes(child, path + (key,))]
+
+
+def leaf_paths(node):
+    """The key path of every leaf of a nest of dicts and lists."""
+    return [path for path, leaf in _nodes(node) if not isinstance(leaf, (dict, list))]
+
+
+def one_change_edits(doc):
+    """Every edit of ``doc`` that makes one change, as ``with_leaf``'s (path,
+    value) pairs, in three lists: a leaf set to one of WRONG_VALUES, one key
+    of a mapping dropped, and the unknown key ``"unknown"`` added to a mapping."""
+    mappings = [(path, node) for path, node in _nodes(doc) if isinstance(node, dict)]
+    return ([(path, value) for path in leaf_paths(doc) for value in WRONG_VALUES],
+            [(path + (key,), DROP) for path, node in mappings for key in node],
+            [(path + ("unknown",), 1) for path, _ in mappings])
 
 
 def with_leaf(doc, path, value):
-    """A deep copy of ``doc`` with the leaf at key path ``path`` set to ``value``."""
+    """A deep copy of ``doc`` with the leaf at key path ``path`` set to
+    ``value``, or deleted when ``value`` is DROP."""
     doc = copy.deepcopy(doc)
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return doc
+
+
+def runs_or_fails_with_a_package_error(call):
+    """Call ``call``; an error it raises must be a type of ``coalign.errors``.
+    Returns that error, or None when the call returns."""
+    try:
+        call()
+    except Exception as exc:  # the assertion is on the type
+        assert type(exc).__module__ == errors.__name__, f"{type(exc).__name__}: {exc}"
+        return exc
+    return None
 
 
 def benchmark_runs(out_dirs: dict | None = None) -> dict:

@@ -18,10 +18,12 @@ from pinned_hashes import grid_out_dirs
 from coalign import data as D
 
 
-@pytest.fixture
-def file_recipes(tmp_path):
+@pytest.fixture(scope="session")
+def file_recipes(tmp_path_factory):
     """csv and idx recipes for the same 90 labelled rows (classes of 40, 30
-    and 20 rows, 2x2-pixel features), keyed by kind."""
+    and 20 rows, 2x2-pixel features), keyed by kind; the files are written
+    once per session, and no test writes to them."""
+    tmp_path = tmp_path_factory.mktemp("file_recipes")
     rng = np.random.default_rng(0)
     labels = rng.permutation(np.repeat(np.arange(3), (40, 30, 20)))
     dataset = D.LabeledDataset(rng.integers(0, 256, (90, 4)) / 255.0, labels, 3)

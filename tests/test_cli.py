@@ -19,7 +19,7 @@ from coalign import cli, errors, trainer
 from coalign import data as D
 from coalign import model as M
 from conftest import WRONG_VALUES, leaf_paths, load_coalbench, with_leaf
-from pinned_hashes import ledger_configs
+from pinned_hashes import GEN_SHIFT_RECIPE, ledger_configs
 
 
 def run_cli(*argv):
@@ -59,13 +59,10 @@ def tiny_config_doc(tmp_path, method="coal", **overrides):
 
 
 def twin_recipe(direction=D.DIRECTION_TARGET, **generator):
-    """The two-class twin-Gaussian source at shift degree 100."""
-    return {"kind": "twin-gaussians", "domain": "source",
-            "generator": {"num_classes": 2, "per_class": 200, "noise": 0.4,
-                          "rotation_deg": 0.0, "translation": [0.0, 0.0], "radius": 2.0,
-                          "seed": 3, **generator},
-            "shift": {"pareto_alpha": 1.0, "direction": direction, "degree": 100.0,
-                      "budget": 100, "min_per_class": 2, "seed": 5}}
+    """The ledger's gen-shift recipe, a two-class twin-Gaussian source at
+    shift degree 100, with ``direction`` and ``generator`` fields set."""
+    return {**GEN_SHIFT_RECIPE, "generator": {**GEN_SHIFT_RECIPE["generator"], **generator},
+            "shift": {**GEN_SHIFT_RECIPE["shift"], "direction": direction}}
 
 
 def gen_shift(tmp_path, recipe, out="split"):
@@ -150,6 +147,16 @@ class TestGenShift:
     ])
     def test_wrongly_typed_recipe_field_names_it(self, tmp_path, capsys, recipe, named):
         assert_fails_with(gen_shift(tmp_path, recipe), capsys, named)
+        assert not (tmp_path / "split").exists()
+
+    def test_a_label_at_or_above_the_row_count_fails_with_one_error_line(self, tmp_path, capsys):
+        """Label 1e15 in a two-row file fails at load, before any per-class
+        array of 10**15 + 1 counts is asked for."""
+        rows = tmp_path / "sparse.csv"
+        rows.write_text("x0,label\n0.5,0\n0.5,1e15\n")
+        code = gen_shift(tmp_path, {"kind": "csv", "path": str(rows)})
+        assert_fails_with(code, capsys, f"^coalign: error: {re.escape(str(rows))}: label "
+                                        r"1000000000000000\.0 is not below the row count, 2$")
         assert not (tmp_path / "split").exists()
 
     def test_missing_idx_file_names_the_path(self, tmp_path, capsys, file_recipes):
@@ -245,16 +252,36 @@ def holdout_run(tmp_path_factory):
     return root / "run"
 
 
+def eval_run(run_dir, out, data=None):
+    """``coalign eval`` of the run's checkpoint on ``data``, by default the
+    run's holdout manifest, into ``out``; the exit code."""
+    return run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                   "--data", str(data or run_dir / "target_holdout_manifest.json"),
+                   "--out-dir", str(out))
+
+
+@pytest.fixture(scope="module")
+def long_eval(holdout_run, tmp_path_factory):
+    """``coalign eval`` of the holdout run's checkpoint on a manifest of
+    2 * PREDICT_BLOCK_ROWS + 100 rows: the row count, the eval's output
+    directory and the row count of each forward_full call it made."""
+    root, rows = tmp_path_factory.mktemp("long_eval"), 2 * M.PREDICT_BLOCK_ROWS + 100
+    assert gen_shift(root, dict(twin_recipe(per_class=rows // 2), shift=None)) == 0
+    seen, forward_full = [], M.forward_full
+
+    def counting(params, inputs):
+        seen.append(len(inputs))
+        return forward_full(params, inputs)
+
+    with mock.patch.object(M, "forward_full", counting):
+        assert eval_run(holdout_run, root / "eval", root / "split" / "manifest.json") == 0
+    return rows, root / "eval", seen
+
+
 class TestEval:
-    def test_checkpoint_against_manifest(self, tmp_path, capsys):
-        config = tiny_config_doc(tmp_path)
-        run_dir = tmp_path / "run"
-        run_cli("train", "--config", str(config), "--out-dir", str(run_dir))
+    def test_checkpoint_against_manifest(self, holdout_run, tmp_path, capsys):
         out = tmp_path / "eval"
-        code = run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
-                       "--data", str(run_dir / "target_holdout_manifest.json"),
-                       "--out-dir", str(out))
-        assert code == 0
+        assert eval_run(holdout_run, out) == 0
         printed = capsys.readouterr().out
         assert "per-class mean accuracy" in printed
         assert (out / "confusion.csv").exists()
@@ -262,24 +289,18 @@ class TestEval:
         assert rows[0] == ["component1", "component2", "label"]
         assert len(rows) > 3
         # eval scores exactly the holdout rows the manifest lists
-        manifest = json.loads((run_dir / "target_holdout_manifest.json").read_text())
+        manifest = json.loads((holdout_run / "target_holdout_manifest.json").read_text())
         confusion = np.loadtxt(out / "confusion.csv", delimiter=",", dtype=np.int64)
         assert confusion.sum() == manifest["total"]
         assert len(rows) - 1 == manifest["total"]
         assert confusion.sum(axis=1).tolist() == manifest["per_class_counts"]
 
-    def test_reproduces_the_runs_final_score(self, tmp_path, capsys):
+    def test_reproduces_the_runs_final_score(self, holdout_run, tmp_path, capsys):
         """eval of a run's checkpoint on its holdout manifest gives the
         report's final confusion and accuracies."""
-        config = tiny_config_doc(tmp_path)
-        run_dir = tmp_path / "run"
-        run_cli("train", "--config", str(config), "--out-dir", str(run_dir))
-        capsys.readouterr()
         out = tmp_path / "eval"
-        assert run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
-                       "--data", str(run_dir / "target_holdout_manifest.json"),
-                       "--out-dir", str(out)) == 0
-        final = json.loads((run_dir / "report.json").read_text())["metrics"]["final"]
+        assert eval_run(holdout_run, out) == 0
+        final = json.loads((holdout_run / "report.json").read_text())["metrics"]["final"]
         confusion = np.loadtxt(out / "confusion.csv", delimiter=",", dtype=np.int64, ndmin=2)
         assert confusion.tolist() == final["confusion"]
         printed = capsys.readouterr().out
@@ -287,26 +308,21 @@ class TestEval:
         assert f"overall accuracy:        {final['overall_accuracy']:.4f}\n" in printed
 
     @pytest.mark.parametrize("part", ["train", "holdout"])
-    def test_split_manifests_regenerate_their_rows(self, tmp_path, part):
-        run_dir = tmp_path / "run"
-        run_cli("train", "--config", str(tiny_config_doc(tmp_path)), "--out-dir", str(run_dir))
-        manifest = json.loads((run_dir / f"target_{part}_manifest.json").read_text())
+    def test_split_manifests_regenerate_their_rows(self, holdout_run, part):
+        manifest = json.loads((holdout_run / f"target_{part}_manifest.json").read_text())
         assert manifest["recipe"]["split"]["part"] == part
         rebuilt = D.materialize_dataset(manifest["recipe"])
         assert D.dataset_fingerprint(rebuilt) == manifest["sha256"]
         assert len(rebuilt) == manifest["total"]
 
     @pytest.mark.parametrize("tamper", list(TAMPERS))
-    def test_tampered_manifest_raises(self, tmp_path, capsys, tamper):
-        run_dir = tmp_path / "run"
-        run_cli("train", "--config", str(tiny_config_doc(tmp_path)), "--out-dir", str(run_dir))
-        path = run_dir / "target_holdout_manifest.json"
-        manifest = json.loads(path.read_text())
+    def test_tampered_manifest_raises(self, holdout_run, tmp_path, capsys, tamper):
+        manifest = json.loads((holdout_run / "target_holdout_manifest.json").read_text())
         edit, message = TAMPERS[tamper]
         edit(manifest)
+        path = tmp_path / "target_holdout_manifest.json"
         path.write_text(json.dumps(manifest))
-        code = run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
-                       "--data", str(path), "--out-dir", str(tmp_path / "eval"))
+        code = eval_run(holdout_run, tmp_path / "eval", path)
         assert_fails_with(code, capsys, f"^coalign: error: {re.escape(f'{path}: {message}')}$")
         assert not (tmp_path / "eval" / "confusion.csv").exists()
 
@@ -323,41 +339,32 @@ class TestEval:
         tampered.write_text(json.dumps(with_leaf(manifest, path, value)))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run_cli("eval", "--checkpoint", str(holdout_run / "checkpoint.json"),
-                           "--data", str(tampered), "--out-dir", str(holdout_run.parent / "eval"))
+            code = eval_run(holdout_run, holdout_run.parent / "eval", tampered)
         err = err.getvalue()
         assert (code, err) == (0, "") or (
             code == 2 and err.startswith("coalign: error: ") and err.count("\n") == 1), (
             f"{'/'.join(map(str, path))} = {value!r}: exit {code}: {err}")
 
-    def test_the_forward_runs_in_predicts_row_blocks(self, holdout_run, tmp_path, monkeypatch):
+    def test_the_forward_runs_in_predicts_row_blocks(self, long_eval):
         """Scores and embeddings of a manifest longer than two blocks never
         pass forward_full a block of 2 * PREDICT_BLOCK_ROWS rows or more."""
-        rows = 2 * M.PREDICT_BLOCK_ROWS + 100
-        assert gen_shift(tmp_path, dict(twin_recipe(per_class=rows // 2), shift=None)) == 0
-        seen, forward_full = [], M.forward_full
-
-        def counting(params, inputs):
-            seen.append(len(inputs))
-            return forward_full(params, inputs)
-
-        monkeypatch.setattr(M, "forward_full", counting)
-        assert run_cli("eval", "--checkpoint", str(holdout_run / "checkpoint.json"),
-                       "--data", str(tmp_path / "split" / "manifest.json"),
-                       "--out-dir", str(tmp_path / "eval")) == 0
-        assert len((tmp_path / "eval" / "features_2d.csv").read_text().splitlines()) == rows + 1
+        rows, out, seen = long_eval
+        assert len((out / "features_2d.csv").read_text().splitlines()) == rows + 1
         assert seen and max(seen) <= 2 * M.PREDICT_BLOCK_ROWS - 1, seen
 
+    def test_one_forward_pass_scores_and_projects(self, long_eval):
+        """eval passes forward_full each manifest row once: the scores and
+        the projection come from the same blocks."""
+        rows, out, seen = long_eval
+        assert sum(seen) == rows, seen
+        assert np.loadtxt(out / "confusion.csv", delimiter=",", dtype=np.int64).sum() == rows
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
-    def test_unreadable_manifest_names_the_path(self, tmp_path, capsys, text):
-        run_dir = tmp_path / "run"
-        run_cli("train", "--config", str(tiny_config_doc(tmp_path)), "--out-dir", str(run_dir))
+    def test_unreadable_manifest_names_the_path(self, holdout_run, tmp_path, capsys, text):
         path = tmp_path / "broken_manifest.json"
         path.write_text(text)
-        code = run_cli("eval", "--checkpoint", str(run_dir / "checkpoint.json"),
-                       "--data", str(path), "--out-dir", str(tmp_path / "eval"))
-        assert_fails_with(code, capsys, "broken_manifest.json")
-
+        assert_fails_with(eval_run(holdout_run, tmp_path / "eval", path), capsys,
+                          "broken_manifest.json")
 
     @pytest.mark.parametrize("model_classes, data_classes, data_width",
                              [(3, 2, 2), (2, 3, 2), (2, 2, 3)], ids=["3-2", "2-3", "width"])
@@ -511,7 +518,8 @@ class TestSweepAndAblate:
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 @pytest.mark.parametrize("command", ["train", "sweep", "ablate", "config out_dir", "gen-shift",
                                      "eval", "run_experiment"])
-def test_an_output_directory_that_is_a_file_fails_naming_it(tmp_path, capsys, command, below):
+def test_an_output_directory_that_is_a_file_fails_naming_it(holdout_run, tmp_path, capsys, command,
+                                                            below):
     """Every way to name an output directory fails with a one-line usage
     error naming the path, and prints no result first, when the path is a
     file or lies below one."""
@@ -532,15 +540,67 @@ def test_an_output_directory_that_is_a_file_fails_naming_it(tmp_path, capsys, co
             recipe.write_text(json.dumps(twin_recipe()))
             argv = ["gen-shift", "--recipe", str(recipe), "--out", out]
         elif command == "eval":
-            run_dir = tmp_path / "run"
-            assert run_cli("train", "--config", config, "--out-dir", str(run_dir)) == 0
-            capsys.readouterr()
-            argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
-                    "--data", str(run_dir / "target_holdout_manifest.json"), "--out-dir", out]
+            argv = ["eval", "--checkpoint", str(holdout_run / "checkpoint.json"),
+                    "--data", str(holdout_run / "target_holdout_manifest.json"), "--out-dir", out]
         else:
             argv = [command, "--config", config, "--out-dir", out]
         assert assert_fails_with(run_cli(*argv), capsys, f"^coalign: error: {message}") == ""
     assert taken.read_text() == "kept"
+
+
+@pytest.fixture(scope="module")
+def argv_flags(holdout_run, tmp_path_factory):
+    """Each command's flags with a valid value, and each flag's wrong values."""
+    root = tmp_path_factory.mktemp("argv")
+    config, recipe = tiny_config_doc(root), root / "recipe.json"
+    recipe.write_text(json.dumps(twin_recipe()))
+    (root / "list.json").write_text("[1, 2]")
+    (root / "taken").write_text("kept")
+    (root / "directory").mkdir()
+    checkpoint, out = holdout_run / "checkpoint.json", root / "out"
+    valid = {"gen-shift": {"--recipe": recipe, "--out": out},
+             "train": {"--config": config, "--out-dir": out},
+             "sweep": {"--config": config, "--degrees": "0,100", "--out-dir": out},
+             "ablate": {"--config": config, "--out-dir": out},
+             "eval": {"--checkpoint": checkpoint, "--data": holdout_run / "target_holdout_manifest.json",
+                      "--out-dir": out},
+             "report": {"--glob": holdout_run / "report.json", "--format": "csv"}}
+    # a file another flag reads stands in for each read flag's own
+    read = ["", root / "missing.json", root / "directory", root / "list.json"]
+    others = [config, recipe, checkpoint]
+    wrong = {flag: read + [path for path in others if path != value]
+             for flags in valid.values() for flag, value in flags.items()
+             if flag in ("--recipe", "--config", "--checkpoint", "--data")}
+    wrong.update({flag: [root / "taken", root / "taken" / "run"] for flag in ("--out", "--out-dir")})
+    wrong["--degrees"] = ["", "x", "a,b", "1,,2", "1e400", "nan", "-5", "150", "0,0"]
+    wrong["--glob"] = [root / "nothing*", config, root / "list.json"]
+    wrong["--format"] = ["xml", "", "CSV"]
+    return valid, wrong
+
+
+# hypothesis stops once it has drawn each of the 62 (command, flag, value) triples
+@settings(max_examples=100)
+@given(data=st.data())
+def test_one_wrong_flag_exits_2_with_an_error_line(argv_flags, data):
+    """A known command whose flags are all valid but one ends with exit code 2,
+    from argparse or from main, an ``error:`` last stderr line and no
+    traceback, and trains no step on the way."""
+    valid, wrong = argv_flags
+    command, flag = data.draw(st.sampled_from([(command, flag) for command, flags in valid.items()
+                                               for flag in flags]))
+    value = data.draw(st.sampled_from(wrong[flag]))
+    argv = [command] + [str(item) for pair in {**valid[command], flag: value}.items()
+                        for item in pair]
+    err = io.StringIO()
+    with mock.patch.object(trainer, "sgd_momentum_step", side_effect=AssertionError("a step")), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code == 2 and "error:" in err.splitlines()[-1] and "Traceback" not in err, (
+        f"{argv}: exit {code}: {err}")
 
 
 def test_every_package_error_keeps_its_builtin_base():

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coalign import data as D
-from coalign import errors, evaluation, numerics
+from coalign import evaluation, numerics
 from coalign import model as M
 from coalign.errors import ConsistencyError, FormatError, UsageError
 from coalign.numerics import (
@@ -22,6 +22,7 @@ from coalign.numerics import (
 )
 from coalign.selftrain import K_SCHEDULE_PRESETS
 from coalign.trainer import ABLATION_FLAGS, METHODS, TrainConfig
+from conftest import one_change_edits, runs_or_fails_with_a_package_error, with_leaf
 
 
 class TestParetoProportions:
@@ -210,11 +211,10 @@ def one_more_row(idx: bytes) -> bytes:
     return idx[:4] + struct.pack(">I", struct.unpack(">I", idx[4:8])[0] + 1) + idx[8:]
 
 
-def loads_or_fails_with_a_package_error(load) -> None:
-    try:
-        load()
-    except Exception as exc:  # the assertion is on the type
-        assert type(exc).__module__ == errors.__name__, f"{type(exc).__name__}: {exc}"
+def one_change(doc):
+    """A strategy of one of conftest.one_change_edits(doc), each of its three
+    kinds of change as likely as the others."""
+    return st.one_of(*map(st.sampled_from, one_change_edits(doc)))
 
 
 def write_idx_fixture(tmp_path):
@@ -323,18 +323,18 @@ class TestIdx:
             paths = Path(tmp, "images.idx"), Path(tmp, "labels.idx")
             for path, raw in zip(paths, files):
                 path.write_bytes(raw)
-            loads_or_fails_with_a_package_error(lambda: D.load_idx(*paths))
+            runs_or_fails_with_a_package_error(lambda: D.load_idx(*paths))
 
 
 class TestCsv:
     def test_load(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("x0,x1,label\n0.5,-1.25,0\n1.5,2.0,2\n")
+        path.write_text("x0,x1,label\n0.5,-1.25,0\n1.5,2.0,2\n2.5,0.0,0\n")
         ds = D.load_csv(path)
         assert ds.num_classes == 3
-        assert np.array_equal(ds.features, [[0.5, -1.25], [1.5, 2.0]])
+        assert np.array_equal(ds.features, [[0.5, -1.25], [1.5, 2.0], [2.5, 0.0]])
         assert ds.features.flags.c_contiguous  # not a view of the whole table
-        assert ds.labels.tolist() == [0, 2]
+        assert ds.labels.tolist() == [0, 2, 0]
 
     @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
     def test_unreadable_file_is_named(self, tmp_path, kind):
@@ -372,9 +372,9 @@ class TestCsv:
 
     def test_single_row(self, tmp_path):
         path = tmp_path / "one.csv"
-        path.write_text("x0,x1,label\n0.5,1.5,1\n")
+        path.write_text("x0,x1,label\n0.5,1.5,0\n")
         ds = D.load_csv(path)
-        assert ds.features.tolist() == [[0.5, 1.5]] and ds.labels.tolist() == [1]
+        assert ds.features.tolist() == [[0.5, 1.5]] and ds.labels.tolist() == [0]
 
     def test_negative_label_is_rejected(self, tmp_path):
         path = tmp_path / "negative.csv"
@@ -382,20 +382,29 @@ class TestCsv:
         with pytest.raises(FormatError, match="negative.csv: final column"):
             D.load_csv(path)
 
-    # float64 holds no exact integer from 2**53 on: 1e17 would give 10**17 + 1
-    # classes and 1e300 a 301-digit class count
-    @pytest.mark.parametrize("label", ["1e17", "1e300"])
-    def test_label_beyond_exact_float64_integers_names_the_file(self, tmp_path, label):
-        path = tmp_path / "huge.csv"
+    # 2 leaves one of three classes without rows; 1e15 would give 10**15 + 1
+    # classes, whose per-class counts no machine can hold
+    @pytest.mark.parametrize("label", ["2", "1e15"])
+    def test_a_label_at_or_above_the_row_count_names_the_file(self, tmp_path, label):
+        path = tmp_path / "sparse.csv"
         path.write_text(f"x0,label\n0.5,0\n0.5,{label}\n")
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: label "
-                                              rf"{re.escape(repr(float(label)))} is not below 2\*\*53$"):
+                                              rf"{re.escape(repr(float(label)))} is not below the "
+                                              "row count, 2$"):
             D.load_csv(path)
 
+    # float64 holds no exact integer from 2**53 on: 1e17 would give 10**17 + 1
+    # classes and 1e300 a 301-digit class count; the row-count bound holds them off
+    @pytest.mark.parametrize("label", ["1e17", "1e300"])
+    def test_label_beyond_exact_float64_integers_names_the_file(self, tmp_path, label):
+        self.test_a_label_at_or_above_the_row_count_names_the_file(tmp_path, label)
+
     def test_largest_exact_label_sets_the_class_count(self, tmp_path):
+        """The largest label, one below the row count, sets the class count,
+        though class 0 and class 1 have no rows."""
         path = tmp_path / "top.csv"
-        path.write_text(f"x0,label\n0.5,{2**53 - 1}\n")
-        assert D.load_csv(path).num_classes == 2**53
+        path.write_text("x0,label\n0.5,2\n1.5,2\n2.5,2\n")
+        assert D.load_csv(path).num_classes == 3
 
     def test_header_only_names_the_missing_rows(self, tmp_path):
         path = tmp_path / "header.csv"
@@ -430,7 +439,7 @@ class TestCsv:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "rows.csv")
             path.write_bytes(raw)
-            loads_or_fails_with_a_package_error(lambda: D.load_csv(path))
+            runs_or_fails_with_a_package_error(lambda: D.load_csv(path))
 
 
 @pytest.mark.parametrize("features, labels, message", [
@@ -584,6 +593,26 @@ class TestSplitAndManifest:
                               D.largest_remainder_counts(D.shift_proportions(3, shift), 60))
         holdout = D.take_split(shifted, split)
         assert D.dataset_fingerprint(got) == D.dataset_fingerprint(holdout)
+
+    # every leaf, key and mapping of each kind's recipe about once; the csv
+    # and idx files are the session's own
+    @settings(max_examples=300)
+    @given(kind=st.sampled_from(["twin-gaussians", "csv", "idx"]), data=st.data())
+    def test_a_one_change_recipe_materializes_or_fails_with_a_package_error(self, file_recipes,
+                                                                            kind, data):
+        """One change to a small recipe of each kind with a shift and a split
+        block either materializes or raises an error type of the package, and
+        an unknown key always fails."""
+        twin = {"kind": kind, "domain": "target", "generator": {
+            **TWIN_GENERATOR, "per_class": 20, "rotation_deg": 20.0, "translation": [0.1, 0.2],
+            "radius": 2.0}}
+        recipe = {**file_recipes.get(kind, twin), "shift": {**TWIN_SHIFT, "budget": 30,
+                                                            "min_per_class": 2, "seed": 8},
+                  "split": {"holdout_fraction": 0.25, "seed": 3, "part": "holdout"}}
+        path, value = data.draw(one_change(recipe))
+        exc = runs_or_fails_with_a_package_error(
+            lambda: D.materialize_dataset(with_leaf(recipe, path, value)))
+        assert exc is not None or path[-1] != "unknown", path
 
     def test_unknown_recipe_kind(self):
         with pytest.raises(UsageError):

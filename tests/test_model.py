@@ -10,23 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from coalign import errors, objectives, selftrain, trainer
+from coalign import objectives, selftrain, trainer
 from coalign import model as M
 from coalign.errors import FormatError, UsageError
 from coalign.numerics import sgd_momentum_step
-from conftest import WRONG_VALUES, with_leaf
-
-
-def identity_extractor_model(dim, num_classes, temperature=0.05, prototypes=None):
-    """Single identity layer with zero bias: F(x) = relu(x), so nonnegative
-    inputs pass straight through and prototypes can be set directly."""
-    params = M.init_model(dim, (dim,), num_classes, temperature=temperature, seed=0)
-    w, b = params.layers[0]
-    w.value[...] = np.eye(dim)
-    b.value[...] = 0.0
-    if prototypes is not None:
-        params.prototypes.value[...] = prototypes
-    return params
+from conftest import (WRONG_VALUES, identity_extractor_model, runs_or_fails_with_a_package_error,
+                      with_leaf)
 
 
 class TestExtractFeatures:
@@ -411,11 +400,7 @@ class TestCheckpoint:
         or raises an error type of the package."""
         with tempfile.TemporaryDirectory() as tmp:
             path = self._edited(Path(tmp), lambda doc: doc.update(with_leaf(doc, leaf, value)))
-            try:
-                M.load_checkpoint(path)
-            except Exception as exc:  # the assertion is on the type
-                assert type(exc).__module__ == errors.__name__, (
-                    f"{'/'.join(map(str, leaf))} = {value!r}: {type(exc).__name__}: {exc}")
+            runs_or_fails_with_a_package_error(lambda: M.load_checkpoint(path))
 
     def test_non_finite_values(self, tmp_path):
         def poison(doc):

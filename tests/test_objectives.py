@@ -10,21 +10,13 @@ from coalign import model as M
 from coalign import numerics, objectives
 from coalign.errors import UsageError
 from coalign.numerics import mean_entropy, sgd_momentum_step
+from conftest import identity_extractor_model
 
 
 def separable_batch(rng, n_per=10):
     x = np.vstack([rng.normal((-2, 0), 0.4, (n_per, 2)), rng.normal((2, 0), 0.4, (n_per, 2))])
     y = np.repeat([0, 1], n_per)
     return x, y
-
-
-def identity_model(dim, temperature):
-    params = M.init_model(dim, (dim,), dim, temperature=temperature, seed=0)
-    w, b = params.layers[0]
-    w.value[...] = np.eye(dim)
-    b.value[...] = 0.0
-    params.prototypes.value[...] = np.eye(dim)
-    return params
 
 
 class TestSourceClassificationLoss:
@@ -81,7 +73,7 @@ class TestSelfTrainingLoss:
             assert np.array_equal(b.grad, grads[b.name])
 
     def test_saturated_model_target_term_vanishes(self):
-        params = identity_model(3, temperature=0.05)
+        params = identity_extractor_model(3, 3, prototypes=np.eye(3))
         tgt = np.eye(3)  # each sample sits exactly on its prototype
         pseudo = np.arange(3)
         l_st, l_sc, l_pseudo = reference.self_training_loss(
@@ -92,7 +84,7 @@ class TestSelfTrainingLoss:
     def test_hand_built_two_sample_case(self):
         # identity features, identity prototypes, T=1: each cross-entropy is
         # ln(1 + e^-1) because the correct logit is 1 and the other is 0
-        params = identity_model(2, temperature=1.0)
+        params = identity_extractor_model(2, 2, temperature=1.0, prototypes=np.eye(2))
         src_x = np.array([[1.0, 0.0]])
         tgt_x = np.array([[0.0, 1.0]])
         l_st, l_sc, l_pseudo = reference.self_training_loss(

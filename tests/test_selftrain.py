@@ -9,18 +9,14 @@ from coalign import model as M
 from coalign import selftrain
 from coalign.errors import UsageError
 from coalign.selftrain import K_SCHEDULE_PRESETS
+from conftest import identity_extractor_model
 from test_acceptance import brute_force_select
 
 
 class TestAssignPseudoLabels:
     def test_one_hot_prediction(self):
         d = 3
-        params = M.init_model(d, (d,), d, seed=0)
-        w, b = params.layers[0]
-        w.value[...] = np.eye(d)
-        b.value[...] = 0.0
-        params.prototypes.value[...] = np.eye(d)
-        params = params
+        params = identity_extractor_model(d, d, prototypes=np.eye(d))
         x = np.zeros((1, d))
         x[0, 1] = 1.0
         labels, conf = selftrain.assign_pseudo_labels(params, x)
@@ -29,11 +25,7 @@ class TestAssignPseudoLabels:
 
     def test_uniform_tie_goes_to_class_zero(self):
         d = 4
-        params = M.init_model(d, (d,), d, temperature=1.0, seed=0)
-        w, b = params.layers[0]
-        w.value[...] = np.eye(d)
-        b.value[...] = 0.0
-        params.prototypes.value[...] = np.eye(d)
+        params = identity_extractor_model(d, d, temperature=1.0, prototypes=np.eye(d))
         labels, conf = selftrain.assign_pseudo_labels(params, np.ones((1, d)))
         assert labels[0] == 0
         assert conf[0] == pytest.approx(0.25, abs=1e-12)

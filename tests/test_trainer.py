@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import model as M
-from coalign import cli, errors, evaluation, objectives, selftrain, trainer
+from coalign import cli, evaluation, objectives, selftrain, trainer
 from coalign.errors import DivergenceError, UsageError
 from coalign.trainer import TrainConfig, run_experiment
-from conftest import WRONG_VALUES, fixture_config, leaf_paths, with_leaf
+from conftest import (WRONG_VALUES, fixture_config, leaf_paths, runs_or_fails_with_a_package_error,
+                      with_leaf)
+from test_data import one_change
 
 
 def tiny_twin_config(method="source-only", seed=0, **overrides):
@@ -199,14 +201,13 @@ class TestTrainConfig:
     def test_a_wrong_leaf_fails_with_a_package_error(self, path, value):
         """One leaf of a small config set to a wrong value either builds the
         run's datasets and model or raises an error type of the package."""
-        try:
+        def build():
             cfg = TrainConfig.from_dict(with_leaf(SMALL_CONFIG, path, value))
             (source, *_), _ = trainer.resolve_datasets(cfg)
             M.init_model(source.features.shape[1], cfg.hidden_dims, source.num_classes,
                          temperature=cfg.temperature, seed=cfg.seed)
-        except Exception as exc:  # the assertion is on the type
-            assert type(exc).__module__ == errors.__name__, (
-                f"{'/'.join(map(str, path))} = {value!r}: {type(exc).__name__}: {exc}")
+
+        runs_or_fails_with_a_package_error(build)
 
     def test_schedule_preset_resolution(self):
         cfg = TrainConfig(k_schedule="fast-start")
@@ -547,6 +548,23 @@ class TestResolveDatasets:
             assert D.dataset_fingerprint(rebuilt) == doc["sha256"]
             assert rebuilt.class_counts().tolist() == doc["per_class_counts"]
         assert doc["recipe"]["kind"] == "idx" and doc["recipe"]["split"]["part"] == "holdout"
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_a_one_change_source_and_target_resolve_or_fail_with_a_package_error(
+            self, file_recipes, data):
+        """One change to a source/target data section, a csv source with a
+        shift and a split block and an idx target with a shift block, either
+        resolves or raises an error type of the package, and an unknown key
+        always fails."""
+        shift = {"pareto_alpha": 1.0, "degree": 50.0, "budget": 30, "min_per_class": 2, "seed": 2}
+        section = {"source": {**file_recipes["csv"], "shift": {**shift, "direction": "source"},
+                              "split": {"holdout_fraction": 0.25, "seed": 3, "part": "train"}},
+                   "target": {**file_recipes["idx"], "shift": {**shift, "direction": "target"}}}
+        path, value = data.draw(one_change(section))
+        exc = runs_or_fails_with_a_package_error(
+            lambda: trainer.resolve_datasets(TrainConfig(data=with_leaf(section, path, value))))
+        assert exc is not None or path[-1] != "unknown", path
 
     def test_means_beyond_int64_give_float_features_and_a_run(self):
         """A recipe's means may hold any integer a float holds, also one that

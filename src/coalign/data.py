@@ -367,8 +367,9 @@ def balanced_batches(dataset: LabeledDataset, batch_size: int, seed) -> list[np.
 
 def _reshuffled(members: np.ndarray, order: np.ndarray, rng: np.random.Generator):
     """``order``, then ``members`` reshuffled by ``rng`` each time the
-    previous order runs out, drawn only when the next item is needed."""
-    while True:
+    previous order runs out, drawn only when the next item is needed. An
+    empty ``members`` ends the stream instead of reshuffling forever."""
+    while len(order):
         yield from order
         order = members[rng.permutation(len(members))]
 

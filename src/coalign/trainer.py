@@ -281,6 +281,8 @@ def run_experiment(config: TrainConfig) -> RunReport:
     t_start = time.perf_counter()
     data, recipes = resolve_datasets(config)
     source, target_train, target_holdout = data
+    fits = (lambda size: size <= len(source), f"be at most the source's {len(source)} rows")
+    require({"batch_size": config.batch_size}, "", batch_size=fits)
     out_dir = data_mod.make_out_dir(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         for (name, recipe), dataset in zip(recipes.items(), data):

@@ -1,11 +1,13 @@
-"""Shared helpers: the pinned twin-Gaussian benchmark grid.
+"""Shared helpers: the pinned twin-Gaussian benchmark configuration.
 
 Every fixture run reads ``configs/benchmark.json``, the one definition of
-the pinned benchmark configuration. The grid runs every (method, degree,
-seed) combination once per session and feeds both the acceptance suite and
-the trainer-invariant tests. Every run is deterministic: a repeated run
-gives byte-identical metrics. The pytest fixtures that serve them are in
-``pinned_fixtures.py``, so this file imports neither pytest nor hypothesis.
+the pinned benchmark configuration. The session's grid is the benchmark's
+own ``grid`` workload, which builds its configs through ``fixture_config``
+(``pinned_hashes.benchmark_runs``); it runs once per session and feeds both
+the acceptance suite and the trainer-invariant tests. Every run is
+deterministic: a repeated run gives byte-identical metrics. The pytest
+fixtures that serve them are in ``pinned_fixtures.py``, so this file
+imports neither pytest nor hypothesis.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ import copy
 import importlib.util
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from coalign import errors
 from coalign.model import init_model
-from coalign.trainer import ABLATION_FLAGS, TrainConfig, run_experiments
+from coalign.trainer import TrainConfig, run_experiments
 
 FIXTURE_SEEDS = (1, 2, 3)
 
@@ -66,6 +67,22 @@ def fixture_config(method: str, seed: int, degree: float, **overrides) -> TrainC
     doc["data"]["shift"]["degree"] = degree
     doc.update({"method": method, "seed": seed, "out_dir": None, **overrides})
     return TrainConfig.from_dict(doc)
+
+
+def tiny_twin_doc(method: str = "source-only", seed: int = 0, per_class: int = 80,
+                  **overrides) -> dict:
+    """The tests' tiny config document: two twin-Gaussian classes of
+    ``per_class`` samples and a 120-sample source budget at shift degree
+    40, one pretraining and two adaptation epochs of batch 16, with
+    ``method``, ``seed`` and the top-level ``overrides`` set."""
+    return {"method": method, "seed": seed, "epochs": 2, "pretrain_epochs": 1, "batch_size": 16,
+            "temperature": 0.3,
+            "data": {"twin_gaussians": {"num_classes": 2, "per_class": per_class, "noise": 0.4,
+                                        "rotation_deg": 10.0, "translation": [0.0, 0.0],
+                                        "means": [[-2.0, 0.0], [2.0, 0.0]], "seed": 3},
+                     "shift": {"pareto_alpha": 1.0, "degree": 40.0, "budget": 120,
+                               "min_per_class": 2, "seed": 5}},
+            **overrides}
 
 
 def sampler_study_config(sampler: str, seed: int) -> TrainConfig:
@@ -136,17 +153,14 @@ def _nodes(node, path=()):
                              for pair in _nodes(child, path + (key,))]
 
 
-def leaf_paths(node):
-    """The key path of every leaf of a nest of dicts and lists."""
-    return [path for path, leaf in _nodes(node) if not isinstance(leaf, (dict, list))]
-
-
 def one_change_edits(doc):
     """Every edit of ``doc`` that makes one change, as ``with_leaf``'s (path,
     value) pairs, in three lists: a leaf set to one of WRONG_VALUES, one key
     of a mapping dropped, and the unknown key ``"unknown"`` added to a mapping."""
-    mappings = [(path, node) for path, node in _nodes(doc) if isinstance(node, dict)]
-    return ([(path, value) for path in leaf_paths(doc) for value in WRONG_VALUES],
+    nodes = _nodes(doc)
+    mappings = [(path, node) for path, node in nodes if isinstance(node, dict)]
+    return ([(path, value) for path, node in nodes if not isinstance(node, (dict, list))
+             for value in WRONG_VALUES],
             [(path + (key,), DROP) for path, node in mappings for key in node],
             [(path + ("unknown",), 1) for path, _ in mappings])
 
@@ -176,28 +190,16 @@ def runs_or_fails_with_a_package_error(call):
     return None
 
 
-def benchmark_runs(out_dirs: dict | None = None) -> dict:
-    """All fixture runs used by the directional criteria, keyed by
-    (method, degree, seed); ablation variants keyed by (flag, 100.0, seed).
-    A run whose key ``out_dirs`` holds writes its artifacts and pseudo-label
-    dumps to that directory."""
-    configs = {(method, degree, seed): fixture_config(method, seed, degree)
-               for method in ("source-only", "coal", "marginal-align")
-               for degree in (0.0, 100.0) for seed in FIXTURE_SEEDS}
-    configs.update({(flag, 100.0, seed): fixture_config("coal", seed, 100.0, ablations=(flag,))
-                    for flag in ABLATION_FLAGS for seed in FIXTURE_SEEDS})
-    for key, out_dir in (out_dirs or {}).items():
-        if key in configs:
-            configs[key] = replace(configs[key], out_dir=out_dir, dump_pseudo=True)
-    return dict(zip(configs, run_experiments(list(configs.values()))))
-
-
 def sampler_runs() -> dict:
-    """Source-only runs of the sampler study, keyed by (sampler, seed)."""
-    configs = {(sampler, seed): sampler_study_config(sampler, seed)
+    """Source-only runs of the sampler study, keyed like the ledger's
+    ``natural/s3``."""
+    configs = {f"{sampler}/s{seed}": sampler_study_config(sampler, seed)
                for sampler in ("balanced", "natural") for seed in FIXTURE_SEEDS}
     return dict(zip(configs, run_experiments(list(configs.values()))))
 
 
 def grid_mean(grid, method, degree) -> float:
-    return float(np.mean([final_accuracy(grid[(method, degree, s)]) for s in FIXTURE_SEEDS]))
+    """The mean final accuracy over the fixture seeds of the grid's
+    ``method`` (or ablation flag) runs at ``degree``."""
+    return float(np.mean([final_accuracy(grid[f"{method}/d{degree:g}/s{s}"])
+                          for s in FIXTURE_SEEDS]))

@@ -4,8 +4,9 @@ tier-1 not tell apart from the program?
 Each single-line statement (not a docstring, ``pass`` or import) gives one
 mutant that replaces it with ``pass``, and each one-line ``if`` test gives one
 mutant that negates it. The sweep copies ``src/``, ``tests/``, ``configs/``,
-``coalbench/`` (tier-1 loads the benchmark's workloads and hooks) and
-``pyproject.toml`` to a temp dir and checks that the unmutated copy passes.
+``coalbench/`` (tier-1 loads the benchmark's workloads and hooks),
+``pyproject.toml`` and ``README.md`` (tier-1 reads its grid table) to a
+temp dir and checks that the unmutated copy passes.
 Then it runs tier-1 with ``-x -q -p no:cacheprovider`` on each mutant in
 turn, with a 60 s timeout that kills the mutant's whole process group. It
 prints each survivor as ``file:line  statement`` (a negated test as
@@ -118,7 +119,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
     for name in ("src", "tests", "configs", "coalbench"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _run_tests(copy: Path, timeout: float) -> str:

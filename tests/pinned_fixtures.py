@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import benchmark_runs, sampler_runs
-from pinned_hashes import grid_out_dirs
+from conftest import sampler_runs
+from pinned_hashes import benchmark_runs
 
 from coalign import data as D
 
@@ -45,9 +45,11 @@ def pinned_root(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def benchmark_grid(pinned_root):
-    return benchmark_runs(grid_out_dirs(pinned_root))
+    """The benchmark's ``grid`` runs, keyed by op name like ``coal/d100/s1``."""
+    return benchmark_runs(pinned_root)
 
 
 @pytest.fixture(scope="session")
 def sampler_grid():
+    """The sampler study's runs, keyed like ``natural/s3``."""
     return sampler_runs()

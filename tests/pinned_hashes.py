@@ -4,7 +4,8 @@ Its first line names the numpy and BLAS builds the hashes hold for. Then
 come ``<sha256>  <name>`` lines:
 
 - ``metrics/<key>``: the ``metrics_payload()`` of every session-fixture run
-  (``conftest.benchmark_runs`` and ``sampler_runs``, 30 runs), keyed like
+  (``benchmark_runs``, the benchmark's own ``grid``, and
+  ``conftest.sampler_runs``, 30 runs), keyed by op name like
   ``coal/d100/s1``, ``disable-pseudo-term/d100/s2`` or ``natural/s3``;
 - every artifact of coal (full, each single ablation and both ablations),
   marginal-align and source-only on the pinned twin-Gaussian fixture of
@@ -16,11 +17,12 @@ come ``<sha256>  <name>`` lines:
   ``coalign eval`` on its holdout manifest, and ``coalign gen-shift`` writes
   one split of ``GEN_SHIFT_RECIPE``.
 
-Eight of the artifact runs are seed-1 runs of ``benchmark_runs``, which
-writes them into ``grid_out_dirs(root)``; only the other six run here. A
-tier-1 test builds the same lines from the session fixtures and compares
-them with the file. A change that moves an output on purpose, such as a
-benchmark change to ``wide``, which moves the ``wide/*`` lines, rewrites it:
+Both workloads come through ``workload_configs``. Eight of the artifact
+runs are run-seed-1 runs of ``benchmark_runs``, which writes them under the
+output root; only the other six run here. A tier-1 test builds the same
+lines from the session fixtures and compares them with the file. A change
+that moves an output on purpose, such as a benchmark change to ``wide``,
+which moves the ``wide/*`` lines, rewrites it:
 
     PYTHONPATH=src python tests/pinned_hashes.py > tests/pinned_hashes.txt
 
@@ -43,7 +45,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from conftest import benchmark_runs, fixture_config, load_coalbench, sampler_runs
+from conftest import fixture_config, load_coalbench, sampler_runs
 
 from coalign import cli, trainer
 from coalign import data as D
@@ -74,35 +76,48 @@ def versions() -> str:
     return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
 
 
+def workload_configs(name: str, root: Path) -> dict:
+    """The configs the ops of ``coalbench``'s workload ``name`` at bench
+    seed 0 hand to ``trainer.run_experiment``, keyed by op name; the
+    workload writes its inputs under ``root``. The ops look
+    ``trainer.run_experiment`` up when called, so a stand-in that returns
+    its config collects them without training."""
+    ops, _ = load_coalbench("workloads").WORKLOADS[name](0, root)
+    with mock.patch.object(trainer, "run_experiment", lambda config: config):
+        return {op.name: op.run() for op in ops}
+
+
 def ledger_configs(root: Path) -> dict:
     """Each artifact run's config by tag, without ``out_dir``: the fixture
-    variants, and the coal and marginal-align ops of ``coalbench``'s
-    ``wide`` at bench seed 0, run seed 1, whose pools it writes under
-    ``root``. Those ops look ``trainer.run_experiment`` up when called, so a
-    stand-in that returns its config collects them without training."""
+    variants, and the coal and marginal-align runs of ``coalbench``'s
+    ``wide`` at run seed 1, whose pools it writes under ``root``."""
     runs = {f"{name}/d{degree:g}": fixture_config(method, SEED, degree, ablations=ablations)
             for name, method, ablations in VARIANTS for degree in DEGREES}
-    ops, _ = load_coalbench("workloads").wide(0, root)
-    with mock.patch.object(trainer, "run_experiment", lambda config: config):
-        wide = {op.name: op.run() for op in ops}
+    wide = workload_configs("wide", root)
     runs.update({f"wide/{method}": wide[f"{method}/s1"] for method in ("coal", "marginal-align")})
     return runs
 
 
-def grid_out_dirs(root: Path) -> dict:
-    """Each fixture run's directory under ``root``, keyed as in
-    ``benchmark_runs``, which writes the runs it holds."""
-    return {(ablations[0] if ablations else method, degree, SEED): str(root / f"{name}/d{degree:g}")
-            for name, method, ablations in VARIANTS if len(ablations) < 2 for degree in DEGREES}
+def benchmark_runs(root: Path) -> dict:
+    """The runs of ``coalbench``'s ``grid`` at bench seed 0, trained in one
+    ``run_experiments`` call and keyed by op name, like ``coal/d100/s1`` or
+    ``disable-pseudo-term/d100/s2``. Each run-seed-1 run is an artifact run
+    of the ledger: it writes its artifacts and pseudo-label dumps under
+    ``root``, to its tag's directory, such as ``coal-disable-pseudo-term/d100``."""
+    configs = workload_configs("grid", root)
+    for key, config in configs.items():
+        _, degree, seed = key.split("/")
+        if seed == f"s{SEED}":
+            tag = f"{'-'.join((config.method, *config.ablations))}/{degree}"
+            configs[key] = replace(config, out_dir=str(root / tag), dump_pseudo=True)
+    return dict(zip(configs, trainer.run_experiments(list(configs.values()))))
 
 
 def ledger_lines(root: Path, benchmark: dict, sampler: dict) -> list[str]:
-    """The ledger's lines; ``benchmark`` is ``benchmark_runs(grid_out_dirs(root))``."""
-    keyed = {f"{name}/d{degree:g}/s{seed}": report
-             for (name, degree, seed), report in benchmark.items()}
-    keyed.update({f"{name}/s{seed}": report for (name, seed), report in sampler.items()})
+    """The ledger's lines; ``benchmark`` is ``benchmark_runs(root)`` and
+    ``sampler`` is ``conftest.sampler_runs()``."""
     lines = [(f"metrics/{key}", hashlib.sha256(report.metrics_payload().encode()).hexdigest())
-             for key, report in sorted(keyed.items())]
+             for key, report in sorted({**benchmark, **sampler}.items())]
 
     runs = ledger_configs(root)
     written = {report.config["out_dir"] for report in benchmark.values()}
@@ -144,7 +159,7 @@ def ledger_lines(root: Path, benchmark: dict, sampler: dict) -> list[str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for line in ledger_lines(root, benchmark_runs(grid_out_dirs(root)), sampler_runs()):
+        for line in ledger_lines(root, benchmark_runs(root), sampler_runs()):
             print(line)
     return 0
 

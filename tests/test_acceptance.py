@@ -219,7 +219,7 @@ def test_criterion_5_shift_phenomenology(benchmark_grid):
     slowest = max(
         report.timing["wall_time_s"]
         for key, report in benchmark_grid.items()
-        if key[0] in ("source-only", "coal", "marginal-align")
+        if key.split("/")[0] in ("source-only", "coal", "marginal-align")
     )
     report_line(
         5, a and b and c and slowest < 300.0,
@@ -255,8 +255,8 @@ def test_criterion_6_ablation_direction_and_exactness(benchmark_grid, tmp_path):
 def test_criterion_7_balanced_sampler_study(sampler_grid):
     """With an 80/20-imbalanced source, the balanced sampler beats natural
     sampling for source-only training, averaged over 3 seeds."""
-    balanced = float(np.mean([final_accuracy(sampler_grid[("balanced", s)]) for s in FIXTURE_SEEDS]))
-    natural = float(np.mean([final_accuracy(sampler_grid[("natural", s)]) for s in FIXTURE_SEEDS]))
+    balanced = float(np.mean([final_accuracy(sampler_grid[f"balanced/s{s}"]) for s in FIXTURE_SEEDS]))
+    natural = float(np.mean([final_accuracy(sampler_grid[f"natural/s{s}"]) for s in FIXTURE_SEEDS]))
     report_line(7, balanced > natural,
                 f"balanced sampler {balanced:.3f} > natural sampler {natural:.3f}")
 
@@ -280,7 +280,7 @@ def test_criterion_9_reproducibility(benchmark_grid, tmp_path):
     which writes its artifacts, is the first of the two."""
     trainer.run_experiment(fixture_config("coal", 1, 100.0, out_dir=str(tmp_path)))
     payloads = []
-    for out_dir in (benchmark_grid[("coal", 100.0, 1)].config["out_dir"], tmp_path):
+    for out_dir in (benchmark_grid["coal/d100/s1"].config["out_dir"], tmp_path):
         doc = json.loads((Path(out_dir) / "report.json").read_text())
         payloads.append(json.dumps(doc["metrics"], sort_keys=True).encode())
     report_line(9, payloads[0] == payloads[1],

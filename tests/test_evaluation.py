@@ -4,13 +4,13 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import trainer
 from coalign import evaluation as E
 from coalign.errors import FormatError, UsageError
-from conftest import WRONG_VALUES, leaf_paths, runs_or_fails_with_a_package_error, with_leaf
+from conftest import runs_or_fails_with_a_package_error, tiny_twin_doc, with_leaf
+from test_data import one_change
 
 
 class TestConfusionMatrix:
@@ -256,13 +256,8 @@ def fake_report(method, degree, seed, accuracy, ablations=(), sampler="balanced"
 
 # a real coal run's report with an ablation and a task, so that every config
 # field the table reads is one of its leaves
-REPORT = trainer.run_experiment(trainer.TrainConfig.from_dict({
-    "method": "coal", "seed": 1, "epochs": 2, "pretrain_epochs": 1, "batch_size": 16,
-    "ablations": ["disable-entropy-term"], "task": "t",
-    "data": {"twin_gaussians": {"num_classes": 2, "per_class": 80, "noise": 0.4, "seed": 3},
-             "shift": {"pareto_alpha": 1.0, "degree": 40.0, "budget": 120, "seed": 5}},
-})).to_dict()
-REPORT_PATHS = leaf_paths(REPORT)
+REPORT = trainer.run_experiment(trainer.TrainConfig.from_dict(tiny_twin_doc(
+    "coal", seed=1, ablations=["disable-entropy-term"], task="t"))).to_dict()
 
 
 class TestRenderTable:
@@ -359,12 +354,15 @@ class TestRenderTable:
                         ["coal", "90.00", "", "80.00"],
                         ["source-only [natural sampler]", "", "70.00", ""]]
 
+    # about 100 of each kind of change, so about one per dropped key; 0.3 s on
+    # a 2-vCPU host
     @settings(max_examples=300)
-    @given(path=st.sampled_from(REPORT_PATHS), value=st.sampled_from(WRONG_VALUES))
-    def test_a_wrong_leaf_renders_or_fails_with_a_package_error(self, path, value):
-        """One leaf of a real report set to a wrong value either renders
-        beside the real report or raises an error type of the package that
-        names the report's index."""
+    @given(edit=one_change(REPORT))
+    def test_a_one_change_report_renders_or_raises_a_package_error(self, edit):
+        """One change to a real report, a wrong leaf, a dropped key or an
+        unknown key, either renders beside the real report or raises an
+        error type of the package that names the report's index."""
+        path, value = edit
         exc = runs_or_fails_with_a_package_error(
             lambda: E.render_table([REPORT, with_leaf(REPORT, path, value)], "csv"))
         assert exc is None or str(exc).startswith("report 1: "), exc

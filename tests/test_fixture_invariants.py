@@ -14,7 +14,7 @@ from coalign import model as M
 from coalign import cli, evaluation, trainer
 from coalign.data import natural_batches
 from coalign.numerics import mean_entropy, sgd_momentum_step
-from conftest import BENCHMARK_CONFIG, FIXTURE_SEEDS, fixture_config, grid_mean
+from conftest import BENCHMARK_CONFIG, FIXTURE_SEEDS, REPO, fixture_config, grid_mean
 from pinned_hashes import LEDGER, ledger_lines
 
 
@@ -33,6 +33,13 @@ def test_pinned_outputs_match_the_ledger(pinned_root, benchmark_grid, sampler_gr
         f"{len(changes)} of {len(committed) - 1} lines differ from {LEDGER.name} (written with "
         f"{committed[0][2:]}; this run has {lines[0][2:]}): {', '.join(changes)}")
 
+
+
+def test_readme_grid_table_is_rendered_from_the_benchmark_grid(benchmark_grid):
+    """README's table of the grid's 24 runs is ``render_table``'s markdown
+    of the session's ``benchmark_grid``, byte for byte; it trains nothing."""
+    table = evaluation.render_table([r.to_dict() for r in benchmark_grid.values()], "markdown")
+    assert f"\n```\n{table}```\n" in (REPO / "README.md").read_text(), table
 
 # the values each epoch function's steps return; source-only adapts by pretraining
 STEP_VALUES = {"pretrain": {"l_sc"}, "source-only": {"l_sc"},
@@ -118,7 +125,7 @@ def test_the_config_file_is_the_pinned_fixture(tmp_path, benchmark_grid):
     for degree in (0.0, 100.0):
         report = json.loads((tmp_path / f"degree_{degree:g}" / "report.json").read_text())
         assert json.dumps(report["metrics"], sort_keys=True) == \
-            benchmark_grid[("coal", degree, 1)].metrics_payload(), degree
+            benchmark_grid[f"coal/d{degree:g}/s1"].metrics_payload(), degree
 
 
 def test_minimax_step_directions_on_fixture():
@@ -159,7 +166,7 @@ def test_pseudo_label_accuracy_trend(benchmark_grid):
     early (mean over the fixture seeds)."""
     early, late = [], []
     for seed in FIXTURE_SEEDS:
-        report = benchmark_grid[("coal", 100.0, seed)]
+        report = benchmark_grid[f"coal/d100/s{seed}"]
         adapt = [r for r in report.metrics["epochs"] if r["phase"] == "adapt"]
         early.append(adapt[1]["masked_pseudo_accuracy"])
         late.append(adapt[25]["masked_pseudo_accuracy"])
@@ -171,7 +178,7 @@ def test_discriminator_accuracy_trends_toward_chance(benchmark_grid):
     toward 0.5 (mean over seeds, first epoch vs last five)."""
     gaps_first, gaps_last = [], []
     for seed in FIXTURE_SEEDS:
-        report = benchmark_grid[("marginal-align", 100.0, seed)]
+        report = benchmark_grid[f"marginal-align/d100/s{seed}"]
         accs = [r["domain_discriminator_accuracy"] for r in report.metrics["epochs"]
                 if r["phase"] == "adapt"]
         gaps_first.append(abs(accs[0] - 0.5))
@@ -190,7 +197,7 @@ def test_estimated_target_distribution_tracks_truth(benchmark_grid):
     """The final pseudo-label distribution estimate lands closer to the true
     target distribution than the source distribution is."""
     for seed in FIXTURE_SEEDS:
-        report = benchmark_grid[("coal", 100.0, seed)]
+        report = benchmark_grid[f"coal/d100/s{seed}"]
         js_est = report.metrics["final"]["estimated_vs_true_js_distance"]
         true_dist = np.asarray(report.metrics["true_target_distribution"])
         source_dist = true_dist[::-1]  # reversed ranking by construction

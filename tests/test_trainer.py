@@ -14,29 +14,12 @@ from coalign import model as M
 from coalign import cli, evaluation, objectives, selftrain, trainer
 from coalign.errors import DivergenceError, UsageError
 from coalign.trainer import TrainConfig, run_experiment
-from conftest import (WRONG_VALUES, fixture_config, leaf_paths, runs_or_fails_with_a_package_error,
-                      with_leaf)
+from conftest import fixture_config, runs_or_fails_with_a_package_error, tiny_twin_doc, with_leaf
 from test_data import one_change
 
 
 def tiny_twin_config(method="source-only", seed=0, **overrides):
-    base = dict(
-        method=method,
-        seed=seed,
-        epochs=2,
-        pretrain_epochs=1,
-        batch_size=16,
-        temperature=0.3,
-        data={
-            "twin_gaussians": {"num_classes": 2, "per_class": 80, "noise": 0.4,
-                               "rotation_deg": 10.0, "translation": [0.0, 0.0],
-                               "means": [[-2.0, 0.0], [2.0, 0.0]], "seed": 3},
-            "shift": {"pareto_alpha": 1.0, "degree": 40.0, "budget": 120,
-                      "min_per_class": 2, "seed": 5},
-        },
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
+    return TrainConfig(**tiny_twin_doc(method, seed, **overrides))
 
 
 def pretrained(cfg, data=None):
@@ -49,11 +32,10 @@ def pretrained(cfg, data=None):
     return params, data
 
 
-# a small coal config whose every leaf the boundary property test replaces
+# a small coal config that the boundary property test changes in one place
 SMALL_CONFIG = tiny_twin_config(
     "coal", ablations=("disable-entropy-term",), hidden_dims=(8, 4),
     k_schedule={"k0": 20.0, "k_step": 5.0, "k_max": 50.0}, task="t").to_dict()
-LEAF_PATHS = leaf_paths(SMALL_CONFIG)
 
 
 class TestTrainConfig:
@@ -191,23 +173,28 @@ class TestTrainConfig:
         rows = evaluation.render_table(reports, "csv").splitlines()[1:]
         assert rows == ["coal [disable-pseudo-term] [disable-entropy-term],50.00"]
 
-    # about as many examples as there are (leaf, value) pairs
-    @settings(max_examples=len(LEAF_PATHS) * len(WRONG_VALUES))
-    @given(path=st.sampled_from(LEAF_PATHS), value=st.sampled_from(WRONG_VALUES))
+    # about 150 of each kind of change, so each dropped key and added unknown
+    # key several times; 0.6 s on a 2-vCPU host
+    @settings(max_examples=450)
+    @given(edit=one_change(SMALL_CONFIG))
     # ints that no array can hold: a shape, a width and a shift budget
-    @example(path=("data", "twin_gaussians", "per_class"), value=10**400)
-    @example(path=("hidden_dims", 0), value=10**400)
-    @example(path=("data", "shift", "budget"), value=10**400)
-    def test_a_wrong_leaf_fails_with_a_package_error(self, path, value):
-        """One leaf of a small config set to a wrong value either builds the
-        run's datasets and model or raises an error type of the package."""
+    @example(edit=(("data", "twin_gaussians", "per_class"), 10**400))
+    @example(edit=(("hidden_dims", 0), 10**400))
+    @example(edit=(("data", "shift", "budget"), 10**400))
+    def test_a_one_change_config_builds_or_fails_with_a_package_error(self, edit):
+        """One change to a small config, a wrong leaf, a dropped key or an
+        unknown key, either builds the run's datasets and model or raises an
+        error type of the package, and an unknown key always fails."""
+        path, value = edit
+
         def build():
             cfg = TrainConfig.from_dict(with_leaf(SMALL_CONFIG, path, value))
             (source, *_), _ = trainer.resolve_datasets(cfg)
             M.init_model(source.features.shape[1], cfg.hidden_dims, source.num_classes,
                          temperature=cfg.temperature, seed=cfg.seed)
 
-        runs_or_fails_with_a_package_error(build)
+        exc = runs_or_fails_with_a_package_error(build)
+        assert exc is not None or path[-1] != "unknown", path
 
     def test_schedule_preset_resolution(self):
         cfg = TrainConfig(k_schedule="fast-start")
@@ -423,6 +410,16 @@ class TestRunExperiment:
         assert all("l_sc" in entry for entry in lines)
         # only coal's adaptation steps minimize the self-training loss
         assert [entry["phase"] == "adapt" for entry in lines] == ["l_st" in entry for entry in lines]
+
+    def test_a_batch_above_the_source_rows_fails_before_anything_is_written(self, tmp_path):
+        """A batch as large as the source's 120 rows runs; one row larger
+        fails before the run makes its out dir. A batch of 5,000 would draw
+        each source row about 42 times in one step."""
+        run_experiment(tiny_twin_config(batch_size=120))
+        with pytest.raises(UsageError,
+                           match=r"^batch_size must be at most the source's 120 rows, got 5000$"):
+            run_experiment(tiny_twin_config(batch_size=5000, out_dir=str(tmp_path / "run")))
+        assert not (tmp_path / "run").exists()
 
     def test_every_step_goes_through_sgd_momentum_step(self, tmp_path, monkeypatch):
         # a wrapper bound to the module attribute sees each optimizer step,

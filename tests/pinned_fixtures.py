@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import sampler_runs
-from pinned_hashes import benchmark_runs
+from pinned_hashes import benchmark_runs, ledger_lines
 
 from coalign import data as D
 
@@ -53,3 +53,10 @@ def benchmark_grid(pinned_root):
 def sampler_grid():
     """The sampler study's runs, keyed like ``natural/s3``."""
     return sampler_runs()
+
+
+@pytest.fixture(scope="session")
+def ledger(pinned_root, benchmark_grid, sampler_grid):
+    """The ledger's lines for this session's runs, built once. Building them
+    trains every artifact run, such as ``wide/coal``, under ``pinned_root``."""
+    return ledger_lines(pinned_root, benchmark_grid, sampler_grid)

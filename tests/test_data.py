@@ -406,6 +406,16 @@ class TestCsv:
         path.write_text("x0,label\n0.5,2\n1.5,2\n2.5,2\n")
         assert D.load_csv(path).num_classes == 3
 
+    @pytest.mark.parametrize("header", ["x,x0,x1,label", "x0,label"], ids=["wider", "narrower"])
+    def test_a_header_of_another_width_names_both_counts(self, tmp_path, header):
+        """Rows of three cells under a header of another width fail; they
+        would otherwise load with the rows' own width."""
+        path = tmp_path / "width.csv"
+        path.write_bytes(header.encode() + CSV_ROWS[CSV_ROWS.index(b"\n"):])
+        with pytest.raises(FormatError, match=f"width.csv: data rows have 3 cells, the header "
+                                              f"{header.count(',') + 1}$"):
+            D.load_csv(path)
+
     def test_header_only_names_the_missing_rows(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("x0,label\n")

@@ -1,13 +1,17 @@
 """Behavioral invariants of the training loop on the pinned fixture; these
 reuse the session benchmark grid where possible."""
 
+import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import reference
 from coalign import model as M
@@ -15,15 +19,14 @@ from coalign import cli, evaluation, trainer
 from coalign.data import natural_batches
 from coalign.numerics import mean_entropy, sgd_momentum_step
 from conftest import BENCHMARK_CONFIG, FIXTURE_SEEDS, REPO, fixture_config, grid_mean
-from pinned_hashes import LEDGER, ledger_lines
+from pinned_hashes import LEDGER
 
 
-def test_pinned_outputs_match_the_ledger(pinned_root, benchmark_grid, sampler_grid):
+def test_pinned_outputs_match_the_ledger(ledger):
     """Every session-fixture run's metrics and every pinned artifact, eval
     output and split hash as the committed ledger holds; a failure names
     each line that moved, is missing or is extra."""
-    committed = LEDGER.read_text().splitlines()
-    lines = ledger_lines(pinned_root, benchmark_grid, sampler_grid)
+    committed, lines = LEDGER.read_text().splitlines(), ledger
     expected, actual = ({name: digest for digest, name in (line.split("  ", 1) for line in side[1:])}
                         for side in (committed, lines))
     changes = ([f"moved {name}" for name in expected if name in actual and actual[name] != expected[name]]
@@ -40,6 +43,45 @@ def test_readme_grid_table_is_rendered_from_the_benchmark_grid(benchmark_grid):
     of the session's ``benchmark_grid``, byte for byte; it trains nothing."""
     table = evaluation.render_table([r.to_dict() for r in benchmark_grid.values()], "markdown")
     assert f"\n```\n{table}```\n" in (REPO / "README.md").read_text(), table
+
+
+@pytest.mark.usefixtures("ledger")
+def test_readme_wide_table_is_rendered_from_the_ledger_runs(pinned_root):
+    """README's per-epoch table of the ledger's ``wide`` runs holds each
+    run's holdout ``per_class_mean_accuracy`` per epoch to three digits, as
+    the ledger test trained them."""
+    rows = [[method] + [f"{epoch['per_class_mean_accuracy']:.3f}".lstrip("0") for epoch in json.loads(
+        (pinned_root / "wide" / method / "report.json").read_text())["metrics"]["epochs"]]
+        for method in ("coal", "marginal-align")]
+    header = ["epoch", *range(len(rows[0]) - 1)]
+    table = "".join(f"| {' | '.join(map(str, row))} |\n"
+                    for row in (header, ["---"] * len(header), *rows))
+    assert f"\n{table}\n" in (REPO / "README.md").read_text(), table
+
+
+def test_every_name_readme_cites_exists():
+    """Each ``<path>.py::<name>`` chain, repository path and
+    ``coalign.<module>[.<name>]`` that README cites names a class or
+    function of that file, a file or directory, or a module attribute."""
+    readme = (REPO / "README.md").read_text()
+    missing = [path for path in re.findall(r"(?<![\w/.-])((?:src|tests|configs|coalbench)/[\w/.-]*)",
+                                           readme) if not (REPO / path.rstrip(".")).exists()]
+    for path, names in re.findall(r"((?:src|tests|configs|coalbench)/[\w/.-]*\.py)::([\w:]+)", readme):
+        body = ast.parse((REPO / path).read_text()).body if (REPO / path).exists() else []
+        for name in names.split("::"):
+            body = next((node.body for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                         and node.name == name), None)
+            if body is None:
+                missing.append(f"{path}::{names}")
+                break
+    for module, name in re.findall(r"(?<![\w.])coalign\.(\w+)(?:\.(\w+))?", readme):
+        try:
+            found = hasattr(importlib.import_module(f"coalign.{module}"), name) if name else True
+        except ImportError:
+            found = False
+        if not found:
+            missing.append(f"coalign.{module}.{name}".rstrip("."))
+    assert not missing, missing
 
 # the values each epoch function's steps return; source-only adapts by pretraining
 STEP_VALUES = {"pretrain": {"l_sc"}, "source-only": {"l_sc"},

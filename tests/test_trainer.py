@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import counts
 from coalign import data as D
 from coalign import model as M
 from coalign import cli, evaluation, objectives, selftrain, trainer
@@ -376,6 +377,13 @@ class TestRunExperiment:
         b = run_experiment(tiny_twin_config("coal", seed=2))
         assert a.metrics_payload() == b.metrics_payload()
         assert a.timing != b.timing or a.timing == b.timing  # timing may differ
+
+    def test_two_warm_runs_make_the_same_call_count(self):
+        """A run's Python and C call count repeats exactly, so
+        ``tests/counts.py`` can quote it beside timings that the host moves."""
+        config = tiny_twin_config("coal", seed=2)
+        run_experiment(config)
+        assert counts.call_count(config) == counts.call_count(config)
 
     def test_per_epoch_times_are_measured(self, monkeypatch):
         # a fake clock that each pretrain call advances by its epoch + 1

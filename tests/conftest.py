@@ -8,6 +8,12 @@ the acceptance suite and the trainer-invariant tests. Every run is
 deterministic: a repeated run gives byte-identical metrics. The pytest
 fixtures that serve them are in ``pinned_fixtures.py``, so this file
 imports neither pytest nor hypothesis.
+
+It also holds the builders that more than one test module uses:
+``tiny_twin_doc``, the one tiny config document that the CLI, trainer and
+table tests build their small runs from; ``identity_extractor_model``; and
+the reader fuzzes' ``WRONG_VALUES``, ``one_change_edits`` and
+``with_leaf``, with their one assertion, ``runs_or_fails_with_a_package_error``.
 """
 
 from __future__ import annotations

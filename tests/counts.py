@@ -4,7 +4,8 @@ and C calls one warm run makes (cProfile's total), its optimizer steps
 (``trainer.steps``: its ``sgd_momentum_step`` calls), the calls per step
 and the ``tracemalloc`` peak over three further runs (min-max). Unlike a
 wall time, the call count of a run repeats exactly, so a change that removes
-calls shows it on any host. Run from the repository root:
+calls shows it on any host; ``tests/test_trainer.py`` checks that it repeats
+on a tiny config. Run from the repository root:
 
     PYTHONPATH=src python tests/counts.py
 

@@ -17,7 +17,9 @@ killed mutant's first failing test, keyed like ``--only`` keys mutants (so
 mutants of one repeated statement share a key and its list). A mutant with
 recorded killers runs those alone first; only a failure or a collection
 error there is a kill. Otherwise the whole suite runs, cheapest test first.
-The killers a sweep finds for a key replace the key's old list. The sweep
+The killers a sweep finds for a key replace the key's old list. The record
+is git-ignored, and tier-1 never reads it. If the unmutated copy fails any
+of its three checks, the sweep stops before the first mutant. The sweep
 prints each survivor as ``file:line  statement`` (a negated test as
 ``file:line  not (test)``), then the counts and the total time. Run from the
 repository root:
@@ -31,7 +33,13 @@ so a survivor list still selects its mutants after the lines around them
 move. Apart from ``PYTHONPATH`` and ``PYTHONDONTWRITEBYTECODE``, the
 environment is passed on unchanged, so the unmutated check and the mutants
 run in the same one (``OPENBLAS_NUM_THREADS`` and ``PYTEST_ADDOPTS``
-included).
+included). So a test's unique kills are the survivors of
+
+    PYTEST_ADDOPTS="--deselect TEST" python tests/mutants.py --only LIST
+
+where ``LIST`` holds the mutants the record gives that test. A test that is
+no mutant's recorded killer has no unique kill: a mutant's only killer is
+always its first.
 
 pytest does not collect this file.
 """

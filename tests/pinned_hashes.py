@@ -76,13 +76,15 @@ def versions() -> str:
     return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
 
 
-def workload_configs(name: str, root: Path) -> dict:
+def workload_configs(name: str, root: Path, seed: int) -> dict:
     """The configs the ops of ``coalbench``'s workload ``name`` at bench
-    seed 0 hand to ``trainer.run_experiment``, keyed by op name; the
+    seed ``seed`` hand to ``trainer.run_experiment``, keyed by op name; the
     workload writes its inputs under ``root``. The ops look
     ``trainer.run_experiment`` up when called, so a stand-in that returns
-    its config collects them without training."""
-    ops, _ = load_coalbench("workloads").WORKLOADS[name](0, root)
+    its config collects them without training. It is the only code in
+    ``tests/`` that collects a workload's configs; the ledger's callers pass
+    bench seed 0."""
+    ops, _ = load_coalbench("workloads").WORKLOADS[name](seed, root)
     with mock.patch.object(trainer, "run_experiment", lambda config: config):
         return {op.name: op.run() for op in ops}
 
@@ -93,7 +95,7 @@ def ledger_configs(root: Path) -> dict:
     ``wide`` at run seed 1, whose pools it writes under ``root``."""
     runs = {f"{name}/d{degree:g}": fixture_config(method, SEED, degree, ablations=ablations)
             for name, method, ablations in VARIANTS for degree in DEGREES}
-    wide = workload_configs("wide", root)
+    wide = workload_configs("wide", root, 0)
     runs.update({f"wide/{method}": wide[f"{method}/s1"] for method in ("coal", "marginal-align")})
     return runs
 
@@ -104,7 +106,7 @@ def benchmark_runs(root: Path) -> dict:
     ``disable-pseudo-term/d100/s2``. Each run-seed-1 run is an artifact run
     of the ledger: it writes its artifacts and pseudo-label dumps under
     ``root``, to its tag's directory, such as ``coal-disable-pseudo-term/d100``."""
-    configs = workload_configs("grid", root)
+    configs = workload_configs("grid", root, 0)
     for key, config in configs.items():
         _, degree, seed = key.split("/")
         if seed == f"s{SEED}":

@@ -1,5 +1,6 @@
 """Print the line counts of ``src/``: raw lines and code-only lines, per
-module and in total, then the total of ``tests/*.py``.
+module and in total, then the total of ``tests/*.py`` and the raw line
+count of ``README.md``.
 
 A code-only line is a line that is not blank, not only a comment and not
 part of a docstring (the leading string of a module, class or function).
@@ -53,6 +54,7 @@ def main() -> None:
     print(f"{total_raw:6,d} {total_code:6,d}  total (raw, code-only)")
     raw, code = (sum(column) for column in zip(*map(count, sorted(TESTS.glob("*.py")))))
     print(f"{raw:6,d} {code:6,d}  tests/*.py total (raw, code-only)")
+    print(f"{len((TESTS.parent / 'README.md').read_text().splitlines()):6,d}         README.md (raw)")
 
 
 if __name__ == "__main__":

@@ -628,7 +628,7 @@ def test_the_ledger_pins_each_gated_workloads_seed_0_coal_run(tmp_path):
     load_coalbench("workloads").cli_sweep(0, tmp_path)
     assert trainer.TrainConfig.from_dict(json.loads((tmp_path / "coal.json").read_text())) == \
         ledger["coal/d100"]
-    wide = workload_configs("wide", tmp_path)
+    wide = workload_configs("wide", tmp_path, 0)
 
     def rows(config):
         """The config's fields, each data recipe replaced by the hash of the rows it builds."""

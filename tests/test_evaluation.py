@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalign import data as D
 from coalign import trainer
@@ -255,10 +256,12 @@ def fake_report(method, degree, seed, accuracy, ablations=(), sampler="balanced"
     }
 
 
-# a real coal run's report with an ablation and a task, so that every config
-# field the table reads is one of its leaves
-REPORT = trainer.run_experiment(trainer.TrainConfig.from_dict(tiny_twin_doc(
-    "coal", seed=1, ablations=["disable-entropy-term"], task="t"))).to_dict()
+@pytest.fixture(scope="module")
+def real_report():
+    """A real coal run's report with an ablation and a task, so that every
+    config field the table reads is one of its leaves."""
+    return trainer.run_experiment(trainer.TrainConfig.from_dict(tiny_twin_doc(
+        "coal", seed=1, ablations=["disable-entropy-term"], task="t"))).to_dict()
 
 
 class TestRenderTable:
@@ -358,12 +361,12 @@ class TestRenderTable:
     # about 100 of each kind of change, so about one per dropped key; 0.3 s on
     # a 2-vCPU host
     @settings(max_examples=300)
-    @given(edit=one_change(REPORT))
-    def test_a_one_change_report_renders_or_raises_a_package_error(self, edit):
+    @given(data=st.data())
+    def test_a_one_change_report_renders_or_raises_a_package_error(self, real_report, data):
         """One change to a real report, a wrong leaf, a dropped key or an
         unknown key, either renders beside the real report or raises an
         error type of the package that names the report's index."""
-        path, value = edit
+        path, value = data.draw(one_change(real_report))
         exc = runs_or_fails_with_a_package_error(
-            lambda: E.render_table([REPORT, with_leaf(REPORT, path, value)], "csv"))
+            lambda: E.render_table([real_report, with_leaf(real_report, path, value)], "csv"))
         assert exc is None or str(exc).startswith("report 1: "), exc

@@ -59,6 +59,27 @@ def test_readme_wide_table_is_rendered_from_the_ledger_runs(pinned_root):
     assert f"\n{table}\n" in (REPO / "README.md").read_text(), table
 
 
+@pytest.mark.usefixtures("ledger")
+def test_readme_wide_collapse_is_read_from_the_ledger_dumps(pinned_root):
+    """README's account of the ``wide/coal`` collapse, rendered from the
+    pseudo-label dumps of the first two adaptation epochs and the report's
+    ``true_target_distribution`` that the ledger test wrote: how many of the
+    classes the pseudo-labels on ``target_train`` cover, and the top class's
+    share of them and of the target."""
+    run = pinned_root / "wide" / "coal"
+    dumps = [np.loadtxt(run / f"pseudo_epoch_{epoch:03d}.csv", delimiter=",", skiprows=1,
+                        usecols=1, dtype=np.int64) for epoch in (1, 2)]
+    true = json.loads((run / "report.json").read_text())["metrics"]["true_target_distribution"]
+    covered = [len(np.unique(labels)) for labels in dumps]
+    top = np.bincount(dumps[1]).argmax()
+    shares = [f"{np.mean(labels == top):.1%}" for labels in dumps]
+    sentence = (f"After the first adaptation epoch the model predicts {covered[0]} of the {len(true)} "
+                f"classes on `target_train`, and after the second only {covered[1]}. Class {top} "
+                f"takes {shares[0]} and then {shares[1]} of the predictions, against its true share "
+                f"of {true[top]:.1%}.")
+    assert sentence in " ".join((REPO / "README.md").read_text().split()), sentence
+
+
 def test_every_name_readme_cites_exists():
     """Each ``<path>.py::<name>`` chain, repository path and
     ``coalign.<module>[.<name>]`` that README cites names a class or
